@@ -637,8 +637,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     written: list[Path] = []
     started = time.perf_counter()
     try:
-        batch = run_batch(scenario, n_runs, seed, parallelism=parallelism,
-                          collect_logs=export_events)
+        batch = run_batch((scenario,), n_runs, seed, parallelism=parallelism,
+                          collect_logs=export_events)[0]
         config = {
             "policy": scenario.policy.kind,
             "competition_slope": scenario.spot.competition_slope,
@@ -687,15 +687,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out is not None else Path(sf.output.directory)
     export_events = args.export_events or sf.output.export_events
 
+    scenarios = [_apply_overrides(sf.scenario, policy, slope) for policy, _, slope in cells]
+    for scenario in scenarios:
+        validate_scenario(scenario)
+
     written: list[Path] = []
     table_rows: list[dict[str, Any]] = []
     try:
-        for policy, token, slope in cells:
-            scenario = _apply_overrides(sf.scenario, policy, slope)
-            validate_scenario(scenario)
-            # common random numbers: every cell reuses the same seed and stream plan
-            batch = run_batch(scenario, n_runs, seed, parallelism=parallelism,
-                              collect_logs=export_events)
+        # common random numbers: each run's demand is simulated once and shared by every cell
+        batches = run_batch(scenarios, n_runs, seed, parallelism=parallelism,
+                            collect_logs=export_events)
+        for (policy, token, slope), scenario, batch in zip(cells, scenarios, batches):
             cell_dir = out_dir / f"{policy}_slope{token}"
             config = {
                 "policy": policy,

@@ -1,26 +1,37 @@
-"""Discrete-event kernel: future-event queue, event routines, and replication driver.
+"""Replication kernel: a shared demand pass, then a requisition lifecycle pass per grid cell.
 
-Each replication is single-threaded over its own state.  Randomness comes
-from a keyed splittable plan: every (run, purpose, entity) triple owns an
-independent stream, so results are reproducible regardless of execution
-order or parallelism, and policy variants of the same scenario face
-identical demand (common random numbers).
+A replication is simulated for a grid of scenarios that differ only in
+policy and competition slope (the cells).  Requisitions never interact: the
+contract book is immutable, the ledger only adds, inventories are per
+(vessel, category), and every random draw comes from a stream keyed by
+(run, purpose, entity).  So the policy-independent part of a run -- renewal
+triggers, requisition content, processing delays, contract snapshots and
+supplier responses -- is drawn once and shared by every cell.  Each cell then
+decides its RFQ scopes, times its orders directly from the delays, and
+allocates them.  An event counts iff it falls strictly before the horizon;
+requests whose lifecycle is incomplete by then count as in-flight and stay
+out of the totals.
+
+Randomness comes from a keyed splittable plan, so results are reproducible
+regardless of execution order or parallelism, and every cell faces identical
+demand (common random numbers).
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
-import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import demand
-from .domain import EventRecord, Quote, Requisition, Scenario
-from .market import ContractBook, make_quote
+from .domain import Allocation, EventRecord, Quote, Requisition, Scenario
+from .hazards import sample_exponential_delay
+from .market import ContractBook, competition_adjust, make_quote
 from .metrics import ComplianceLedger, RunResult, record_allocation, utilization
 from .policy import allocate_min_cost, build_cost_matrix, decide_rfq_scope
 
@@ -31,7 +42,6 @@ __all__ = [
     "PO_GENERATION",
     "TERMINATION",
     "RngPlan",
-    "SimEvent",
     "HandlingRecord",
     "RunOutput",
     "BatchResult",
@@ -67,17 +77,6 @@ class RngPlan:
 
 
 @dataclass(frozen=True)
-class SimEvent:
-    time: float
-    seq: int
-    kind: str
-    vessel_id: str | None = None
-    category_id: str | None = None
-    pr_id: str | None = None
-    supplier_id: str | None = None
-
-
-@dataclass(frozen=True)
 class HandlingRecord:
     """Handling payload: the contract snapshot and the decided RFQ scope."""
 
@@ -87,13 +86,17 @@ class HandlingRecord:
 
 
 @dataclass
-class _PendingPR:
+class _Lifecycle:
+    """The policy-independent timeline of one material requisition, shared by every cell."""
+
     requisition: Requisition
-    contract_terms: Mapping[str, Mapping[str, tuple[float, float]]] | None = None
-    scope_items: tuple[str, ...] = ()
-    quotes: dict[str, Quote] = field(default_factory=dict)
-    quote_streams: dict[str, np.random.Generator] = field(default_factory=dict)
-    awaiting: int = 0
+    generated: EventRecord | None  # the generation log record, when logs are collected
+    handled_at: float
+    to_po: float  # handling-to-order delay
+    # contract snapshot at handling; None when handling falls at or after the horizon
+    terms: Mapping[str, Mapping[str, tuple[float, float]]] | None
+    # supplier -> (response time, base-rate quote or None past the horizon), drawn on first need
+    responses: dict[str, tuple[float, Quote | None]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -112,193 +115,168 @@ class BatchRunError(RuntimeError):
     """A replication failed; aborts the whole batch."""
 
     def __init__(self, run_index: int, message: str):
-        self.run_index = run_index
         super().__init__(f"run {run_index} failed: {message}")
+        self.run_index = run_index
+        self.message = message
 
     def __reduce__(self):
-        return (BatchRunError, (self.run_index, self.args[0].split(": ", 1)[1]))
+        return (BatchRunError, (self.run_index, self.message))
 
 
-def _exponential(mean: float, rng) -> float:
-    return -mean * math.log(1.0 - rng.random())
+def _check_grid(scenarios: Sequence[Scenario]) -> Scenario:
+    """The world every cell shares; raises unless the cells differ only in policy and slope."""
+    if not scenarios:
+        raise ValueError("a grid needs at least one scenario")
+    world = scenarios[0]
+    for i, scenario in enumerate(scenarios):
+        if scenario is world:
+            continue
+        aligned = replace(scenario, policy=world.policy,
+                          spot=replace(scenario.spot, competition_slope=world.spot.competition_slope))
+        if aligned != world:
+            raise ValueError(f"grid scenario {i} differs from scenario 0 in more than "
+                             "policy and spot.competition_slope")
+    return world
 
 
-def run_once(scenario: Scenario, run_index: int, master_seed: int,
-             *, rng_plan: RngPlan | None = None, collect_log: bool = True) -> RunOutput:
-    """Execute one replication up to the horizon.
+def _demand_pass(world: Scenario, run_index: int, plan,
+                 collect_log: bool) -> tuple[list[_Lifecycle], int]:
+    """Material requisitions in (vessel, category, creation) order, and the empty-draw count.
 
-    Wiring: initialization schedules the termination marker and the first
-    request trigger per (vessel, category).  A trigger samples the request
-    content, always reschedules the next trigger from the trigger time, and,
-    when material, schedules handling after the creation-to-approval plus
-    approval-to-handling delays.  Handling snapshots active contract terms,
-    decides the RFQ scope, and either schedules the order directly or one
-    response per quoted supplier.  The last pending response schedules the
-    order.  Order generation allocates at minimum cost and accrues metrics.
-    Events falling after the horizon are discarded; requests whose lifecycle
-    is incomplete by then count as in-flight and stay out of the totals.
+    Each (vessel, category) renewal clock is walked to the horizon; the clock
+    resets on every trigger, material or not.  Each material requisition gets
+    its creation-to-approval, approval-to-handling and handling-to-order
+    delays, in that order, and the contract terms active at handling.
     """
-    plan = rng_plan if rng_plan is not None else RngPlan(master_seed)
+    horizon = world.horizon
+    delays = world.delays
+    window = world.hazard_window_width
+    book = ContractBook(world.contracts)
+    categories = {c.id: c for c in world.catalog.categories}
+    lifecycles: list[_Lifecycle] = []
+    empty_draws = 0
+    for vessel in world.vessels:
+        for category_id in sorted(vessel.hazards):
+            category = categories[category_id]
+            entity = f"{vessel.id}:{category_id}"
+            gaps = plan.stream(run_index, "pr-gap", entity)
+            contents = plan.stream(run_index, "pr-items", entity)
+            inventory = demand.InventoryState.fresh(category)
+            count = 0
+            t = demand.next_requisition_time(vessel, category, 0.0, horizon, gaps,
+                                             window_width=window)
+            while t is not None and t < horizon:
+                requisition = demand.build_requisition(vessel, category, inventory, t, contents,
+                                                       pr_id=f"{entity}:{count}")
+                if requisition is None:
+                    empty_draws += 1
+                else:
+                    count += 1
+                    d = plan.stream(run_index, "pr-delays", requisition.id)
+                    handled_at = (t + sample_exponential_delay(delays.creation_to_approval, d)
+                                  + sample_exponential_delay(delays.approval_to_handling, d))
+                    to_po = sample_exponential_delay(delays.handling_to_po, d)
+                    terms = None
+                    if handled_at < horizon:
+                        terms = book.terms_snapshot(sorted(requisition.items),
+                                                    category.eligible_suppliers, handled_at)
+                    generated = None
+                    if collect_log:
+                        generated = EventRecord(kind=PR_GENERATION, time=t, pr_id=requisition.id,
+                                                vessel_id=vessel.id, category_id=category_id,
+                                                payload=requisition)
+                    lifecycles.append(_Lifecycle(requisition, generated, handled_at, to_po, terms))
+                t = demand.next_requisition_time(vessel, category, t, horizon, gaps,
+                                                 window_width=window)
+    return lifecycles, empty_draws
+
+
+def _cell_quote(base: Quote, requisition: Requisition, items: tuple[str, ...],
+                per_item_slope: float | None) -> Quote:
+    """A base-rate quote cut to a cell's item scope, with the cell's per-item markup if any."""
+    rates = base.unit_rates
+    if per_item_slope is None:
+        unit_rates = {item: rates[item] for item in items}
+    else:
+        unit_rates = {item: competition_adjust(rates[item], per_item_slope, requisition.items[item])
+                      for item in items}
+    return Quote(supplier_id=base.supplier_id, responded_at=base.responded_at,
+                 unit_rates=unit_rates, lead_time=base.lead_time)
+
+
+def _cell_pass(scenario: Scenario, run_index: int, lifecycles: list[_Lifecycle], empty_draws: int,
+               respond: Callable[[_Lifecycle, str], tuple[float, Quote | None]],
+               collect_log: bool) -> RunOutput:
+    """One cell's lifecycles on the shared demand: scope, responses, order time and allocation.
+
+    The order follows the last response in the RFQ scope, or handling when the
+    scope is empty, by the handling-to-order delay.  Orders accrue in order
+    time, so the cost sum adds in the same sequence an event clock would.
+    """
     horizon = scenario.horizon
     policy = scenario.policy
     spot = scenario.spot
-    book = ContractBook(scenario.contracts)
-    window = scenario.hazard_window_width
+    per_item_slope = spot.competition_slope if spot.competition_basis == "per_item" else None
+    eligible = {c.id: c.eligible_suppliers for c in scenario.catalog.categories}
+    n_rfq = {s.id: 0 for s in scenario.suppliers}
+    n_hl = 0
+    orders: list[tuple[float, int, Allocation]] = []  # (order time, lifecycle index, order)
+    log: list[EventRecord] = []
 
-    categories = {c.id: c for c in scenario.catalog.categories}
-    lead_times = {s.id: s.spot_lead_time for s in scenario.suppliers}
+    for seq, life in enumerate(lifecycles):
+        requisition = life.requisition
+        if collect_log:
+            log.append(life.generated)
+        terms = life.terms
+        if terms is None:
+            continue
+        n_hl += 1
+        scope = decide_rfq_scope(requisition, terms, policy, eligible[requisition.category_id])
+        scope_items = tuple(sorted({item for item, _ in scope}))
+        scope_suppliers = tuple(sorted({supplier for _, supplier in scope}))
+        if collect_log:
+            log.append(EventRecord(kind=PR_HANDLING, time=life.handled_at, pr_id=requisition.id,
+                                   vessel_id=requisition.vessel_id,
+                                   category_id=requisition.category_id,
+                                   payload=HandlingRecord(contract_terms=terms,
+                                                          rfq_items=scope_items,
+                                                          rfq_suppliers=scope_suppliers)))
+        last = life.handled_at
+        quotes: dict[str, Quote] = {}
+        for supplier_id in scope_suppliers:
+            response_at, base = respond(life, supplier_id)
+            last = max(last, response_at)
+            if base is None:
+                continue
+            n_rfq[supplier_id] += 1
+            quote = _cell_quote(base, requisition, scope_items, per_item_slope)
+            quotes[supplier_id] = quote
+            if collect_log:
+                log.append(EventRecord(kind=RFQ_RESPONSE, time=response_at, pr_id=requisition.id,
+                                       supplier_id=supplier_id, payload=quote))
+        po_at = last + life.to_po
+        if po_at >= horizon:
+            continue
+        matrix = build_cost_matrix(requisition, terms, quotes, policy,
+                                   competition_slope=spot.competition_slope,
+                                   competition_basis=spot.competition_basis)
+        allocation = replace(allocate_min_cost(matrix, requisition.items, policy.po_overhead),
+                             pr_id=requisition.id)
+        orders.append((po_at, seq, allocation))
+        if collect_log:
+            log.append(EventRecord(kind=PO_GENERATION, time=po_at, pr_id=requisition.id,
+                                   payload=allocation))
 
-    queue: list[tuple[float, int, SimEvent]] = []
-    seq = 0
-
-    def schedule(time: float, kind: str, **fields) -> None:
-        nonlocal seq
-        if time > horizon:
-            return
-        event = SimEvent(time=time, seq=seq, kind=kind, **fields)
-        heapq.heappush(queue, (time, seq, event))
-        seq += 1
-
-    schedule(horizon, TERMINATION)
-
-    gap_streams: dict[tuple[str, str], np.random.Generator] = {}
-    item_streams: dict[tuple[str, str], np.random.Generator] = {}
-    inventories: dict[tuple[str, str], demand.InventoryState] = {}
-    pr_counters: dict[tuple[str, str], int] = {}
-    vessels = {v.id: v for v in scenario.vessels}
-
-    for vessel in scenario.vessels:
-        for category_id in sorted(vessel.hazards):
-            pair = (vessel.id, category_id)
-            entity = f"{vessel.id}:{category_id}"
-            gap_streams[pair] = plan.stream(run_index, "pr-gap", entity)
-            item_streams[pair] = plan.stream(run_index, "pr-items", entity)
-            inventories[pair] = demand.InventoryState.fresh(categories[category_id])
-            pr_counters[pair] = 0
-            t = demand.next_requisition_time(vessel, categories[category_id], 0.0,
-                                             horizon, gap_streams[pair], window_width=window)
-            if t is not None:
-                schedule(t, PR_GENERATION, vessel_id=vessel.id, category_id=category_id)
-
-    pending: dict[str, _PendingPR] = {}
-    delay_streams: dict[str, np.random.Generator] = {}
     ledger = ComplianceLedger.from_contracts(scenario.contracts)
     terminal_cost = 0.0
-    n_pr = n_hl = n_po = 0
-    n_rfq = {s.id: 0 for s in scenario.suppliers}
-    empty_draws = 0
-    log: list[EventRecord] = []
-    clock = 0.0
-
-    while queue:
-        time, _, event = heapq.heappop(queue)
-        assert time >= clock, "event queue delivered a time in the past"
-        clock = time
-
-        if event.kind == TERMINATION:
-            if collect_log:
-                log.append(EventRecord(kind=TERMINATION, time=time))
-            break
-
-        if event.kind == PR_GENERATION:
-            vessel = vessels[event.vessel_id]
-            category = categories[event.category_id]
-            pair = (event.vessel_id, event.category_id)
-            pr_id = f"{event.vessel_id}:{event.category_id}:{pr_counters[pair]}"
-            requisition = demand.build_requisition(vessel, category, inventories[pair],
-                                                   time, item_streams[pair], pr_id=pr_id)
-            # renewal clock resets on the trigger whether or not it was material
-            t_next = demand.next_requisition_time(vessel, category, time, horizon,
-                                                  gap_streams[pair], window_width=window)
-            if t_next is not None:
-                schedule(t_next, PR_GENERATION, vessel_id=event.vessel_id,
-                         category_id=event.category_id)
-            if requisition is None:
-                empty_draws += 1
-                continue
-            pr_counters[pair] += 1
-            n_pr += 1
-            pending[pr_id] = _PendingPR(requisition=requisition)
-            delay_streams[pr_id] = plan.stream(run_index, "pr-delays", pr_id)
-            d = delay_streams[pr_id]
-            handling_at = (time + _exponential(scenario.delays.creation_to_approval, d)
-                           + _exponential(scenario.delays.approval_to_handling, d))
-            schedule(handling_at, PR_HANDLING, pr_id=pr_id)
-            if collect_log:
-                log.append(EventRecord(kind=PR_GENERATION, time=time, pr_id=pr_id,
-                                       vessel_id=event.vessel_id, category_id=event.category_id,
-                                       payload=requisition))
-
-        elif event.kind == PR_HANDLING:
-            state = pending[event.pr_id]
-            requisition = state.requisition
-            category = categories[requisition.category_id]
-            n_hl += 1
-            terms = book.terms_snapshot(sorted(requisition.items),
-                                        category.eligible_suppliers, time)
-            state.contract_terms = terms
-            scope = decide_rfq_scope(requisition, terms, policy, category.eligible_suppliers)
-            scope_items = tuple(sorted({item for item, _ in scope}))
-            scope_suppliers = tuple(sorted({supplier for _, supplier in scope}))
-            state.scope_items = scope_items
-            if collect_log:
-                log.append(EventRecord(kind=PR_HANDLING, time=time, pr_id=event.pr_id,
-                                       vessel_id=requisition.vessel_id,
-                                       category_id=requisition.category_id,
-                                       payload=HandlingRecord(contract_terms=terms,
-                                                              rfq_items=scope_items,
-                                                              rfq_suppliers=scope_suppliers)))
-            if not scope:
-                po_at = time + _exponential(scenario.delays.handling_to_po,
-                                            delay_streams[event.pr_id])
-                schedule(po_at, PO_GENERATION, pr_id=event.pr_id)
-                continue
-            state.awaiting = len(scope_suppliers)
-            for supplier_id in scope_suppliers:
-                stream = plan.stream(run_index, "rfq", f"{event.pr_id}|{supplier_id}")
-                state.quote_streams[supplier_id] = stream
-                response_at = time + _exponential(scenario.delays.rfq_mean(supplier_id), stream)
-                schedule(response_at, RFQ_RESPONSE, pr_id=event.pr_id, supplier_id=supplier_id)
-
-        elif event.kind == RFQ_RESPONSE:
-            state = pending[event.pr_id]
-            requisition = state.requisition
-            category = categories[requisition.category_id]
-            n_rfq[event.supplier_id] += 1
-            quote = make_quote(spot, requisition, event.supplier_id, time,
-                               state.quote_streams.pop(event.supplier_id),
-                               items=state.scope_items,
-                               category_product_ids=category.product_ids,
-                               lead_time=lead_times[event.supplier_id])
-            state.quotes[event.supplier_id] = quote
-            state.awaiting -= 1
-            if collect_log:
-                log.append(EventRecord(kind=RFQ_RESPONSE, time=time, pr_id=event.pr_id,
-                                       supplier_id=event.supplier_id, payload=quote))
-            if state.awaiting == 0:
-                po_at = time + _exponential(scenario.delays.handling_to_po,
-                                            delay_streams[event.pr_id])
-                schedule(po_at, PO_GENERATION, pr_id=event.pr_id)
-
-        elif event.kind == PO_GENERATION:
-            state = pending.pop(event.pr_id)
-            requisition = state.requisition
-            matrix = build_cost_matrix(requisition, state.contract_terms, state.quotes, policy,
-                                       competition_slope=spot.competition_slope,
-                                       competition_basis=spot.competition_basis)
-            allocation = replace(
-                allocate_min_cost(matrix, requisition.items, policy.po_overhead),
-                pr_id=event.pr_id,
-            )
-            terminal_cost += record_allocation(ledger, allocation)
-            n_po += 1
-            delay_streams.pop(event.pr_id, None)
-            if collect_log:
-                log.append(EventRecord(kind=PO_GENERATION, time=time, pr_id=event.pr_id,
-                                       payload=allocation))
-
-        else:  # pragma: no cover - queue only ever holds the kinds above
-            raise AssertionError(f"unknown event kind {event.kind!r}")
+    orders.sort(key=itemgetter(0, 1))
+    for _, _, allocation in orders:
+        terminal_cost += record_allocation(ledger, allocation)
+    if collect_log:
+        # records were appended per requisition in lifecycle order; the stable
+        # sort keeps that order among equal times
+        log.sort(key=attrgetter("time"))
+        log.append(EventRecord(kind=TERMINATION, time=horizon))
 
     utilizations = {s: utilization(ledger.volumes[s], k)
                     for s, k in sorted(ledger.commitments.items()) if k > 0}
@@ -309,62 +287,109 @@ def run_once(scenario: Scenario, run_index: int, master_seed: int,
         volumes=dict(sorted(ledger.volumes.items())),
         utilizations=utilizations,
         deviations=deviations,
-        n_pr=n_pr,
+        n_pr=len(lifecycles),
         n_hl=n_hl,
-        n_po=n_po,
+        n_po=len(orders),
         n_rfq=n_rfq,
-        in_flight=len(pending),
+        in_flight=len(lifecycles) - len(orders),
         empty_draws=empty_draws,
     )
     return RunOutput(result=result, log=tuple(log))
 
 
+def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
+             *, rng_plan: RngPlan | None = None,
+             collect_log: bool = True) -> tuple[RunOutput, ...]:
+    """Execute one replication of every cell of a grid up to the horizon.
+
+    `scenarios` may differ only in `policy` and `spot.competition_slope`
+    (ValueError otherwise); one output is returned per scenario, in order.
+    The demand is simulated once and shared by every cell.  A supplier's RFQ
+    stream is created when some cell's scope first needs it: it gives the
+    response time and, if that falls before the horizon, the quote's base
+    rates, to which each cell applies its own per-item markup.  A cell's log,
+    when collected, is its records in time order with the termination marker
+    last.
+    """
+    world = _check_grid(scenarios)
+    plan = rng_plan if rng_plan is not None else RngPlan(master_seed)
+    horizon = world.horizon
+    base_spot = replace(world.spot, competition_slope=0.0)
+    product_ids = {c.id: c.product_ids for c in world.catalog.categories}
+    lead_times = {s.id: s.spot_lead_time for s in world.suppliers}
+    lifecycles, empty_draws = _demand_pass(world, run_index, plan, collect_log)
+
+    def respond(life: _Lifecycle, supplier_id: str) -> tuple[float, Quote | None]:
+        hit = life.responses.get(supplier_id)
+        if hit is None:
+            requisition = life.requisition
+            stream = plan.stream(run_index, "rfq", f"{requisition.id}|{supplier_id}")
+            response_at = life.handled_at + sample_exponential_delay(
+                world.delays.rfq_mean(supplier_id), stream)
+            base = None
+            if response_at < horizon:
+                base = make_quote(base_spot, requisition, supplier_id, response_at, stream,
+                                  category_product_ids=product_ids[requisition.category_id],
+                                  lead_time=lead_times[supplier_id])
+            hit = life.responses[supplier_id] = (response_at, base)
+        return hit
+
+    return tuple(_cell_pass(scenario, run_index, lifecycles, empty_draws, respond, collect_log)
+                 for scenario in scenarios)
+
+
 def _run_span(args) -> list:
-    scenario, master_seed, indices, collect_logs = args
+    scenarios, master_seed, indices, collect_logs = args
     out = []
     for run_index in indices:
         try:
-            output = run_once(scenario, run_index, master_seed, collect_log=collect_logs)
+            outputs = run_once(scenarios, run_index, master_seed, collect_log=collect_logs)
         except Exception as exc:  # noqa: BLE001 - reported with the failing index
             raise BatchRunError(run_index, repr(exc)) from exc
-        out.append((run_index, output.result, output.log if collect_logs else None))
+        out.append(outputs)
     return out
 
 
-def run_batch(scenario: Scenario, n_runs: int, master_seed: int,
-              *, parallelism: int = 1, collect_logs: bool = False) -> BatchResult:
-    """Independent replications indexed 0..n_runs-1.
+def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
+              *, parallelism: int = 1, collect_logs: bool = False) -> tuple[BatchResult, ...]:
+    """Independent replications indexed 0..n_runs-1 of every cell of a grid.
 
-    Results are bit-identical for a fixed (scenario, master_seed) whatever the
-    parallelism degree: runs derive their randomness from their index alone
-    and are merged back in index order.
+    Returns one BatchResult per scenario, in order; the grid rules are those
+    of run_once.  Results are bit-identical for a fixed (grid, master_seed)
+    whatever the parallelism degree: runs derive their randomness from their
+    index alone and are merged back in index order.  A worker process that
+    dies aborts the batch with a BatchRunError naming the first run of the
+    chunk it lost.
     """
+    _check_grid(scenarios)
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
 
-    spans: list[list[int]] = []
     chunk = max(1, -(-n_runs // (parallelism * 4)))
-    for start in range(0, n_runs, chunk):
-        spans.append(list(range(start, min(start + chunk, n_runs))))
+    spans = [list(range(start, min(start + chunk, n_runs))) for start in range(0, n_runs, chunk)]
+    jobs = [(tuple(scenarios), master_seed, span, collect_logs) for span in spans]
 
-    rows: list[tuple] = []
+    runs: list[tuple[RunOutput, ...]] = []  # index order: spans are contiguous and merged in order
     if parallelism == 1 or n_runs == 1:
-        for span in spans:
-            rows.extend(_run_span((scenario, master_seed, span, collect_logs)))
+        for job in jobs:
+            runs.extend(_run_span(job))
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for chunk_rows in pool.map(
-                _run_span,
-                [(scenario, master_seed, span, collect_logs) for span in spans],
-            ):
-                rows.extend(chunk_rows)
+            try:
+                for chunk_runs in pool.map(_run_span, jobs):
+                    runs.extend(chunk_runs)
+            except BrokenProcessPool as exc:
+                # every run before len(runs) arrived, so the lost chunk starts there
+                raise BatchRunError(len(runs), f"a worker process died: {exc}") from exc
 
-    rows.sort(key=lambda r: r[0])
-    results = tuple(r[1] for r in rows)
-    logs = {r[0]: r[2] for r in rows} if collect_logs else None
-    return BatchResult(results=results, logs=logs)
+    return tuple(
+        BatchResult(results=tuple(outputs[cell].result for outputs in runs),
+                    logs=({i: outputs[cell].log for i, outputs in enumerate(runs)}
+                          if collect_logs else None))
+        for cell in range(len(scenarios))
+    )
 
 
 _LIFECYCLE_ORDER = {PR_GENERATION: 0, PR_HANDLING: 1, RFQ_RESPONSE: 2, PO_GENERATION: 3}

@@ -101,6 +101,12 @@ def sample_exponential_delay(mean: float, rng) -> float:
     return -mean * math.log(1.0 - rng.random())
 
 
+def _check_dominated(rate: float, dominating: float) -> None:
+    # thinning is exact only while the dominating rate bounds the hazard
+    if rate > dominating * (1.0 + 1e-9):
+        raise RuntimeError(f"hazard {rate!r} exceeds its thinning bound {dominating!r}")
+
+
 def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng,
                window_width: float | None = None) -> float | None:
     """Draw the next event time in (t_last, horizon] for a renewal clock reset at t_last.
@@ -130,7 +136,7 @@ def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng,
             if t > horizon:
                 return None
             rate = hazard_value(spec, elapsed, t)
-            assert rate <= dominating * (1.0 + 1e-9)
+            _check_dominated(rate, dominating)
             if rng.random() * dominating <= rate:
                 return t
 
@@ -145,7 +151,7 @@ def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng,
                 return None
             rate = hazard_value(spec, elapsed, t)
             dominating = _baseline_value(baseline, elapsed) * bound
-            assert rate <= dominating * (1.0 + 1e-9)
+            _check_dominated(rate, dominating)
             if rng.random() * dominating <= rate:
                 return t
 
@@ -169,6 +175,6 @@ def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng,
             if t > horizon:
                 return None
             rate = hazard_value(spec, elapsed, t)
-            assert rate <= dominating * (1.0 + 1e-9)
+            _check_dominated(rate, dominating)
             if rng.random() * dominating <= rate:
                 return t

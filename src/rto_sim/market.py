@@ -92,7 +92,8 @@ def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str,
     markup depends on the final allocation.
     """
     quoted = sorted(requisition.items if items is None else items)
-    assert quoted, "RFQ issued with an empty item scope"
+    if not quoted:
+        raise ValueError("RFQ issued with an empty item scope")
     draw_order = tuple(category_product_ids) if category_product_ids is not None else tuple(quoted)
     noise: dict[str, float] = {}
     if model.noise_sd > 0.0:

@@ -172,7 +172,8 @@ def _allocate_by_assignment_enumeration(matrix: CostMatrix, quantities: Mapping[
         if best_key is None or key < best_key:
             best_key = key
             best_choice = dict(zip(items, combo))
-    assert best_choice is not None
+    if best_choice is None:
+        raise InfeasibleAllocationError("no feasible assignment")
     return best_choice
 
 

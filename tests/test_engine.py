@@ -1,8 +1,13 @@
-"""Event wiring, determinism, and log-audit tests."""
+"""Event wiring, determinism, reference-equivalence, and log-audit tests."""
 
 import dataclasses
+import multiprocessing
+import os
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FakePlan,
@@ -13,7 +18,8 @@ from conftest import (
     three_supplier_spot_scenario,
     u_for_delay,
 )
-from rto_sim.domain import EventRecord
+from oracles import reference_run_once
+from rto_sim.domain import DelayConfig, EventRecord
 from rto_sim.engine import (
     PO_GENERATION,
     PR_GENERATION,
@@ -27,9 +33,19 @@ from rto_sim.engine import (
     run_batch,
     run_once,
 )
+from rto_sim.hazards import sample_exponential_delay
 
 GAP_40 = u_for_delay(40.0, 100.0)  # first trigger at day 40 under rate 0.01
 GAP_FAR = u_for_delay(600.0, 100.0)  # second trigger lands past any test horizon
+
+
+def grid(base, slopes, policies=("naive", "dynamic")):
+    """The (policy, slope) cells of `base`, policy-major."""
+    return tuple(
+        dataclasses.replace(base, policy=dataclasses.replace(base.policy, kind=kind),
+                            spot=dataclasses.replace(base.spot, competition_slope=slope))
+        for kind in policies for slope in slopes
+    )
 
 
 class TestRngPlan:
@@ -53,7 +69,7 @@ class TestRngPlan:
 class TestEventWiring:
     def test_zero_vessels_yields_only_termination(self):
         scenario = dataclasses.replace(single_product_scenario(contracted=True), vessels=())
-        out = run_once(scenario, 0, 1)
+        out = run_once((scenario,), 0, 1)[0]
         assert [r.kind for r in out.log] == [TERMINATION]
         assert out.result.n_pr == 0
         assert out.result.terminal_cost == 0.0
@@ -67,7 +83,7 @@ class TestEventWiring:
             ("pr-items", "V:cat"): StubRng([0.0]),
             ("pr-delays", "V:cat:0"): StubRng([U_MEAN, U_MEAN, U_MEAN]),
         })
-        out = run_once(scenario, 0, 0, rng_plan=plan)
+        out = run_once((scenario,), 0, 0, rng_plan=plan)[0]
         times = [(r.kind, r.time) for r in out.log]
         assert times[0] == (PR_GENERATION, pytest.approx(40.0))
         assert times[1] == (PR_HANDLING, pytest.approx(47.0))
@@ -86,7 +102,7 @@ class TestEventWiring:
         }
         for supplier in ("S1", "S2", "S3"):
             scripts[("rfq", f"V:cat:0|{supplier}")] = StubRng([U_MEAN])
-        out = run_once(scenario, 0, 0, rng_plan=FakePlan(scripts=scripts))
+        out = run_once((scenario,), 0, 0, rng_plan=FakePlan(scripts=scripts))[0]
         kinds_times = [(r.kind, round(r.time, 6)) for r in out.log]
         assert kinds_times[:2] == [(PR_GENERATION, 40.0), (PR_HANDLING, 47.0)]
         assert kinds_times[2:5] == [(RFQ_RESPONSE, 49.5)] * 3
@@ -104,13 +120,40 @@ class TestEventWiring:
             ("pr-items", "V:cat"): StubRng([0.0]),
             ("pr-delays", "V:cat:0"): StubRng([U_MEAN, U_MEAN, U_MEAN]),
         })
-        out = run_once(scenario, 0, 0, rng_plan=plan)
+        out = run_once((scenario,), 0, 0, rng_plan=plan)[0]
         result = out.result
         assert result.n_pr == 1
         assert result.n_hl == 0
         assert result.n_po == 0
         assert result.in_flight == 1
         assert result.terminal_cost == 0.0
+
+    @pytest.mark.parametrize("cut_at", ["trigger", "response", "order"])
+    def test_event_exactly_at_horizon_is_cut(self, cut_at):
+        # termination wins the tie: an event at t == horizon never executes
+        trigger = 0.0 + sample_exponential_delay(100.0, StubRng([GAP_40]))
+        handled = (trigger + sample_exponential_delay(2.0, StubRng([U_MEAN]))
+                   + sample_exponential_delay(5.0, StubRng([U_MEAN])))
+        responded = handled + sample_exponential_delay(2.5, StubRng([U_MEAN]))
+        ordered = handled + sample_exponential_delay(0.1, StubRng([U_MEAN]))
+        horizon = {"trigger": trigger, "response": responded, "order": ordered}[cut_at]
+        # the uncontracted product goes through one RFQ round with S1
+        scenario = single_product_scenario(contracted=cut_at != "response", horizon=horizon)
+
+        def plan():
+            return FakePlan(scripts={
+                ("pr-gap", "V:cat"): StubRng([GAP_40, GAP_FAR]),
+                ("pr-items", "V:cat"): StubRng([0.0]),
+                ("pr-delays", "V:cat:0"): StubRng([U_MEAN, U_MEAN, U_MEAN]),
+                ("rfq", "V:cat:0|S1"): StubRng([U_MEAN]),
+            })
+
+        out = run_once((scenario,), 0, 0, rng_plan=plan())[0]
+        assert out == reference_run_once(scenario, 0, 0, rng_plan=plan())
+        assert out.log[-1] == EventRecord(kind=TERMINATION, time=horizon)
+        assert out.result.n_pr == (0 if cut_at == "trigger" else 1)
+        assert out.result.n_rfq == {"S1": 0}
+        assert out.result.n_po == 0
 
     def test_empty_draw_reschedules_and_counts(self):
         # propensity is zero right at the start, so a trigger at t=0+ comes up
@@ -121,7 +164,7 @@ class TestEventWiring:
             ("pr-items", "V:cat"): StubRng([0.99, 0.0]),
             ("pr-delays", "V:cat:0"): StubRng([U_MEAN, U_MEAN, U_MEAN]),
         })
-        out = run_once(scenario, 0, 0, rng_plan=plan)
+        out = run_once((scenario,), 0, 0, rng_plan=plan)[0]
         result = out.result
         assert result.empty_draws == 1
         assert result.n_pr == 1
@@ -131,17 +174,17 @@ class TestEventWiring:
 
 class TestBatchDeterminism:
     def test_single_run_batch_equals_run_once(self, paper_scenario):
-        batch = run_batch(paper_scenario, 1, 42)
-        assert batch.results[0] == run_once(paper_scenario, 0, 42).result
+        batch = run_batch((paper_scenario,), 1, 42)[0]
+        assert batch.results[0] == run_once((paper_scenario,), 0, 42)[0].result
 
     def test_parallelism_invariance(self, paper_scenario):
-        serial = run_batch(paper_scenario, 8, 42, parallelism=1)
-        parallel = run_batch(paper_scenario, 8, 42, parallelism=2)
+        serial = run_batch((paper_scenario,), 8, 42, parallelism=1)[0]
+        parallel = run_batch((paper_scenario,), 8, 42, parallelism=2)[0]
         assert serial.results == parallel.results
 
     def test_replay_determinism(self, paper_scenario):
-        a = run_once(paper_scenario, 5, 42)
-        b = run_once(paper_scenario, 5, 42)
+        a = run_once((paper_scenario,), 5, 42)[0]
+        b = run_once((paper_scenario,), 5, 42)[0]
         assert a.result == b.result
         assert a.log == b.log
 
@@ -150,26 +193,49 @@ class TestBatchDeterminism:
 
         real = engine_mod.run_once
 
-        def exploding(scenario, run_index, master_seed, **kwargs):
+        def exploding(scenarios, run_index, master_seed, **kwargs):
             if run_index == 2:
                 raise RuntimeError("boom")
-            return real(scenario, run_index, master_seed, **kwargs)
+            return real(scenarios, run_index, master_seed, **kwargs)
 
         monkeypatch.setattr(engine_mod, "run_once", exploding)
         with pytest.raises(BatchRunError) as err:
-            engine_mod.run_batch(paper_scenario, 4, 42)
+            engine_mod.run_batch((paper_scenario,), 4, 42)
         assert err.value.run_index == 2
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched run_once")
+    def test_dead_worker_reports_lost_chunk(self, paper_scenario, monkeypatch):
+        import rto_sim.engine as engine_mod
+
+        real = engine_mod.run_once
+
+        def dying(scenarios, run_index, master_seed, **kwargs):
+            if run_index == 0:
+                os._exit(1)
+            return real(scenarios, run_index, master_seed, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "run_once", dying)
+        with pytest.raises(BatchRunError) as err:
+            engine_mod.run_batch(grid(paper_scenario, (0.0,)), 4, 42, parallelism=2)
+        assert err.value.run_index == 0
+        assert "worker process died" in err.value.message
+
+    def test_batch_error_pickles_its_fields(self):
+        err = pickle.loads(pickle.dumps(BatchRunError(7, "ValueError('a: b')")))
+        assert (err.run_index, err.message) == (7, "ValueError('a: b')")
+        assert str(err) == "run 7 failed: ValueError('a: b')"
 
     def test_invalid_arguments(self, paper_scenario):
         with pytest.raises(ValueError):
-            run_batch(paper_scenario, 0, 42)
+            run_batch((paper_scenario,), 0, 42)
         with pytest.raises(ValueError):
-            run_batch(paper_scenario, 1, 42, parallelism=0)
+            run_batch((paper_scenario,), 1, 42, parallelism=0)
 
 
 class TestAuditor:
     def test_clean_log_passes(self, paper_scenario):
-        out = run_once(paper_scenario, 3, 42)
+        out = run_once((paper_scenario,), 3, 42)[0]
         assert audit_event_log(out.log) == []
 
     def test_detects_clock_regression(self):
@@ -198,7 +264,7 @@ class TestInvariantSweep:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_scenarios_stay_consistent(self, seed):
         scenario = random_scenario(seed)
-        out = run_once(scenario, 0, seed)
+        out = run_once((scenario,), 0, seed)[0]
         assert audit_event_log(out.log) == []
         result = out.result
         assert result.n_po <= result.n_hl <= result.n_pr
@@ -206,3 +272,71 @@ class TestInvariantSweep:
         completed = sum(1 for r in out.log if r.kind == PO_GENERATION)
         assert completed == result.n_po
         assert result.in_flight == result.n_pr - result.n_po
+
+
+class TestGrid:
+    def test_one_batch_per_cell_in_order(self, paper_scenario):
+        cells = grid(paper_scenario, (0.0, 0.1))
+        batches = run_batch(cells, 3, 42)
+        assert len(batches) == len(cells)
+        for cell, batch in zip(cells, batches):
+            assert batch.results == run_batch((cell,), 3, 42)[0].results
+
+    @pytest.mark.parametrize("change", [
+        {"horizon": 100.0},
+        {"delays": DelayConfig(handling_to_po=0.5)},
+    ])
+    def test_cells_may_differ_only_in_policy_and_slope(self, paper_scenario, change):
+        other = dataclasses.replace(paper_scenario, **change)
+        with pytest.raises(ValueError, match="policy and spot.competition_slope"):
+            run_once((paper_scenario, other), 0, 42)
+        with pytest.raises(ValueError, match="policy and spot.competition_slope"):
+            run_batch((paper_scenario, other), 2, 42)
+
+    def test_competition_basis_is_shared(self, paper_scenario):
+        other = dataclasses.replace(paper_scenario, spot=dataclasses.replace(
+            paper_scenario.spot, competition_basis="per_supplier_total"))
+        with pytest.raises(ValueError):
+            run_once((paper_scenario, other), 0, 42)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError):
+            run_once((), 0, 42)
+        with pytest.raises(ValueError):
+            run_batch((), 1, 42)
+
+
+class TestReferenceEquivalence:
+    """Every cell of the shared-demand kernel replays the event-queue reference exactly."""
+
+    @pytest.mark.parametrize("basis", ["per_item", "per_supplier_total"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_scenarios(self, seed, basis):
+        base = random_scenario(seed)
+        base = dataclasses.replace(base, spot=dataclasses.replace(base.spot,
+                                                                  competition_basis=basis))
+        cells = grid(base, (0.0, 0.05))
+        for run_index in range(2):
+            for cell, out in zip(cells, run_once(cells, run_index, seed)):
+                assert out == reference_run_once(cell, run_index, seed)
+
+    def test_paper_grid(self, paper_scenario):
+        cells = grid(paper_scenario, (0.0, 0.01, 0.1))
+        for run_index in range(50):
+            for cell, out in zip(cells, run_once(cells, run_index, 42)):
+                assert out == reference_run_once(cell, run_index, 42)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=999),
+       fraction=st.floats(min_value=0.01, max_value=0.99),
+       paper=st.booleans())
+def test_shorter_horizon_log_is_a_prefix(paper_scenario, seed, fraction, paper):
+    # the log at H' < H is the H-run's log cut at t < H', then termination at H'
+    scenario = paper_scenario if paper else random_scenario(seed)
+    cut = fraction * scenario.horizon
+    full = run_once(grid(scenario, (0.0, 0.05)), seed % 7, seed)
+    short = run_once(grid(dataclasses.replace(scenario, horizon=cut), (0.0, 0.05)), seed % 7, seed)
+    for f, s in zip(full, short):
+        expected = tuple(r for r in f.log if r.time < cut) + (EventRecord(kind=TERMINATION, time=cut),)
+        assert s.log == expected

@@ -162,6 +162,18 @@ class TestSampleGap:
         result = stats.kstest(gaps, lambda x: np.vectorize(weibull_cdf)(2.0, 10.0, x))
         assert result.pvalue > 0.01
 
+    @pytest.mark.parametrize("baseline", [ConstantBaseline(rate=0.5),
+                                          WeibullBaseline(shape=0.7, scale=5.0),
+                                          WeibullBaseline(shape=2.0, scale=10.0)])
+    def test_hazard_above_dominating_rate_raises(self, baseline, monkeypatch):
+        # an explicit raise, not an assert, so it also holds under python -O
+        import rto_sim.hazards as hazards
+
+        spec = HazardSpec(baseline, covariates=(CovariateTerm(0.3, 1.0, 365.0),))
+        monkeypatch.setattr(hazards, "hazard_value", lambda spec, elapsed, t_abs: 1e9)
+        with pytest.raises(RuntimeError, match="thinning bound"):
+            sample_gap(spec, 0.0, 1e9, stream(0))
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))

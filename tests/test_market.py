@@ -126,9 +126,9 @@ class TestMakeQuote:
         assert quote.lead_time == 3.0
         assert quote.responded_at == 365.0 / 4
 
-    def test_empty_scope_asserts(self, paper_scenario):
+    def test_empty_scope_rejected(self, paper_scenario):
         req = requisition({"P1": 4})
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="empty item scope"):
             make_quote(paper_scenario.spot, req, "A", 10.0, StubRng(), items=())
 
     def test_golden_quote_vector(self, paper_scenario):

@@ -115,7 +115,7 @@ class TestRunLevelConsistency:
         # d = K*(u - 1) and terminal cost equals the sum of order costs exactly
         from rto_sim.engine import PO_GENERATION, run_once
 
-        out = run_once(paper_scenario, 0, 42)
+        out = run_once((paper_scenario,), 0, 42)[0]
         result = out.result
         commitments = {c.supplier_id: c.volume_commitment for c in paper_scenario.contracts}
         for supplier, u in result.utilizations.items():
