@@ -9,30 +9,20 @@ byte-identical files regardless of parallelism.
 from __future__ import annotations
 
 import argparse
+import collections.abc
+import functools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
-from .domain import (
-    Catalog,
-    Category,
-    Contract,
-    DelayConfig,
-    PolicyKind,
-    Product,
-    Scenario,
-    ScenarioValidationError,
-    SpotModel,
-    SpotRate,
-    Supplier,
-    Vessel,
-    validate_scenario,
-)
+from .domain import Scenario, validate_scenario
 from .engine import (
     PO_GENERATION,
     PR_GENERATION,
@@ -41,7 +31,7 @@ from .engine import (
     BatchResult,
     run_batch,
 )
-from .hazards import ConstantBaseline, CovariateTerm, HazardSpec, WeibullBaseline
+from .hazards import ConstantBaseline, WeibullBaseline
 from .metrics import DistributionSummary, RunResult, summarize_batch
 
 __all__ = [
@@ -123,6 +113,12 @@ def _string(value: Any, path: str) -> str:
     return value
 
 
+def _boolean(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioFormatError("expected a boolean", path)
+    return value
+
+
 def _array(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise ScenarioFormatError("expected an array", path)
@@ -135,36 +131,92 @@ def _reject_unknown(mapping: dict, allowed: Iterable[str], path: str) -> None:
         raise ScenarioFormatError(f"unknown field {unknown[0]!r}", path)
 
 
-def _parse_hazard(doc: Any, path: str) -> HazardSpec:
-    doc = _expect(doc, path)
-    _reject_unknown(doc, ("baseline", "covariates"), path)
-    base_doc = _expect(_get(doc, "baseline", path), f"{path}.baseline")
-    kind = _string(_get(base_doc, "kind", f"{path}.baseline"), f"{path}.baseline.kind")
-    if kind == "constant":
-        _reject_unknown(base_doc, ("kind", "rate"), f"{path}.baseline")
-        baseline: ConstantBaseline | WeibullBaseline = ConstantBaseline(
-            rate=_number(_get(base_doc, "rate", f"{path}.baseline"), f"{path}.baseline.rate")
-        )
-    elif kind == "weibull":
-        _reject_unknown(base_doc, ("kind", "shape", "scale"), f"{path}.baseline")
-        baseline = WeibullBaseline(
-            shape=_number(_get(base_doc, "shape", f"{path}.baseline"), f"{path}.baseline.shape"),
-            scale=_number(_get(base_doc, "scale", f"{path}.baseline"), f"{path}.baseline.scale"),
-        )
-    else:
-        raise ScenarioFormatError(f"unknown baseline kind {kind!r}", f"{path}.baseline.kind")
-    covariates = []
-    for i, cov_doc in enumerate(_array(doc.get("covariates", []), f"{path}.covariates")):
-        cpath = f"{path}.covariates[{i}]"
-        cov_doc = _expect(cov_doc, cpath)
-        _reject_unknown(cov_doc, ("coefficient", "amplitude", "period", "phase"), cpath)
-        covariates.append(CovariateTerm(
-            coefficient=_number(_get(cov_doc, "coefficient", cpath), f"{cpath}.coefficient"),
-            amplitude=_number(_get(cov_doc, "amplitude", cpath), f"{cpath}.amplitude"),
-            period=_number(_get(cov_doc, "period", cpath), f"{cpath}.period"),
-            phase=_number(cov_doc.get("phase", 0.0), f"{cpath}.phase"),
-        ))
-    return HazardSpec(baseline=baseline, covariates=tuple(covariates))
+# The codec walks the dataclass fields and their type hints, so every default
+# lives on the dataclass.  The format facts the types cannot express:
+_SCALARS = {float: _number, int: _integer, str: _string, bool: _boolean}
+_JSON_KEYS = {(Scenario, "horizon"): "horizon_days"}  # field -> JSON key, where they differ
+_KINDS = {"constant": ConstantBaseline, "weibull": WeibullBaseline}  # "kind" tag of a union member
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+_SPOT_RATE_KEY = ("product_id", "supplier_id")  # the only mapping with a composite key
+_FILE_KEYS = ("schema_version", "runs", "output")  # top-level keys beside the scenario fields
+
+
+class _Member(NamedTuple):
+    name: str
+    key: str
+    hint: Any
+    required: bool
+
+
+@functools.cache
+def _members(cls: type) -> tuple[_Member, ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        _Member(f.name, _JSON_KEYS.get((cls, f.name), f.name), hints[f.name],
+                f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
+
+
+def _decode_members(members: Iterable[_Member], doc: dict, path: str) -> dict[str, Any]:
+    """Constructor arguments for the members present in `doc`; absent optional ones keep their defaults."""
+    return {
+        m.name: _decode(m.hint, _get(doc, m.key, path), f"{path}.{m.key}" if path else m.key)
+        for m in members if m.required or m.key in doc
+    }
+
+
+def _decode_object(cls: type, value: Any, path: str, extra: tuple[str, ...] = ()) -> Any:
+    doc = _expect(value, path)
+    members = _members(cls)
+    _reject_unknown(doc, [m.key for m in members] + list(extra), path)
+    return cls(**_decode_members(members, doc, path))
+
+
+def _decode(hint: Any, value: Any, path: str) -> Any:
+    if hint in _SCALARS:
+        return _SCALARS[hint](value, path)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType and type(None) in args:
+        return None if value is None else _decode(args[0], value, path)
+    if origin is types.UnionType:
+        doc = _expect(value, path)
+        kind = _string(_get(doc, "kind", path), f"{path}.kind")
+        if kind not in _KINDS:
+            raise ScenarioFormatError(f"unknown baseline kind {kind!r}", f"{path}.kind")
+        return _decode_object(_KINDS[kind], doc, path, extra=("kind",))
+    if origin is tuple:
+        return tuple(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(_array(value, path)))
+    if origin is collections.abc.Mapping and args[0] is str:
+        return {k: _decode(args[1], v, f"{path}[{k}]") for k, v in sorted(_expect(value, path).items())}
+    if origin is collections.abc.Mapping:
+        decoded = {}
+        for i, item in enumerate(_array(value, path)):
+            ipath = f"{path}[{i}]"
+            entry = _decode_object(args[1], item, ipath, extra=_SPOT_RATE_KEY)
+            key = tuple(_string(_get(item, k, ipath), f"{ipath}.{k}") for k in _SPOT_RATE_KEY)
+            if key in decoded:
+                raise ScenarioFormatError(f"duplicate spot rate for {key}", ipath)
+            decoded[key] = entry
+        return decoded
+    return _decode_object(hint, value, path)
+
+
+def _encode(hint: Any, value: Any) -> Any:
+    if value is None or hint in _SCALARS:
+        return value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType and type(None) in args:
+        return _encode(args[0], value)
+    if origin is types.UnionType:
+        return {"kind": _KIND_OF[type(value)], **_encode(type(value), value)}
+    if origin is tuple:
+        return [_encode(args[0], v) for v in value]
+    if origin is collections.abc.Mapping and args[0] is str:
+        return {k: _encode(args[1], v) for k, v in sorted(value.items())}
+    if origin is collections.abc.Mapping:
+        return [{**dict(zip(_SPOT_RATE_KEY, key)), **_encode(args[1], v)} for key, v in sorted(value.items())]
+    return {m.key: _encode(m.hint, getattr(value, m.name)) for m in _members(hint)}
 
 
 def parse_scenario(doc: Any) -> ScenarioFile:
@@ -173,263 +225,20 @@ def parse_scenario(doc: Any) -> ScenarioFile:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioFormatError(f"unsupported schema version {version!r}", "schema_version")
-    _reject_unknown(doc, (
-        "schema_version", "horizon_days", "catalog", "vessels", "suppliers", "contracts",
-        "spot", "policy", "delays", "runs", "output", "hazard_window_width",
-    ), "")
-
-    horizon = _number(_get(doc, "horizon_days", ""), "horizon_days")
-
-    catalog_doc = _expect(_get(doc, "catalog", ""), "catalog")
-    _reject_unknown(catalog_doc, ("categories",), "catalog")
-    categories = []
-    for c, cat_doc in enumerate(_array(_get(catalog_doc, "categories", "catalog"), "catalog.categories")):
-        cpath = f"catalog.categories[{c}]"
-        cat_doc = _expect(cat_doc, cpath)
-        _reject_unknown(cat_doc, ("id", "products", "eligible_suppliers"), cpath)
-        products = []
-        for p, prod_doc in enumerate(_array(_get(cat_doc, "products", cpath), f"{cpath}.products")):
-            ppath = f"{cpath}.products[{p}]"
-            prod_doc = _expect(prod_doc, ppath)
-            _reject_unknown(prod_doc, ("id", "family_id", "baseline_stock", "depletion_rate"), ppath)
-            products.append(Product(
-                id=_string(_get(prod_doc, "id", ppath), f"{ppath}.id"),
-                family_id=_string(_get(prod_doc, "family_id", ppath), f"{ppath}.family_id"),
-                baseline_stock=_integer(_get(prod_doc, "baseline_stock", ppath), f"{ppath}.baseline_stock"),
-                depletion_rate=_number(_get(prod_doc, "depletion_rate", ppath), f"{ppath}.depletion_rate"),
-            ))
-        categories.append(Category(
-            id=_string(_get(cat_doc, "id", cpath), f"{cpath}.id"),
-            products=tuple(products),
-            eligible_suppliers=tuple(
-                _string(s, f"{cpath}.eligible_suppliers[{i}]")
-                for i, s in enumerate(_array(_get(cat_doc, "eligible_suppliers", cpath),
-                                             f"{cpath}.eligible_suppliers"))
-            ),
-        ))
-
-    vessels = []
-    for v, vessel_doc in enumerate(_array(_get(doc, "vessels", ""), "vessels")):
-        vpath = f"vessels[{v}]"
-        vessel_doc = _expect(vessel_doc, vpath)
-        _reject_unknown(vessel_doc, ("id", "hazards"), vpath)
-        hazards_doc = _expect(_get(vessel_doc, "hazards", vpath), f"{vpath}.hazards")
-        vessels.append(Vessel(
-            id=_string(_get(vessel_doc, "id", vpath), f"{vpath}.id"),
-            hazards={
-                category_id: _parse_hazard(spec_doc, f"{vpath}.hazards[{category_id}]")
-                for category_id, spec_doc in sorted(hazards_doc.items())
-            },
-        ))
-
-    suppliers = []
-    for s, sup_doc in enumerate(_array(_get(doc, "suppliers", ""), "suppliers")):
-        spath = f"suppliers[{s}]"
-        sup_doc = _expect(sup_doc, spath)
-        _reject_unknown(sup_doc, ("id", "spot_lead_time"), spath)
-        suppliers.append(Supplier(
-            id=_string(_get(sup_doc, "id", spath), f"{spath}.id"),
-            spot_lead_time=_number(sup_doc.get("spot_lead_time", 3.0), f"{spath}.spot_lead_time"),
-        ))
-
-    contracts = []
-    for i, con_doc in enumerate(_array(doc.get("contracts", []), "contracts")):
-        ipath = f"contracts[{i}]"
-        con_doc = _expect(con_doc, ipath)
-        _reject_unknown(con_doc, ("supplier_id", "product_rates", "lead_time",
-                                  "valid_from", "valid_until", "volume_commitment"), ipath)
-        rates_doc = _expect(_get(con_doc, "product_rates", ipath), f"{ipath}.product_rates")
-        contracts.append(Contract(
-            supplier_id=_string(_get(con_doc, "supplier_id", ipath), f"{ipath}.supplier_id"),
-            product_rates={
-                pid: _number(rate, f"{ipath}.product_rates[{pid}]")
-                for pid, rate in sorted(rates_doc.items())
-            },
-            lead_time=_number(con_doc.get("lead_time", 2.0), f"{ipath}.lead_time"),
-            valid_from=_number(_get(con_doc, "valid_from", ipath), f"{ipath}.valid_from"),
-            valid_until=_number(_get(con_doc, "valid_until", ipath), f"{ipath}.valid_until"),
-            volume_commitment=_integer(con_doc.get("volume_commitment", 0), f"{ipath}.volume_commitment"),
-        ))
-
-    spot_doc = _expect(_get(doc, "spot", ""), "spot")
-    _reject_unknown(spot_doc, ("period", "noise_sd", "competition_slope",
-                               "competition_basis", "rates"), "spot")
-    spot_rates: dict[tuple[str, str], SpotRate] = {}
-    for r, rate_doc in enumerate(_array(_get(spot_doc, "rates", "spot"), "spot.rates")):
-        rpath = f"spot.rates[{r}]"
-        rate_doc = _expect(rate_doc, rpath)
-        _reject_unknown(rate_doc, ("product_id", "supplier_id", "baseline", "amplitude", "phase"), rpath)
-        key = (
-            _string(_get(rate_doc, "product_id", rpath), f"{rpath}.product_id"),
-            _string(_get(rate_doc, "supplier_id", rpath), f"{rpath}.supplier_id"),
-        )
-        if key in spot_rates:
-            raise ScenarioFormatError(f"duplicate spot rate for {key}", rpath)
-        spot_rates[key] = SpotRate(
-            baseline=_number(_get(rate_doc, "baseline", rpath), f"{rpath}.baseline"),
-            amplitude=_number(rate_doc.get("amplitude", 0.0), f"{rpath}.amplitude"),
-            phase=_number(rate_doc.get("phase", 0.0), f"{rpath}.phase"),
-        )
-    spot = SpotModel(
-        rates=spot_rates,
-        period=_number(spot_doc.get("period", 365.0), "spot.period"),
-        noise_sd=_number(spot_doc.get("noise_sd", 1.0), "spot.noise_sd"),
-        competition_slope=_number(spot_doc.get("competition_slope", 0.0), "spot.competition_slope"),
-        competition_basis=_string(spot_doc.get("competition_basis", "per_item"), "spot.competition_basis"),
-    )
-
-    policy_doc = _expect(doc.get("policy", {"kind": "naive"}), "policy")
-    _reject_unknown(policy_doc, ("kind", "po_overhead"), "policy")
-    policy = PolicyKind(
-        kind=_string(_get(policy_doc, "kind", "policy"), "policy.kind"),
-        po_overhead=_number(policy_doc.get("po_overhead", 10.0), "policy.po_overhead"),
-    )
-
-    delays_doc = _expect(doc.get("delays", {}), "delays")
-    _reject_unknown(delays_doc, ("creation_to_approval", "approval_to_handling",
-                                 "rfq_response", "handling_to_po", "rfq_response_overrides"), "delays")
-    overrides_doc = _expect(delays_doc.get("rfq_response_overrides", {}), "delays.rfq_response_overrides")
-    delays = DelayConfig(
-        creation_to_approval=_number(delays_doc.get("creation_to_approval", 2.0), "delays.creation_to_approval"),
-        approval_to_handling=_number(delays_doc.get("approval_to_handling", 5.0), "delays.approval_to_handling"),
-        rfq_response=_number(delays_doc.get("rfq_response", 2.5), "delays.rfq_response"),
-        handling_to_po=_number(delays_doc.get("handling_to_po", 0.1), "delays.handling_to_po"),
-        rfq_response_overrides={
-            sid: _number(mean, f"delays.rfq_response_overrides[{sid}]")
-            for sid, mean in sorted(overrides_doc.items())
-        },
-    )
-
-    window = doc.get("hazard_window_width")
-    if window is not None:
-        window = _number(window, "hazard_window_width")
-
-    scenario = Scenario(
-        horizon=horizon,
-        catalog=Catalog(categories=tuple(categories)),
-        vessels=tuple(vessels),
-        suppliers=tuple(suppliers),
-        contracts=tuple(contracts),
-        spot=spot,
-        policy=policy,
-        delays=delays,
-        hazard_window_width=window,
-    )
-
-    runs_doc = _expect(doc.get("runs", {}), "runs")
-    _reject_unknown(runs_doc, ("count", "master_seed", "parallelism"), "runs")
-    runs = RunsConfig(
-        count=_integer(runs_doc.get("count", 100), "runs.count"),
-        master_seed=(None if runs_doc.get("master_seed") is None
-                     else _integer(runs_doc["master_seed"], "runs.master_seed")),
-        parallelism=_integer(runs_doc.get("parallelism", 1), "runs.parallelism"),
-    )
-    if runs.count < 1:
-        raise ScenarioFormatError("runs.count must be at least 1", "runs.count")
-    if runs.parallelism < 1:
-        raise ScenarioFormatError("runs.parallelism must be at least 1", "runs.parallelism")
-
-    output_doc = _expect(doc.get("output", {}), "output")
-    _reject_unknown(output_doc, ("directory", "histogram_bins", "export_events"), "output")
-    bins = _integer(output_doc.get("histogram_bins", 100), "output.histogram_bins")
-    if bins < 1:
-        raise ScenarioFormatError("output.histogram_bins must be at least 1", "output.histogram_bins")
-    export = output_doc.get("export_events", False)
-    if not isinstance(export, bool):
-        raise ScenarioFormatError("expected a boolean", "output.export_events")
-    output = OutputConfig(
-        directory=_string(output_doc.get("directory", "out"), "output.directory"),
-        histogram_bins=bins,
-        export_events=export,
-    )
-
-    return ScenarioFile(scenario=scenario, runs=runs, output=output)
+    scenario = _decode_object(Scenario, doc, "", extra=_FILE_KEYS)
+    file_members = [m for m in _members(ScenarioFile) if m.name != "scenario"]
+    sf = ScenarioFile(scenario=scenario, **_decode_members(file_members, doc, ""))
+    for path, value in (("runs.count", sf.runs.count), ("runs.parallelism", sf.runs.parallelism),
+                        ("output.histogram_bins", sf.output.histogram_bins)):
+        if value < 1:
+            raise ScenarioFormatError(f"{path} must be at least 1", path)
+    return sf
 
 
 def dump_scenario(sf: ScenarioFile) -> dict:
     """Inverse of parse_scenario: a JSON-ready document that parses back equal."""
-    scenario = sf.scenario
-
-    def hazard_doc(spec: HazardSpec) -> dict:
-        if isinstance(spec.baseline, ConstantBaseline):
-            baseline: dict[str, Any] = {"kind": "constant", "rate": spec.baseline.rate}
-        else:
-            baseline = {"kind": "weibull", "shape": spec.baseline.shape, "scale": spec.baseline.scale}
-        doc: dict[str, Any] = {"baseline": baseline}
-        if spec.covariates:
-            doc["covariates"] = [
-                {"coefficient": c.coefficient, "amplitude": c.amplitude,
-                 "period": c.period, "phase": c.phase}
-                for c in spec.covariates
-            ]
-        return doc
-
-    doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "horizon_days": scenario.horizon,
-        "catalog": {
-            "categories": [
-                {
-                    "id": c.id,
-                    "eligible_suppliers": list(c.eligible_suppliers),
-                    "products": [
-                        {"id": p.id, "family_id": p.family_id,
-                         "baseline_stock": p.baseline_stock, "depletion_rate": p.depletion_rate}
-                        for p in c.products
-                    ],
-                }
-                for c in scenario.catalog.categories
-            ]
-        },
-        "vessels": [
-            {"id": v.id, "hazards": {cid: hazard_doc(spec) for cid, spec in sorted(v.hazards.items())}}
-            for v in scenario.vessels
-        ],
-        "suppliers": [
-            {"id": s.id, "spot_lead_time": s.spot_lead_time} for s in scenario.suppliers
-        ],
-        "contracts": [
-            {
-                "supplier_id": c.supplier_id,
-                "product_rates": dict(sorted(c.product_rates.items())),
-                "lead_time": c.lead_time,
-                "valid_from": c.valid_from,
-                "valid_until": c.valid_until,
-                "volume_commitment": c.volume_commitment,
-            }
-            for c in scenario.contracts
-        ],
-        "spot": {
-            "period": scenario.spot.period,
-            "noise_sd": scenario.spot.noise_sd,
-            "competition_slope": scenario.spot.competition_slope,
-            "competition_basis": scenario.spot.competition_basis,
-            "rates": [
-                {"product_id": pid, "supplier_id": sid,
-                 "baseline": rate.baseline, "amplitude": rate.amplitude, "phase": rate.phase}
-                for (pid, sid), rate in sorted(scenario.spot.rates.items())
-            ],
-        },
-        "policy": {"kind": scenario.policy.kind, "po_overhead": scenario.policy.po_overhead},
-        "delays": {
-            "creation_to_approval": scenario.delays.creation_to_approval,
-            "approval_to_handling": scenario.delays.approval_to_handling,
-            "rfq_response": scenario.delays.rfq_response,
-            "handling_to_po": scenario.delays.handling_to_po,
-            "rfq_response_overrides": dict(sorted(scenario.delays.rfq_response_overrides.items())),
-        },
-        "runs": {"count": sf.runs.count, "parallelism": sf.runs.parallelism},
-        "output": {
-            "directory": sf.output.directory,
-            "histogram_bins": sf.output.histogram_bins,
-            "export_events": sf.output.export_events,
-        },
-    }
-    if sf.runs.master_seed is not None:
-        doc["runs"]["master_seed"] = sf.runs.master_seed
-    if scenario.hazard_window_width is not None:
-        doc["hazard_window_width"] = scenario.hazard_window_width
-    return doc
+    return {"schema_version": SCHEMA_VERSION, **_encode(Scenario, sf.scenario),
+            "runs": _encode(RunsConfig, sf.runs), "output": _encode(OutputConfig, sf.output)}
 
 
 def bundled_scenario_path(name: str) -> Path:
@@ -550,7 +359,7 @@ def _event_detail(record) -> str:
     if record.kind == PO_GENERATION:
         assign = "|".join(f"{pid}:{a.supplier_id}:{a.provenance}:{_fmt(a.unit_cost)}"
                           for pid, a in sorted(payload.items.items()))
-        return f"cost={_fmt(payload.total_cost)};po_count={payload.po_count};assign={assign}"
+        return f"cost={_fmt(payload.total_cost)};po_count={len(payload.suppliers_used)};assign={assign}"
     return ""
 
 
@@ -664,10 +473,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _slope_token(value: float) -> str:
-    return _fmt(value)
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     sf = load_scenario(args.scenario)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
@@ -675,7 +480,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         slope_tokens = [s.strip() for s in args.slopes.split(",") if s.strip()]
         slopes = [(token, float(token)) for token in slope_tokens]
     else:
-        slopes = [(_slope_token(sf.scenario.spot.competition_slope),
+        slopes = [(_fmt(sf.scenario.spot.competition_slope),
                    sf.scenario.spot.competition_slope)]
     cells = [(policy, token, value) for policy in policies for token, value in slopes]
     if len(cells) < 2:
@@ -794,9 +599,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--parallelism must be at least 1")
     try:
         return args.func(args)
-    except (ScenarioFormatError, ScenarioValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

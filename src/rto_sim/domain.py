@@ -24,7 +24,6 @@ __all__ = [
     "Contract",
     "Requisition",
     "Quote",
-    "QuoteSet",
     "AllocatedItem",
     "Allocation",
     "EventRecord",
@@ -77,19 +76,6 @@ class Catalog:
     def __post_init__(self):
         object.__setattr__(self, "categories", tuple(sorted(self.categories, key=lambda c: c.id)))
 
-    def category(self, category_id: str) -> Category:
-        for c in self.categories:
-            if c.id == category_id:
-                return c
-        raise KeyError(category_id)
-
-    def product(self, product_id: str) -> Product:
-        for c in self.categories:
-            for p in c.products:
-                if p.id == product_id:
-                    return p
-        raise KeyError(product_id)
-
 
 @dataclass(frozen=True)
 class Supplier:
@@ -105,16 +91,16 @@ class Vessel:
     hazards: Mapping[str, HazardSpec]  # category id -> timing spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Contract:
     """Fixed-rate agreement with one supplier over a validity window [start, end)."""
 
     supplier_id: str
     product_rates: Mapping[str, float]  # product id -> unit price
-    lead_time: float
+    lead_time: float = 2.0  # days to deliver at the contracted rate
     valid_from: float
     valid_until: float
-    volume_commitment: int
+    volume_commitment: int = 0  # units owed over the window
 
     def active_at(self, t: float) -> bool:
         return self.valid_from <= t < self.valid_until
@@ -149,12 +135,6 @@ class Quote:
 
 
 @dataclass(frozen=True)
-class QuoteSet:
-    pr_id: str
-    quotes: Mapping[str, Quote]  # supplier id -> response
-
-
-@dataclass(frozen=True)
 class AllocatedItem:
     supplier_id: str
     unit_cost: float
@@ -164,11 +144,9 @@ class AllocatedItem:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Final supplier assignment for one requisition, one supplier per item."""
+    """Final supplier assignment for one requisition, one supplier per item; one order per supplier used."""
 
-    pr_id: str
     items: Mapping[str, AllocatedItem]  # product id -> assignment
-    po_count: int
     overhead_cost: float
 
     @property
@@ -233,7 +211,7 @@ class DelayConfig:
         return self.rfq_response_overrides.get(supplier_id, self.rfq_response)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """Full parameterization of one simulated world."""
 
@@ -241,9 +219,9 @@ class Scenario:
     catalog: Catalog
     vessels: tuple[Vessel, ...]
     suppliers: tuple[Supplier, ...]
-    contracts: tuple[Contract, ...]
+    contracts: tuple[Contract, ...] = ()
     spot: SpotModel
-    policy: PolicyKind
+    policy: PolicyKind = PolicyKind(kind="naive")
     delays: DelayConfig = DelayConfig()
     hazard_window_width: float | None = None  # thinning lookahead override
 
@@ -255,12 +233,6 @@ class Scenario:
             "contracts",
             tuple(sorted(self.contracts, key=lambda c: (c.supplier_id, c.valid_from, c.valid_until))),
         )
-
-    def supplier(self, supplier_id: str) -> Supplier:
-        for s in self.suppliers:
-            if s.id == supplier_id:
-                return s
-        raise KeyError(supplier_id)
 
 
 def _check(condition: bool, message: str, path: str) -> None:
@@ -282,7 +254,10 @@ def _validate_hazard(spec: HazardSpec, path: str) -> None:
     else:
         raise ScenarioValidationError("unknown baseline kind", path)
     for i, cov in enumerate(spec.covariates):
-        _check(_finite(cov.period) and cov.period > 0, "covariate period must be positive", f"{path}.covariates[{i}]")
+        cpath = f"{path}.covariates[{i}]"
+        _check(_finite(cov.period) and cov.period > 0, "covariate period must be positive", cpath)
+        for name in ("coefficient", "amplitude", "phase"):
+            _check(_finite(getattr(cov, name)), f"covariate {name} must be finite", f"{cpath}.{name}")
 
 
 def validate_scenario(scenario: Scenario) -> Scenario:
@@ -295,6 +270,9 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 
     supplier_ids = [s.id for s in scenario.suppliers]
     _check(len(set(supplier_ids)) == len(supplier_ids), "duplicate supplier id", "suppliers")
+    for i, supplier in enumerate(scenario.suppliers):
+        _check(_finite(supplier.spot_lead_time) and supplier.spot_lead_time >= 0,
+               "spot lead time must be finite and non-negative", f"suppliers[{i}].spot_lead_time")
     known_suppliers = set(supplier_ids)
 
     seen_products: dict[str, str] = {}
@@ -330,6 +308,8 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         _check(contract.supplier_id in known_suppliers, f"unknown supplier {contract.supplier_id!r}", path)
         _check(contract.valid_from < contract.valid_until, "empty validity window", path)
         _check(contract.volume_commitment >= 0, "negative volume commitment", path)
+        _check(_finite(contract.lead_time) and contract.lead_time >= 0,
+               "contract lead time must be finite and non-negative", f"{path}.lead_time")
         _check(len(contract.product_rates) > 0, "contract covers no products", path)
         for product_id, rate in contract.product_rates.items():
             ipath = f"{path}.product_rates[{product_id}]"
@@ -360,11 +340,15 @@ def validate_scenario(scenario: Scenario) -> Scenario:
             for supplier_id in category.eligible_suppliers:
                 key = (product.id, supplier_id)
                 _check(key in spot.rates, f"missing spot rate for {key}", "spot.rates")
-                _check(_finite(spot.rates[key].baseline) and spot.rates[key].baseline > 0,
-                       "spot baseline must be positive", f"spot.rates[{key}]")
+                rate = spot.rates[key]
+                _check(_finite(rate.baseline) and rate.baseline > 0, "spot baseline must be positive",
+                       f"spot.rates[{key}]")
+                _check(_finite(rate.amplitude) and _finite(rate.phase), "spot amplitude and phase must be finite",
+                       f"spot.rates[{key}]")
 
     _check(scenario.policy.kind in ("naive", "dynamic"), "policy kind must be naive or dynamic", "policy.kind")
-    _check(scenario.policy.po_overhead >= 0, "order overhead must be non-negative", "policy.po_overhead")
+    _check(_finite(scenario.policy.po_overhead) and scenario.policy.po_overhead >= 0,
+           "order overhead must be finite and non-negative", "policy.po_overhead")
 
     d = scenario.delays
     for name in ("creation_to_approval", "approval_to_handling", "rfq_response", "handling_to_po"):

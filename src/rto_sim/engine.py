@@ -260,8 +260,7 @@ def _cell_pass(scenario: Scenario, run_index: int, lifecycles: list[_Lifecycle],
         matrix = build_cost_matrix(requisition, terms, quotes, policy,
                                    competition_slope=spot.competition_slope,
                                    competition_basis=spot.competition_basis)
-        allocation = replace(allocate_min_cost(matrix, requisition.items, policy.po_overhead),
-                             pr_id=requisition.id)
+        allocation = allocate_min_cost(matrix, requisition.items, policy.po_overhead)
         orders.append((po_at, seq, allocation))
         if collect_log:
             log.append(EventRecord(kind=PO_GENERATION, time=po_at, pr_id=requisition.id,

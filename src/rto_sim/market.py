@@ -9,7 +9,6 @@ from .domain import Contract, Quote, Requisition, SpotModel, SpotRate
 
 __all__ = [
     "ContractBook",
-    "contract_lookup",
     "spot_rate",
     "competition_adjust",
     "make_quote",
@@ -30,6 +29,7 @@ class ContractBook:
             spans.sort(key=lambda c: c.valid_from)
 
     def lookup(self, product_id: str, supplier_id: str, t: float) -> tuple[float, float] | None:
+        """Contracted (rate, lead time) if a contract covering the product is active at t."""
         for contract in self._by_pair.get((product_id, supplier_id), ()):
             if contract.active_at(t):
                 return contract.product_rates[product_id], contract.lead_time
@@ -48,14 +48,6 @@ class ContractBook:
             if terms:
                 snapshot[product_id] = terms
         return snapshot
-
-
-def contract_lookup(book: ContractBook, product_id: str, supplier_id: str,
-                    t: float) -> tuple[float, float] | None:
-    """Contracted (rate, lead time) if a contract covering the product is active at t."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    return book.lookup(product_id, supplier_id, t)
 
 
 def _seasonal_rate(params: SpotRate, period: float, t: float) -> float:
@@ -80,7 +72,7 @@ def competition_adjust(rate: float, slope: float, quantity: int) -> float:
 def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str,
                response_time: float, rng, *, items: Iterable[str] | None = None,
                category_product_ids: Iterable[str] | None = None,
-               lead_time: float = 3.0) -> Quote:
+               lead_time: float) -> Quote:
     """Synthesize one supplier's RFQ response at its response time.
 
     `items` restricts the quote to a subset of the requisition (default: all

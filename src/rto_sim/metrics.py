@@ -17,7 +17,6 @@ __all__ = [
     "DistributionSummary",
     "summarize_values",
     "summarize_batch",
-    "count_local_maxima",
     "QUANTILE_LEVELS",
 ]
 
@@ -139,32 +138,3 @@ def summarize_batch(results: Sequence[RunResult], bins: int = 100) -> dict[str, 
     for supplier_id in sorted(first.n_rfq):
         metrics[f"n_rfq_{supplier_id}"] = [r.n_rfq[supplier_id] for r in results]
     return {name: summarize_values(values, bins=bins) for name, values in metrics.items()}
-
-
-def count_local_maxima(counts: Sequence[float], smooth_window: int = 1) -> int:
-    """Local maxima of a histogram after moving-average smoothing.
-
-    Runs of equal smoothed values collapse to one candidate; a run counts as a
-    maximum when it sits above both neighbours (edges compare to the single
-    inner neighbour).
-    """
-    n = len(counts)
-    if n == 0:
-        return 0
-    half = max(0, smooth_window // 2)
-    # edge replication keeps every window the same length; truncated windows
-    # would alias jitter into spurious edge peaks
-    padded = [counts[0]] * half + list(counts) + [counts[-1]] * half
-    width = 2 * half + 1
-    smoothed = [sum(padded[i:i + width]) / width for i in range(n)]
-    levels: list[float] = []
-    for v in smoothed:
-        if not levels or v != levels[-1]:
-            levels.append(v)
-    peaks = 0
-    for i, v in enumerate(levels):
-        left_lower = i == 0 or levels[i - 1] < v
-        right_lower = i == len(levels) - 1 or levels[i + 1] < v
-        if left_lower and right_lower and len(levels) > 1:
-            peaks += 1
-    return peaks

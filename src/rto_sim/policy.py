@@ -215,9 +215,8 @@ def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
             rate += matrix.competition_slope * spot_units[entry.supplier_id]
         allocated[item] = AllocatedItem(supplier_id=entry.supplier_id, unit_cost=rate,
                                         quantity=quantities[item], provenance=entry.provenance)
-    used = sorted({a.supplier_id for a in allocated.values()})
-    return Allocation(pr_id="", items=allocated, po_count=len(used),
-                      overhead_cost=po_overhead * (len(used) - 1))
+    n_orders = len({a.supplier_id for a in allocated.values()})
+    return Allocation(items=allocated, overhead_cost=po_overhead * (n_orders - 1))
 
 
 def decide_rfq_scope(requisition: Requisition,

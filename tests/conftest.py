@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
 import pytest
 
@@ -69,6 +70,35 @@ def paper_file():
 @pytest.fixture(scope="session")
 def paper_scenario(paper_file):
     return paper_file.scenario
+
+
+def count_local_maxima(counts: Sequence[float], smooth_window: int = 1) -> int:
+    """Local maxima of a histogram after moving-average smoothing.
+
+    Runs of equal smoothed values collapse to one candidate; a run counts as a
+    maximum when it sits above both neighbours (edges compare to the single
+    inner neighbour).
+    """
+    n = len(counts)
+    if n == 0:
+        return 0
+    half = max(0, smooth_window // 2)
+    # edge replication keeps every window the same length; truncated windows
+    # would alias jitter into spurious edge peaks
+    padded = [counts[0]] * half + list(counts) + [counts[-1]] * half
+    width = 2 * half + 1
+    smoothed = [sum(padded[i:i + width]) / width for i in range(n)]
+    levels: list[float] = []
+    for v in smoothed:
+        if not levels or v != levels[-1]:
+            levels.append(v)
+    peaks = 0
+    for i, v in enumerate(levels):
+        left_lower = i == 0 or levels[i - 1] < v
+        right_lower = i == len(levels) - 1 or levels[i + 1] < v
+        if left_lower and right_lower and len(levels) > 1:
+            peaks += 1
+    return peaks
 
 
 def single_product_scenario(*, contracted: bool, horizon: float = 100.0,

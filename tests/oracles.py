@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -267,10 +267,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             matrix = build_cost_matrix(requisition, state.contract_terms, state.quotes, policy,
                                        competition_slope=spot.competition_slope,
                                        competition_basis=spot.competition_basis)
-            allocation = replace(
-                allocate_min_cost(matrix, requisition.items, policy.po_overhead),
-                pr_id=event.pr_id,
-            )
+            allocation = allocate_min_cost(matrix, requisition.items, policy.po_overhead)
             terminal_cost += record_allocation(ledger, allocation)
             n_po += 1
             delay_streams.pop(event.pr_id, None)

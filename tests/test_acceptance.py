@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_scenario
+from conftest import count_local_maxima, random_scenario
 from oracles import OracleInstance, exhaustive_allocation, weibull_cdf
 from rto_sim.cli import load_scenario, main
 from rto_sim.domain import Category, Product, Vessel
 from rto_sim.engine import audit_event_log, run_batch, run_once
 from rto_sim.hazards import HazardSpec, WeibullBaseline, sample_gap
-from rto_sim.metrics import count_local_maxima
 from rto_sim.policy import SPOT, CostMatrix, MatrixEntry, allocate_min_cost
 
 POOL = min(4, os.cpu_count() or 1)

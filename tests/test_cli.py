@@ -1,10 +1,14 @@
 """Scenario-file parsing, CLI command, and output-stability tests."""
 
+import copy
 import json
 
 import pytest
 
 from rto_sim.cli import (
+    OutputConfig,
+    RunsConfig,
+    ScenarioFile,
     ScenarioFormatError,
     bundled_scenario_path,
     dump_scenario,
@@ -12,11 +16,133 @@ from rto_sim.cli import (
     main,
     parse_scenario,
 )
+from rto_sim.domain import (
+    Catalog,
+    Category,
+    Contract,
+    Product,
+    Scenario,
+    SpotModel,
+    SpotRate,
+    Supplier,
+    Vessel,
+)
+from rto_sim.hazards import CovariateTerm, HazardSpec, WeibullBaseline
 
 
 @pytest.fixture
 def scenario_doc(paper_file):
     return dump_scenario(paper_file)
+
+
+DELETE = object()
+HAZARD = ("vessels", 0, "hazards", "consumables")
+
+
+def mutated(doc, path, value):
+    """Copy of `doc` with the value at `path` replaced, or removed when `value` is DELETE."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+# (path, value, exact error message): one malformed document per row
+MALFORMED = [
+    (("horizon_days",), "365", "horizon_days: expected a number"),
+    (("spot", "period"), True, "spot.period: expected a number"),
+    (("catalog", "categories", 0, "products", 1, "baseline_stock"), 30.5,
+     "catalog.categories[0].products[1].baseline_stock: expected an integer"),
+    (("catalog", "categories", 0, "products", 1, "id"), "",
+     "catalog.categories[0].products[1].id: expected a non-empty string"),
+    (("catalog", "categories", 0, "eligible_suppliers", 1), 3,
+     "catalog.categories[0].eligible_suppliers[1]: expected a non-empty string"),
+    (("vessels",), {}, "vessels: expected an array"),
+    (HAZARD, [], "vessels[0].hazards[consumables]: expected an object"),
+    (HAZARD + ("covariates",), {}, "vessels[0].hazards[consumables].covariates: expected an array"),
+    (("contracts", 0, "product_rates", "P1"), "11", "contracts[0].product_rates[P1]: expected a number"),
+    (("delays", "rfq_response_overrides"), [], "delays.rfq_response_overrides: expected an object"),
+    (("runs", "master_seed"), 1.5, "runs.master_seed: expected an integer"),
+    (("hazard_window_width",), "1", "hazard_window_width: expected a number"),
+    (("typo",), 1, "unknown field 'typo'"),
+    (HAZARD + ("baseline", "typo"), 1, "vessels[0].hazards[consumables].baseline: unknown field 'typo'"),
+    (("horizon_days",), DELETE, "missing required field 'horizon_days'"),
+    (("spot", "rates", 3, "baseline"), DELETE, "spot.rates[3]: missing required field 'baseline'"),
+    (("policy",), {}, "policy: missing required field 'kind'"),
+    (HAZARD + ("baseline", "kind"), "gamma",
+     "vessels[0].hazards[consumables].baseline.kind: unknown baseline kind 'gamma'"),
+    (("spot", "rates", 1),
+     {"product_id": "P1", "supplier_id": "A", "baseline": 10.0},
+     "spot.rates[1]: duplicate spot rate for ('P1', 'A')"),
+    (("output", "export_events"), 1, "output.export_events: expected a boolean"),
+    (("runs", "count"), 0, "runs.count: runs.count must be at least 1"),
+    (("runs", "parallelism"), 0, "runs.parallelism: runs.parallelism must be at least 1"),
+    (("output", "histogram_bins"), 0, "output.histogram_bins: output.histogram_bins must be at least 1"),
+    (("schema_version",), 99, "schema_version: unsupported schema version 99"),
+]
+
+
+class TestCodecConformance:
+    @pytest.fixture(scope="class")
+    def paper_doc(self):
+        return json.loads(bundled_scenario_path("paper_s5.json").read_text())
+
+    @pytest.mark.parametrize("path, value, message", MALFORMED,
+                             ids=[".".join(map(str, row[0])) for row in MALFORMED])
+    def test_malformed_document_message(self, paper_doc, path, value, message):
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_scenario(mutated(paper_doc, path, value))
+        assert str(err.value) == message
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_scenario([])
+        assert str(err.value) == "expected an object"
+
+    @pytest.mark.parametrize("path, read", [
+        (("runs", "master_seed"), lambda sf: sf.runs.master_seed),
+        (("hazard_window_width",), lambda sf: sf.scenario.hazard_window_width),
+    ])
+    def test_null_means_unset(self, paper_doc, path, read):
+        assert read(parse_scenario(mutated(paper_doc, path, None))) is None
+
+    def test_minimal_document_takes_dataclass_defaults(self):
+        doc = {
+            "schema_version": 1,
+            "horizon_days": 100.0,
+            "catalog": {"categories": [{
+                "id": "cat", "eligible_suppliers": ["A"],
+                "products": [{"id": "P", "family_id": "F", "baseline_stock": 10, "depletion_rate": 0.5}],
+            }]},
+            "vessels": [{"id": "V", "hazards": {"cat": {
+                "baseline": {"kind": "weibull", "shape": 1.5, "scale": 12.0},
+                "covariates": [{"coefficient": 0.3, "amplitude": 1.0, "period": 365.0}],
+            }}}],
+            "suppliers": [{"id": "A"}],
+            "contracts": [{"supplier_id": "A", "product_rates": {"P": 9.0},
+                           "valid_from": 0.0, "valid_until": 50.0}],
+            "spot": {"rates": [{"product_id": "P", "supplier_id": "A", "baseline": 10.0}]},
+        }
+        hazard = HazardSpec(baseline=WeibullBaseline(shape=1.5, scale=12.0),
+                            covariates=(CovariateTerm(coefficient=0.3, amplitude=1.0, period=365.0),))
+        expected = ScenarioFile(scenario=Scenario(
+            horizon=100.0,
+            catalog=Catalog(categories=(Category(
+                id="cat", eligible_suppliers=("A",),
+                products=(Product(id="P", family_id="F", baseline_stock=10, depletion_rate=0.5),),
+            ),)),
+            vessels=(Vessel(id="V", hazards={"cat": hazard}),),
+            suppliers=(Supplier(id="A"),),
+            contracts=(Contract(supplier_id="A", product_rates={"P": 9.0}, valid_from=0.0, valid_until=50.0),),
+            spot=SpotModel(rates={("P", "A"): SpotRate(baseline=10.0)}),
+        ))
+        assert parse_scenario(doc) == expected
+        assert parse_scenario(dump_scenario(expected)) == expected
 
 
 class TestLoadScenario:

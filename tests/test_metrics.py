@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rto_sim.domain import AllocatedItem, Allocation
+from conftest import count_local_maxima
 from rto_sim.metrics import (
     ComplianceLedger,
-    count_local_maxima,
     record_allocation,
     summarize_values,
     utilization,
@@ -15,9 +15,7 @@ from rto_sim.metrics import (
 
 
 def allocation(items, overhead=0.0):
-    return Allocation(pr_id="r", items=items,
-                      po_count=len({a.supplier_id for a in items.values()}),
-                      overhead_cost=overhead)
+    return Allocation(items=items, overhead_cost=overhead)
 
 
 class TestRecordAllocation:
