@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import collections.abc
+import contextlib
 import functools
 import json
 import os
@@ -20,7 +21,7 @@ import typing
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .domain import Scenario, validate_scenario
 from .engine import (
@@ -374,33 +375,69 @@ def write_events_csv(path: Path, log: Sequence) -> None:
     _write_text(path, lines)
 
 
-def _emit_outputs(out_dir: Path, batch: BatchResult, config: Mapping[str, Any],
-                  bins: int, written: list[Path]) -> dict[str, DistributionSummary]:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _make_dirs(path: Path, created: list[Path]) -> None:
+    """Create `path` and its missing parents, recording each one created, outermost first."""
+    created.extend(reversed([p for p in (path, *path.parents) if not p.exists()]))
+    path.mkdir(parents=True, exist_ok=True)
+
+
+@contextlib.contextmanager
+def _removed_on_failure() -> Iterator[list[Path]]:
+    """Yield a list for the files and directories a command creates; on failure remove them.
+
+    Removal goes newest first, so a directory goes after its contents; one
+    that is still not empty stays.
+    """
+    created: list[Path] = []
+    try:
+        yield created
+    except Exception:
+        for path in reversed(created):
+            with contextlib.suppress(OSError):
+                path.rmdir() if path.is_dir() else path.unlink()
+        raise
+
+
+def _emit_cell(out_dir: Path, batch: BatchResult, config: Mapping[str, Any],
+               bins: int, created: list[Path]) -> dict[str, DistributionSummary]:
+    _make_dirs(out_dir, created)
     summaries = summarize_batch(batch.results, bins=bins)
 
-    runs_path = out_dir / "runs.csv"
-    write_runs_csv(runs_path, batch.results)
-    written.append(runs_path)
+    def write(writer, name: str, *data) -> None:
+        created.append(out_dir / name)
+        writer(out_dir / name, *data)
 
-    summary_path = out_dir / "summary.json"
-    write_summary_json(summary_path, config, summaries)
-    written.append(summary_path)
-
-    hist_metrics = ["terminal_cost"] + sorted(
-        name for name in summaries if name.startswith("utilization_")
-    )
-    for name in hist_metrics:
-        hist_path = out_dir / f"histogram_{name}.csv"
-        write_histogram_csv(hist_path, summaries[name])
-        written.append(hist_path)
-
-    if batch.logs is not None:
-        for run_index in sorted(batch.logs):
-            events_path = out_dir / f"events_{run_index}.csv"
-            write_events_csv(events_path, batch.logs[run_index])
-            written.append(events_path)
+    write(write_runs_csv, "runs.csv", batch.results)
+    write(write_summary_json, "summary.json", config, summaries)
+    for name in ["terminal_cost"] + sorted(n for n in summaries if n.startswith("utilization_")):
+        write(write_histogram_csv, f"histogram_{name}.csv", summaries[name])
+    for run_index in sorted(batch.logs or ()):
+        write(write_events_csv, f"events_{run_index}.csv", batch.logs[run_index])
     return summaries
+
+
+def _run_cells(sf: ScenarioFile, cells: Sequence[tuple[Scenario, Path]],
+               created: list[Path]) -> Iterator[dict[str, DistributionSummary]]:
+    """Simulate every (scenario, output directory) cell in one batch; write each cell's files.
+
+    The cells share each run's demand draws (common random numbers); each
+    cell's summary.json config describes its own scenario.  Yields each
+    cell's summaries once its files are written, so only one cell's are held.
+    """
+    runs, bins = sf.runs, sf.output.histogram_bins
+    for scenario, _ in cells:
+        validate_scenario(scenario)
+    batches = run_batch([scenario for scenario, _ in cells], runs.count, runs.master_seed,
+                        parallelism=runs.parallelism, collect_logs=sf.output.export_events)
+    for (scenario, out_dir), batch in zip(cells, batches):
+        yield _emit_cell(out_dir, batch, {
+            "policy": scenario.policy.kind,
+            "competition_slope": scenario.spot.competition_slope,
+            "runs": runs.count,
+            "master_seed": runs.master_seed,
+            "horizon_days": scenario.horizon,
+            "histogram_bins": bins,
+        }, bins, created)
 
 
 def _resolve_seed(flag_seed: int | None, file_seed: int | None) -> int:
@@ -417,6 +454,19 @@ def _resolve_seed(flag_seed: int | None, file_seed: int | None) -> int:
     return 0
 
 
+def _load_with_flags(args: argparse.Namespace) -> ScenarioFile:
+    """The scenario file, with the flags that were given replacing its run and output settings."""
+    sf = load_scenario(args.scenario)
+
+    def given(**flags: Any) -> dict[str, Any]:
+        return {name: value for name, value in flags.items() if value is not None}
+
+    runs = replace(sf.runs, **given(count=args.runs, parallelism=args.parallelism),
+                   master_seed=_resolve_seed(args.seed, sf.runs.master_seed))
+    output = replace(sf.output, **given(directory=args.out, export_events=args.export_events))
+    return replace(sf, runs=runs, output=output)
+
+
 def _apply_overrides(scenario: Scenario, policy: str | None, slope: float | None) -> Scenario:
     if policy is not None:
         scenario = replace(scenario, policy=replace(scenario.policy, kind=policy))
@@ -425,48 +475,20 @@ def _apply_overrides(scenario: Scenario, policy: str | None, slope: float | None
     return scenario
 
 
-def _cleanup(written: list[Path]) -> None:
-    for path in written:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    sf = load_scenario(args.scenario)
+    sf = _load_with_flags(args)
     scenario = _apply_overrides(sf.scenario, args.policy, args.competition_slope)
-    validate_scenario(scenario)
-    n_runs = args.runs if args.runs is not None else sf.runs.count
-    seed = _resolve_seed(args.seed, sf.runs.master_seed)
-    parallelism = args.parallelism if args.parallelism is not None else sf.runs.parallelism
-    out_dir = Path(args.out) if args.out is not None else Path(sf.output.directory)
-    export_events = args.export_events or sf.output.export_events
-
-    written: list[Path] = []
+    out_dir = Path(sf.output.directory)
     started = time.perf_counter()
-    try:
-        batch = run_batch((scenario,), n_runs, seed, parallelism=parallelism,
-                          collect_logs=export_events)[0]
-        config = {
-            "policy": scenario.policy.kind,
-            "competition_slope": scenario.spot.competition_slope,
-            "runs": n_runs,
-            "master_seed": seed,
-            "horizon_days": scenario.horizon,
-            "histogram_bins": sf.output.histogram_bins,
-        }
-        summaries = _emit_outputs(out_dir, batch, config, sf.output.histogram_bins, written)
-    except Exception:
-        _cleanup(written)
-        raise
+    with _removed_on_failure() as created:
+        [summaries] = _run_cells(sf, [(scenario, out_dir)], created)
     elapsed = time.perf_counter() - started
 
     mean_util = " ".join(
         f"u_{name.removeprefix('utilization_')}={_fmt(summary.mean)}"
         for name, summary in sorted(summaries.items()) if name.startswith("utilization_")
     )
-    print(f"runs={n_runs} policy={scenario.policy.kind} "
+    print(f"runs={sf.runs.count} policy={scenario.policy.kind} "
           f"slope={_fmt(scenario.spot.competition_slope)} "
           f"mean_cost={_fmt(summaries['terminal_cost'].mean)} {mean_util} "
           f"elapsed={elapsed:.1f}s out={out_dir}")
@@ -474,49 +496,24 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    sf = load_scenario(args.scenario)
+    sf = _load_with_flags(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    if args.slopes is not None:
-        slope_tokens = [s.strip() for s in args.slopes.split(",") if s.strip()]
-        slopes = [(token, float(token)) for token in slope_tokens]
-    else:
-        slopes = [(_fmt(sf.scenario.spot.competition_slope),
-                   sf.scenario.spot.competition_slope)]
-    cells = [(policy, token, value) for policy in policies for token, value in slopes]
-    if len(cells) < 2:
+    file_slope = sf.scenario.spot.competition_slope
+    slopes = args.slopes if args.slopes is not None else [(_fmt(file_slope), file_slope)]
+    grid = [(policy, token, _apply_overrides(sf.scenario, policy, slope))
+            for policy in policies for token, slope in slopes]
+    if len(grid) < 2:
         raise ScenarioFormatError("compare needs at least two (policy, slope) cells")
 
-    n_runs = args.runs if args.runs is not None else sf.runs.count
-    seed = _resolve_seed(args.seed, sf.runs.master_seed)
-    parallelism = args.parallelism if args.parallelism is not None else sf.runs.parallelism
-    out_dir = Path(args.out) if args.out is not None else Path(sf.output.directory)
-    export_events = args.export_events or sf.output.export_events
-
-    scenarios = [_apply_overrides(sf.scenario, policy, slope) for policy, _, slope in cells]
-    for scenario in scenarios:
-        validate_scenario(scenario)
-
-    written: list[Path] = []
+    out_dir = Path(sf.output.directory)
+    cells = [(scenario, out_dir / f"{policy}_slope{token}") for policy, token, scenario in grid]
     table_rows: list[dict[str, Any]] = []
-    try:
-        # common random numbers: each run's demand is simulated once and shared by every cell
-        batches = run_batch(scenarios, n_runs, seed, parallelism=parallelism,
-                            collect_logs=export_events)
-        for (policy, token, slope), scenario, batch in zip(cells, scenarios, batches):
-            cell_dir = out_dir / f"{policy}_slope{token}"
-            config = {
-                "policy": policy,
-                "competition_slope": slope,
-                "runs": n_runs,
-                "master_seed": seed,
-                "horizon_days": scenario.horizon,
-                "histogram_bins": sf.output.histogram_bins,
-            }
-            summaries = _emit_outputs(cell_dir, batch, config, sf.output.histogram_bins, written)
+    with _removed_on_failure() as created:
+        for (policy, token, _), summaries in zip(grid, _run_cells(sf, cells, created)):
             row: dict[str, Any] = {
                 "policy": policy,
                 "slope": token,
-                "runs": n_runs,
+                "runs": sf.runs.count,
                 "mean_cost": summaries["terminal_cost"].mean,
                 "median_cost": summaries["terminal_cost"].quantiles[50],
             }
@@ -527,17 +524,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     row[f"median_u_{supplier}"] = summary.quantiles[50]
             table_rows.append(row)
 
-        columns = list(table_rows[0].keys())
-        lines = [",".join(columns)]
-        for row in table_rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        columns = list(table_rows[0])
         comparison = out_dir / "comparison.csv"
-        _write_text(comparison, lines)
-        written.append(comparison)
-    except Exception:
-        _cleanup(written)
-        raise
+        created.append(comparison)
+        _write_text(comparison, [",".join(columns)]
+                    + [",".join(_fmt(row[c]) for c in columns) for row in table_rows])
 
     widths = [max(len(str(c)), max(len(_fmt(row[c])) for row in table_rows)) for c in columns]
     print("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
@@ -556,6 +547,28 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """Argument type of --runs and --parallelism."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
+def _slope_list(text: str) -> list[tuple[str, float]]:
+    """Argument type of --slopes: each slope with its token, which names the cell's directory."""
+    slopes = []
+    for token in filter(None, (s.strip() for s in text.split(","))):
+        try:
+            slopes.append((token, float(token)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid slope {token!r}") from None
+    return slopes
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rto-sim",
@@ -565,11 +578,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("scenario", help="scenario JSON file (bundled names resolve too)")
-        p.add_argument("--runs", type=int, default=None, help="number of replications")
+        p.add_argument("--runs", type=_at_least_one, default=None, help="number of replications")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--parallelism", type=int, default=None, help="worker processes")
+        p.add_argument("--parallelism", type=_at_least_one, default=None, help="worker processes")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--export-events", action="store_true", help="write per-run event logs")
+        p.add_argument("--export-events", action="store_true", default=None,
+                       help="write per-run event logs")
 
     run_p = sub.add_parser("run", help="run one policy cell and emit distributions")
     add_common(run_p)
@@ -580,7 +594,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="run a policy/slope grid under common random numbers")
     add_common(cmp_p)
     cmp_p.add_argument("--policies", default="naive,dynamic", help="comma-separated policy list")
-    cmp_p.add_argument("--slopes", default=None, help="comma-separated competition slopes")
+    cmp_p.add_argument("--slopes", type=_slope_list, default=None,
+                       help="comma-separated competition slopes")
     cmp_p.set_defaults(func=cmd_compare)
 
     val_p = sub.add_parser("validate", help="parse and validate a scenario file")
@@ -591,12 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "runs", None) is not None and args.runs < 1:
-        parser.error("--runs must be at least 1")
-    if getattr(args, "parallelism", None) is not None and args.parallelism < 1:
-        parser.error("--parallelism must be at least 1")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

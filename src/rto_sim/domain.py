@@ -283,7 +283,10 @@ def validate_scenario(scenario: Scenario) -> Scenario:
             len(category.eligible_suppliers) <= MAX_SUPPLIERS_PER_CATEGORY,
             f"more than {MAX_SUPPLIERS_PER_CATEGORY} eligible suppliers", cpath,
         )
-        for s in category.eligible_suppliers:
+        listed = category.eligible_suppliers
+        _check(len(set(listed)) == len(listed) > 0, "eligible suppliers must be non-empty and distinct",
+               f"{cpath}.eligible_suppliers")
+        for s in listed:
             _check(s in known_suppliers, f"unknown supplier {s!r}", f"{cpath}.eligible_suppliers")
         for p, product in enumerate(category.products):
             ppath = f"{cpath}.products[{p}]"

@@ -31,7 +31,7 @@ import numpy as np
 from . import demand
 from .domain import Allocation, EventRecord, Quote, Requisition, Scenario
 from .hazards import sample_exponential_delay
-from .market import ContractBook, competition_adjust, make_quote
+from .market import ContractBook, make_quote, scope_quote
 from .metrics import ComplianceLedger, RunResult, record_allocation, utilization
 from .policy import allocate_min_cost, build_cost_matrix, decide_rfq_scope
 
@@ -191,19 +191,6 @@ def _demand_pass(world: Scenario, run_index: int, plan,
     return lifecycles, empty_draws
 
 
-def _cell_quote(base: Quote, requisition: Requisition, items: tuple[str, ...],
-                per_item_slope: float | None) -> Quote:
-    """A base-rate quote cut to a cell's item scope, with the cell's per-item markup if any."""
-    rates = base.unit_rates
-    if per_item_slope is None:
-        unit_rates = {item: rates[item] for item in items}
-    else:
-        unit_rates = {item: competition_adjust(rates[item], per_item_slope, requisition.items[item])
-                      for item in items}
-    return Quote(supplier_id=base.supplier_id, responded_at=base.responded_at,
-                 unit_rates=unit_rates, lead_time=base.lead_time)
-
-
 def _cell_pass(scenario: Scenario, run_index: int, lifecycles: list[_Lifecycle], empty_draws: int,
                respond: Callable[[_Lifecycle, str], tuple[float, Quote | None]],
                collect_log: bool) -> RunOutput:
@@ -216,7 +203,6 @@ def _cell_pass(scenario: Scenario, run_index: int, lifecycles: list[_Lifecycle],
     horizon = scenario.horizon
     policy = scenario.policy
     spot = scenario.spot
-    per_item_slope = spot.competition_slope if spot.competition_basis == "per_item" else None
     eligible = {c.id: c.eligible_suppliers for c in scenario.catalog.categories}
     n_rfq = {s.id: 0 for s in scenario.suppliers}
     n_hl = 0
@@ -231,9 +217,8 @@ def _cell_pass(scenario: Scenario, run_index: int, lifecycles: list[_Lifecycle],
         if terms is None:
             continue
         n_hl += 1
-        scope = decide_rfq_scope(requisition, terms, policy, eligible[requisition.category_id])
-        scope_items = tuple(sorted({item for item, _ in scope}))
-        scope_suppliers = tuple(sorted({supplier for _, supplier in scope}))
+        scope_items = decide_rfq_scope(requisition, terms, policy)
+        scope_suppliers = eligible[requisition.category_id] if scope_items else ()
         if collect_log:
             log.append(EventRecord(kind=PR_HANDLING, time=life.handled_at, pr_id=requisition.id,
                                    vessel_id=requisition.vessel_id,
@@ -249,7 +234,7 @@ def _cell_pass(scenario: Scenario, run_index: int, lifecycles: list[_Lifecycle],
             if base is None:
                 continue
             n_rfq[supplier_id] += 1
-            quote = _cell_quote(base, requisition, scope_items, per_item_slope)
+            quote = scope_quote(base, requisition, scope_items, spot)
             quotes[supplier_id] = quote
             if collect_log:
                 log.append(EventRecord(kind=RFQ_RESPONSE, time=response_at, pr_id=requisition.id,
@@ -313,7 +298,6 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     world = _check_grid(scenarios)
     plan = rng_plan if rng_plan is not None else RngPlan(master_seed)
     horizon = world.horizon
-    base_spot = replace(world.spot, competition_slope=0.0)
     product_ids = {c.id: c.product_ids for c in world.catalog.categories}
     lead_times = {s.id: s.spot_lead_time for s in world.suppliers}
     lifecycles, empty_draws = _demand_pass(world, run_index, plan, collect_log)
@@ -327,7 +311,7 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                 world.delays.rfq_mean(supplier_id), stream)
             base = None
             if response_at < horizon:
-                base = make_quote(base_spot, requisition, supplier_id, response_at, stream,
+                base = make_quote(world.spot, requisition, supplier_id, response_at, stream,
                                   category_product_ids=product_ids[requisition.category_id],
                                   lead_time=lead_times[supplier_id])
             hit = life.responses[supplier_id] = (response_at, base)
@@ -370,12 +354,13 @@ def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
     spans = [list(range(start, min(start + chunk, n_runs))) for start in range(0, n_runs, chunk)]
     jobs = [(tuple(scenarios), master_seed, span, collect_logs) for span in spans]
 
+    workers = min(parallelism, len(jobs))  # a worker beyond the chunk count would sit idle
     runs: list[tuple[RunOutput, ...]] = []  # index order: spans are contiguous and merged in order
-    if parallelism == 1 or n_runs == 1:
+    if workers == 1:
         for job in jobs:
             runs.extend(_run_span(job))
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 for chunk_runs in pool.map(_run_span, jobs):
                     runs.extend(chunk_runs)

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .domain import Contract, Quote, Requisition, SpotModel, SpotRate
 
 __all__ = [
     "ContractBook",
-    "spot_rate",
     "competition_adjust",
     "make_quote",
+    "scope_quote",
 ]
 
 MIN_SPOT_RATE = 0.01  # floor keeps Gaussian noise from producing negative prices
@@ -54,14 +54,6 @@ def _seasonal_rate(params: SpotRate, period: float, t: float) -> float:
     return params.baseline + params.amplitude * math.cos(2.0 * math.pi * t / period + params.phase)
 
 
-def spot_rate(model: SpotModel, product_id: str, supplier_id: str, t: float, rng) -> float:
-    """One spot unit-rate draw: seasonal curve plus Gaussian noise, floored at 0.01."""
-    rate = _seasonal_rate(model.rates[(product_id, supplier_id)], model.period, t)
-    if model.noise_sd > 0.0:
-        rate += model.noise_sd * rng.standard_normal()
-    return max(rate, MIN_SPOT_RATE)
-
-
 def competition_adjust(rate: float, slope: float, quantity: int) -> float:
     """Quantity-sensitive markup: spot rates rise linearly with the amount requested."""
     if quantity < 1:
@@ -70,34 +62,40 @@ def competition_adjust(rate: float, slope: float, quantity: int) -> float:
 
 
 def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str,
-               response_time: float, rng, *, items: Iterable[str] | None = None,
-               category_product_ids: Iterable[str] | None = None,
+               response_time: float, rng, *, category_product_ids: Iterable[str],
                lead_time: float) -> Quote:
-    """Synthesize one supplier's RFQ response at its response time.
+    """One supplier's RFQ response at base rates for every requested item.
 
-    `items` restricts the quote to a subset of the requisition (default: all
-    included items).  Noise is drawn once per product of `category_product_ids`
-    in that order, whether quoted or not, so a dedicated (request, supplier)
-    stream produces identical rates for an item regardless of which other
-    items end up in the quoting scope.  Per-item competition markup is applied
-    here; under the per_supplier_total basis rates stay unadjusted because the
-    markup depends on the final allocation.
+    A rate is the seasonal curve plus Gaussian noise, floored at 0.01.  Noise
+    is drawn once per product of `category_product_ids` in that order, so a
+    dedicated (request, supplier) stream gives an item the same rate whatever
+    else is requested.
     """
-    quoted = sorted(requisition.items if items is None else items)
-    if not quoted:
-        raise ValueError("RFQ issued with an empty item scope")
-    draw_order = tuple(category_product_ids) if category_product_ids is not None else tuple(quoted)
     noise: dict[str, float] = {}
     if model.noise_sd > 0.0:
-        for product_id in draw_order:
+        for product_id in category_product_ids:
             noise[product_id] = rng.standard_normal()
     unit_rates: dict[str, float] = {}
-    for product_id in quoted:
+    for product_id in sorted(requisition.items):
         rate = _seasonal_rate(model.rates[(product_id, supplier_id)], model.period, response_time)
         rate += model.noise_sd * noise.get(product_id, 0.0)
-        rate = max(rate, MIN_SPOT_RATE)
-        if model.competition_basis == "per_item":
-            rate = competition_adjust(rate, model.competition_slope, requisition.items[product_id])
-        unit_rates[product_id] = rate
+        unit_rates[product_id] = max(rate, MIN_SPOT_RATE)
     return Quote(supplier_id=supplier_id, responded_at=response_time,
                  unit_rates=unit_rates, lead_time=lead_time)
+
+
+def scope_quote(base: Quote, requisition: Requisition, items: Sequence[str],
+                model: SpotModel) -> Quote:
+    """A base-rate quote cut to an RFQ item scope, with the per_item competition markup.
+
+    The per_supplier_total markup depends on the allocation; the solver adds it.
+    """
+    if not items:
+        raise ValueError("RFQ issued with an empty item scope")
+    rates = base.unit_rates
+    slope = model.competition_slope if model.competition_basis == "per_item" else None
+    unit_rates = {item: rates[item] if slope is None
+                  else competition_adjust(rates[item], slope, requisition.items[item])
+                  for item in items}
+    return Quote(supplier_id=base.supplier_id, responded_at=base.responded_at,
+                 unit_rates=unit_rates, lead_time=base.lead_time)

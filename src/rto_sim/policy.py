@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .domain import (
     MAX_SUPPLIERS_PER_CATEGORY,
@@ -221,16 +221,13 @@ def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
 
 def decide_rfq_scope(requisition: Requisition,
                      contract_terms: Mapping[str, Mapping[str, tuple[float, float]]],
-                     policy: PolicyKind,
-                     eligible_suppliers: Iterable[str]) -> set[tuple[str, str]]:
-    """(item, supplier) pairs to quote; empty means the order is issued directly.
+                     policy: PolicyKind) -> tuple[str, ...]:
+    """Items to quote, sorted; empty means the order is issued directly.
 
     Naive quotes only items with no active contract; dynamic quotes every item
-    regardless of contract status.  All eligible suppliers participate in the
-    spot round, contract holders included.
+    regardless of contract status.  Every eligible supplier of the category is
+    asked for a quote, contract holders included.
     """
     if policy.kind == "dynamic":
-        items = sorted(requisition.items)
-    else:
-        items = [i for i in sorted(requisition.items) if not contract_terms.get(i)]
-    return {(item, supplier) for item in items for supplier in eligible_suppliers}
+        return tuple(sorted(requisition.items))
+    return tuple(i for i in sorted(requisition.items) if not contract_terms.get(i))

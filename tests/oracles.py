@@ -31,7 +31,7 @@ from rto_sim.engine import (
     RunOutput,
 )
 from rto_sim.hazards import sample_exponential_delay
-from rto_sim.market import ContractBook, make_quote
+from rto_sim.market import ContractBook, make_quote, scope_quote
 from rto_sim.metrics import ComplianceLedger, RunResult, record_allocation, utilization
 from rto_sim.policy import allocate_min_cost, build_cost_matrix, decide_rfq_scope
 
@@ -217,9 +217,8 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             terms = book.terms_snapshot(sorted(requisition.items),
                                         category.eligible_suppliers, time)
             state.contract_terms = terms
-            scope = decide_rfq_scope(requisition, terms, policy, category.eligible_suppliers)
-            scope_items = tuple(sorted({item for item, _ in scope}))
-            scope_suppliers = tuple(sorted({supplier for _, supplier in scope}))
+            scope_items = decide_rfq_scope(requisition, terms, policy)
+            scope_suppliers = category.eligible_suppliers if scope_items else ()
             state.scope_items = scope_items
             if collect_log:
                 log.append(EventRecord(kind=PR_HANDLING, time=time, pr_id=event.pr_id,
@@ -228,7 +227,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
                                        payload=HandlingRecord(contract_terms=terms,
                                                               rfq_items=scope_items,
                                                               rfq_suppliers=scope_suppliers)))
-            if not scope:
+            if not scope_items:
                 po_at = time + sample_exponential_delay(scenario.delays.handling_to_po,
                                                         delay_streams[event.pr_id])
                 schedule(po_at, PO_GENERATION, pr_id=event.pr_id)
@@ -246,11 +245,11 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             requisition = state.requisition
             category = categories[requisition.category_id]
             n_rfq[event.supplier_id] += 1
-            quote = make_quote(spot, requisition, event.supplier_id, time,
-                               state.quote_streams.pop(event.supplier_id),
-                               items=state.scope_items,
-                               category_product_ids=category.product_ids,
-                               lead_time=lead_times[event.supplier_id])
+            base = make_quote(spot, requisition, event.supplier_id, time,
+                              state.quote_streams.pop(event.supplier_id),
+                              category_product_ids=category.product_ids,
+                              lead_time=lead_times[event.supplier_id])
+            quote = scope_quote(base, requisition, state.scope_items, spot)
             state.quotes[event.supplier_id] = quote
             state.awaiting -= 1
             if collect_log:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from rto_sim import cli
 from rto_sim.cli import (
     OutputConfig,
     RunsConfig,
@@ -263,6 +264,27 @@ class TestRunCommand:
         assert run_cli("run", str(tmp_path / "missing.json")) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--runs", "--parallelism"])
+    @pytest.mark.parametrize("value", ["0", "x"])
+    def test_count_below_one_names_the_flag(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", "paper_s5.json", flag, value, "--out", str(tmp_path / "o"))
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: expected an integer of at least 1, got '{value}'" in capsys.readouterr().err
+
+    def test_matches_the_same_cell_of_compare(self, tmp_path):
+        common = ("--runs", "20", "--seed", "5", "--export-events")
+        assert run_cli("run", "paper_s5.json", "--policy", "dynamic", "--competition-slope", "0.01",
+                       *common, "--out", str(tmp_path / "run")) == 0
+        assert run_cli("compare", "paper_s5.json", "--slopes", "0,0.01", *common,
+                       "--out", str(tmp_path / "grid")) == 0
+        cell = tmp_path / "grid" / "dynamic_slope0.01"
+        names = sorted(p.name for p in (tmp_path / "run").iterdir())
+        assert names == sorted(p.name for p in cell.iterdir())
+        assert "events_19.csv" in names
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() == (cell / name).read_bytes(), name
+
 
 class TestCompareCommand:
     def test_grid_outputs_and_table(self, tmp_path, capsys):
@@ -277,6 +299,39 @@ class TestCompareCommand:
             assert (out / cell / "runs.csv").exists()
         printed = capsys.readouterr().out
         assert "mean_cost" in printed
+
+    def test_bad_slope_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("compare", "paper_s5.json", "--slopes", "0,x", "--out", str(tmp_path / "o"))
+        assert exit_info.value.code == 2
+        assert "argument --slopes: invalid slope 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.fixture
+    def failing_second_cell(self, monkeypatch):
+        real = cli.write_summary_json
+
+        def write_summary_json(path, *args):
+            if path.parent.name == "dynamic_slope0":
+                raise OSError("disk full")
+            real(path, *args)
+
+        monkeypatch.setattr(cli, "write_summary_json", write_summary_json)
+
+    def test_failure_removes_the_directories_it_created(self, tmp_path, capsys, failing_second_cell):
+        out = tmp_path / "new" / "grid"
+        assert run_cli("compare", "paper_s5.json", "--slopes", "0", "--runs", "2",
+                       "--out", str(out)) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_an_existing_out_directory(self, tmp_path, failing_second_cell):
+        out = tmp_path / "grid"
+        out.mkdir()
+        (out / "keep.txt").write_text("mine")
+        assert run_cli("compare", "paper_s5.json", "--slopes", "0", "--runs", "2",
+                       "--out", str(out)) == 1
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
     def test_single_cell_rejected(self, tmp_path):
         assert run_cli("compare", "paper_s5.json", "--policies", "naive",

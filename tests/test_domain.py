@@ -138,6 +138,14 @@ class TestValidation:
             validate_scenario(edit(paper_scenario))
         assert err.value.path == path
 
+    @pytest.mark.parametrize("suppliers", [(), ("S1", "S1")], ids=["empty", "duplicate"])
+    def test_eligible_suppliers_empty_or_repeated(self, suppliers):
+        scenario = single_product_scenario(contracted=False)
+        category = dataclasses.replace(scenario.catalog.categories[0], eligible_suppliers=suppliers)
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(dataclasses.replace(scenario, catalog=Catalog(categories=(category,))))
+        assert err.value.path == "catalog.categories[0].eligible_suppliers"
+
     def test_error_carries_path(self, paper_scenario):
         bad = dataclasses.replace(paper_scenario.contracts[0], valid_from=9.0, valid_until=9.0)
         scenario = dataclasses.replace(paper_scenario, contracts=(bad,) + paper_scenario.contracts[1:])

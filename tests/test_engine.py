@@ -221,6 +221,31 @@ class TestBatchDeterminism:
         assert err.value.run_index == 0
         assert "worker process died" in err.value.message
 
+    def test_pool_never_exceeds_the_chunk_count(self, paper_scenario, monkeypatch):
+        import rto_sim.engine as engine_mod
+
+        sizes = []
+
+        class InlineExecutor:
+            """Runs the chunks in this process and records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", InlineExecutor)
+        batch = engine_mod.run_batch((paper_scenario,), 2, 42, parallelism=8)[0]
+        assert sizes == [2]
+        assert batch.results == run_batch((paper_scenario,), 2, 42)[0].results
+
     def test_batch_error_pickles_its_fields(self):
         err = pickle.loads(pickle.dumps(BatchRunError(7, "ValueError('a: b')")))
         assert (err.run_index, err.message) == (7, "ValueError('a: b')")

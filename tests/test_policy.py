@@ -185,21 +185,19 @@ class TestDecideRfqScope:
     def test_all_contracted_naive_skips_rfq(self):
         req = requisition({"P1": 1, "P2": 1})
         terms = {"P1": {"A": (11.0, 2.0)}, "P2": {"B": (11.0, 2.0)}}
-        assert decide_rfq_scope(req, terms, NAIVE, ("A", "B", "C")) == set()
+        assert decide_rfq_scope(req, terms, NAIVE) == ()
 
     def test_dynamic_full_cross_product(self):
         req = requisition({"P1": 1, "P2": 1, "P3": 1})
         terms = {"P1": {"A": (11.0, 2.0)}}
-        scope = decide_rfq_scope(req, terms, DYNAMIC, ("A", "B", "C"))
-        assert len(scope) == 9
+        assert decide_rfq_scope(req, terms, DYNAMIC) == ("P1", "P2", "P3")
 
     def test_naive_quotes_expired_items_from_all_suppliers(self):
         # after the half-year contracts lapse, their items go to the full
         # spot round while still-covered items skip it
         req = requisition({"P1": 1, "P2": 1, "P3": 1})
         terms = {"P3": {"C": (12.0, 2.0)}}
-        scope = decide_rfq_scope(req, terms, NAIVE, ("A", "B", "C"))
-        assert scope == {(i, s) for i in ("P1", "P2") for s in ("A", "B", "C")}
+        assert decide_rfq_scope(req, terms, NAIVE) == ("P1", "P2")
 
 
 def _random_instance(rng: random.Random, basis: str = "per_item", slope: float = 0.0):
