@@ -21,9 +21,9 @@ import typing
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .domain import Scenario, validate_scenario
+from .domain import POLICY_KINDS, Scenario, validate_scenario
 from .engine import (
     PO_GENERATION,
     PR_GENERATION,
@@ -248,11 +248,11 @@ def bundled_scenario_path(name: str) -> Path:
 
 
 def _resolve_scenario_path(path: str) -> Path:
+    """The file at `path`, else the bundled scenario of that name when `path` is a bare name."""
     candidate = Path(path)
     if candidate.exists():
         return candidate
-    bundled = bundled_scenario_path(Path(path).name)
-    if bundled.exists():
+    if candidate.name == path and (bundled := bundled_scenario_path(path)).exists():
         return bundled
     raise ScenarioFormatError(f"scenario file not found: {path}")
 
@@ -497,11 +497,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     sf = _load_with_flags(args)
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     file_slope = sf.scenario.spot.competition_slope
     slopes = args.slopes if args.slopes is not None else [(_fmt(file_slope), file_slope)]
     grid = [(policy, token, _apply_overrides(sf.scenario, policy, slope))
-            for policy in policies for token, slope in slopes]
+            for policy, _ in args.policies for token, slope in slopes]
     if len(grid) < 2:
         raise ScenarioFormatError("compare needs at least two (policy, slope) cells")
 
@@ -558,15 +557,26 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _slope_list(text: str) -> list[tuple[str, float]]:
-    """Argument type of --slopes: each slope with its token, which names the cell's directory."""
-    slopes = []
-    for token in filter(None, (s.strip() for s in text.split(","))):
-        try:
-            slopes.append((token, float(token)))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid slope {token!r}") from None
-    return slopes
+def _distinct_list(what: str, convert: Callable[[str], Any]) -> Callable[[str], list[tuple[str, Any]]]:
+    """Argument type of a comma-separated list: (token, value) pairs of distinct values, in order."""
+    def parse(text: str) -> list[tuple[str, Any]]:
+        pairs: list[tuple[str, Any]] = []
+        for token in filter(None, (t.strip() for t in text.split(","))):
+            try:
+                value = convert(token)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"invalid {what} {token!r}") from None
+            if value in [v for _, v in pairs]:
+                raise argparse.ArgumentTypeError(f"repeated {what} {token!r}")
+            pairs.append((token, value))
+        return pairs
+    return parse
+
+
+def _policy_kind(token: str) -> str:
+    if token not in POLICY_KINDS:
+        raise ValueError(token)
+    return token
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -587,14 +597,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one policy cell and emit distributions")
     add_common(run_p)
-    run_p.add_argument("--policy", choices=("naive", "dynamic"), default=None)
+    run_p.add_argument("--policy", choices=POLICY_KINDS, default=None)
     run_p.add_argument("--competition-slope", type=float, default=None)
     run_p.set_defaults(func=cmd_run)
 
     cmp_p = sub.add_parser("compare", help="run a policy/slope grid under common random numbers")
     add_common(cmp_p)
-    cmp_p.add_argument("--policies", default="naive,dynamic", help="comma-separated policy list")
-    cmp_p.add_argument("--slopes", type=_slope_list, default=None,
+    cmp_p.add_argument("--policies", type=_distinct_list("policy", _policy_kind),
+                       default="naive,dynamic", help="comma-separated policy list")
+    cmp_p.add_argument("--slopes", type=_distinct_list("slope", float), default=None,
                        help="comma-separated competition slopes")
     cmp_p.set_defaults(func=cmd_compare)
 

@@ -29,6 +29,7 @@ __all__ = [
     "EventRecord",
     "SpotRate",
     "SpotModel",
+    "POLICY_KINDS",
     "PolicyKind",
     "DelayConfig",
     "Scenario",
@@ -126,10 +127,8 @@ class Requisition:
 
 @dataclass(frozen=True)
 class Quote:
-    """One supplier's RFQ response: spot unit rates for the quoted items plus one lead time."""
+    """One supplier's RFQ response: spot unit rates for the quoted items; the lead time is only recorded."""
 
-    supplier_id: str
-    responded_at: float
     unit_rates: Mapping[str, float]
     lead_time: float
 
@@ -151,7 +150,11 @@ class Allocation:
 
     @property
     def total_cost(self) -> float:
-        return self.overhead_cost + sum(a.unit_cost * a.quantity for a in self.items.values())
+        """The overhead, then each item's cost in item order: the order's share of a run's cost."""
+        total = self.overhead_cost
+        for a in self.items.values():
+            total += a.unit_cost * a.quantity
+        return total
 
     @property
     def suppliers_used(self) -> tuple[str, ...]:
@@ -191,9 +194,12 @@ class SpotModel:
     competition_basis: str = "per_item"  # or "per_supplier_total"
 
 
+POLICY_KINDS = ("naive", "dynamic")
+
+
 @dataclass(frozen=True)
 class PolicyKind:
-    kind: str  # "naive" | "dynamic"
+    kind: str  # one of POLICY_KINDS
     po_overhead: float = 10.0  # charged once per purchase order beyond the first
 
 
@@ -258,6 +264,11 @@ def _validate_hazard(spec: HazardSpec, path: str) -> None:
         _check(_finite(cov.period) and cov.period > 0, "covariate period must be positive", cpath)
         for name in ("coefficient", "amplitude", "phase"):
             _check(_finite(getattr(cov, name)), f"covariate {name} must be finite", f"{cpath}.{name}")
+    try:
+        spec.modulation_bound()
+    except OverflowError:
+        raise ScenarioValidationError("covariate bound exp(sum |coefficient*amplitude|) overflows",
+                                      f"{path}.covariates") from None
 
 
 def validate_scenario(scenario: Scenario) -> Scenario:
@@ -349,7 +360,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
                 _check(_finite(rate.amplitude) and _finite(rate.phase), "spot amplitude and phase must be finite",
                        f"spot.rates[{key}]")
 
-    _check(scenario.policy.kind in ("naive", "dynamic"), "policy kind must be naive or dynamic", "policy.kind")
+    _check(scenario.policy.kind in POLICY_KINDS, "policy kind must be naive or dynamic", "policy.kind")
     _check(_finite(scenario.policy.po_overhead) and scenario.policy.po_overhead >= 0,
            "order overhead must be finite and non-negative", "policy.po_overhead")
 

@@ -80,7 +80,7 @@ class RngPlan:
 class HandlingRecord:
     """Handling payload: the contract snapshot and the decided RFQ scope."""
 
-    contract_terms: Mapping[str, Mapping[str, tuple[float, float]]]
+    contract_terms: Mapping[str, Mapping[str, float]]
     rfq_items: tuple[str, ...]
     rfq_suppliers: tuple[str, ...]
 
@@ -94,7 +94,7 @@ class _Lifecycle:
     handled_at: float
     to_po: float  # handling-to-order delay
     # contract snapshot at handling; None when handling falls at or after the horizon
-    terms: Mapping[str, Mapping[str, tuple[float, float]]] | None
+    terms: Mapping[str, Mapping[str, float]] | None
     # supplier -> (response time, base-rate quote or None past the horizon), drawn on first need
     responses: dict[str, tuple[float, Quote | None]] = field(default_factory=dict)
 
@@ -242,7 +242,7 @@ def _cell_pass(scenario: Scenario, run_index: int, lifecycles: list[_Lifecycle],
         po_at = last + life.to_po
         if po_at >= horizon:
             continue
-        matrix = build_cost_matrix(requisition, terms, quotes, policy,
+        matrix = build_cost_matrix(requisition, terms, quotes,
                                    competition_slope=spot.competition_slope,
                                    competition_basis=spot.competition_basis)
         allocation = allocate_min_cost(matrix, requisition.items, policy.po_overhead)

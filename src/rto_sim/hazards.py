@@ -94,11 +94,16 @@ def hazard_value(spec: HazardSpec, elapsed: float, t_abs: float) -> float:
     return rate
 
 
+def _unit_exponential(rng) -> float:
+    """A mean-1 exponential draw, by inverse transform on U in (0, 1]."""
+    return -math.log(1.0 - rng.random())
+
+
 def sample_exponential_delay(mean: float, rng) -> float:
-    """Exponential waiting time with the given mean, by inverse transform on U in (0, 1]."""
+    """Exponential waiting time with the given mean."""
     if mean <= 0.0:
         raise ValueError("delay mean must be positive")
-    return -mean * math.log(1.0 - rng.random())
+    return mean * _unit_exponential(rng)
 
 
 def _check_dominated(rate: float, dominating: float) -> None:
@@ -131,7 +136,7 @@ def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng,
         dominating = baseline.rate * bound
         elapsed = 0.0
         while True:
-            elapsed += -math.log(1.0 - rng.random()) / dominating
+            elapsed += _unit_exponential(rng) / dominating
             t = t_last + elapsed
             if t > horizon:
                 return None
@@ -144,7 +149,7 @@ def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng,
     if shape < 1.0:
         cum = 0.0  # accumulated (elapsed/scale)**shape of the dominating process
         while True:
-            cum += -math.log(1.0 - rng.random()) / bound
+            cum += _unit_exponential(rng) / bound
             elapsed = scale * cum ** (1.0 / shape)
             t = t_last + elapsed
             if t > horizon:
@@ -164,7 +169,7 @@ def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng,
         # non-decreasing baseline peaks at the window's right edge
         dominating = _baseline_value(baseline, win_end) * bound
         while True:
-            elapsed += -math.log(1.0 - rng.random()) / dominating
+            elapsed += _unit_exponential(rng) / dominating
             if elapsed > win_end:
                 elapsed = win_end
                 win_end += width

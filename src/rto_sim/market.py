@@ -28,17 +28,17 @@ class ContractBook:
         for spans in self._by_pair.values():
             spans.sort(key=lambda c: c.valid_from)
 
-    def lookup(self, product_id: str, supplier_id: str, t: float) -> tuple[float, float] | None:
-        """Contracted (rate, lead time) if a contract covering the product is active at t."""
+    def lookup(self, product_id: str, supplier_id: str, t: float) -> float | None:
+        """Contracted unit rate if a contract covering the product is active at t."""
         for contract in self._by_pair.get((product_id, supplier_id), ()):
             if contract.active_at(t):
-                return contract.product_rates[product_id], contract.lead_time
+                return contract.product_rates[product_id]
         return None
 
     def terms_snapshot(self, product_ids: Iterable[str], supplier_ids: Iterable[str],
-                       t: float) -> dict[str, dict[str, tuple[float, float]]]:
-        """Active contract terms at time t: product -> supplier -> (rate, lead time)."""
-        snapshot: dict[str, dict[str, tuple[float, float]]] = {}
+                       t: float) -> dict[str, dict[str, float]]:
+        """Active contract terms at time t: product -> supplier -> unit rate."""
+        snapshot: dict[str, dict[str, float]] = {}
         for product_id in product_ids:
             terms = {}
             for supplier_id in supplier_ids:
@@ -80,8 +80,7 @@ def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str,
         rate = _seasonal_rate(model.rates[(product_id, supplier_id)], model.period, response_time)
         rate += model.noise_sd * noise.get(product_id, 0.0)
         unit_rates[product_id] = max(rate, MIN_SPOT_RATE)
-    return Quote(supplier_id=supplier_id, responded_at=response_time,
-                 unit_rates=unit_rates, lead_time=lead_time)
+    return Quote(unit_rates=unit_rates, lead_time=lead_time)
 
 
 def scope_quote(base: Quote, requisition: Requisition, items: Sequence[str],
@@ -97,5 +96,4 @@ def scope_quote(base: Quote, requisition: Requisition, items: Sequence[str],
     unit_rates = {item: rates[item] if slope is None
                   else competition_adjust(rates[item], slope, requisition.items[item])
                   for item in items}
-    return Quote(supplier_id=base.supplier_id, responded_at=base.responded_at,
-                 unit_rates=unit_rates, lead_time=base.lead_time)
+    return Quote(unit_rates=unit_rates, lead_time=base.lead_time)

@@ -43,17 +43,15 @@ class ComplianceLedger:
 
 
 def record_allocation(ledger: ComplianceLedger, allocation: Allocation) -> float:
-    """Accrue one finalized order; returns its cost delta.
+    """Accrue one finalized order; returns its cost, `allocation.total_cost`.
 
     Only contract-provenance items count toward committed volume: spot
     allocations to a supplier who also holds a contract do not fulfil it.
     """
-    delta = allocation.overhead_cost
     for item in allocation.items.values():
-        delta += item.unit_cost * item.quantity
         if item.provenance == "contract":
             ledger.volumes[item.supplier_id] = ledger.volumes.get(item.supplier_id, 0) + item.quantity
-    return delta
+    return allocation.total_cost
 
 
 def utilization(volume: int, commitment: int) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -59,33 +60,26 @@ class CostMatrix:
 
 
 def build_cost_matrix(requisition: Requisition,
-                      contract_terms: Mapping[str, Mapping[str, tuple[float, float]]],
+                      contract_terms: Mapping[str, Mapping[str, float]],
                       quotes: Mapping[str, Quote],
-                      policy: PolicyKind,
                       *, competition_slope: float = 0.0,
                       competition_basis: str = "per_item") -> CostMatrix:
     """Admissible supplier options per included item.
 
-    Naive: items with an active contract admit only contracted suppliers at
-    their fixed rates; the rest admit the collected spot quotes.  Dynamic:
-    every item admits the union of its contract rates and all spot quotes,
-    so the same supplier may appear with both provenances.
+    An item admits its active contract rates and every collected quote that
+    prices it.  Quotes cover exactly the RFQ scope, so the policy acts only
+    through `decide_rfq_scope`: under naive a contracted item admits only its
+    contract holders, under dynamic the same supplier may appear with both
+    provenances.
     """
     entries: dict[str, tuple[MatrixEntry, ...]] = {}
     for item in sorted(requisition.items):
-        options: list[MatrixEntry] = []
         terms = contract_terms.get(item, {})
-        for supplier_id in sorted(terms):
-            options.append(MatrixEntry(supplier_id, terms[supplier_id][0], CONTRACT))
-        wants_spot = policy.kind == "dynamic" or not terms
-        if wants_spot:
-            for supplier_id in sorted(quotes):
-                quote = quotes[supplier_id]
-                if item not in quote.unit_rates:
-                    raise InfeasibleAllocationError(
-                        f"missing quote for item {item!r} from supplier {supplier_id!r}"
-                    )
-                options.append(MatrixEntry(supplier_id, quote.unit_rates[item], SPOT))
+        options = [MatrixEntry(supplier_id, terms[supplier_id], CONTRACT) for supplier_id in sorted(terms)]
+        for supplier_id in sorted(quotes):
+            rate = quotes[supplier_id].unit_rates.get(item)
+            if rate is not None:
+                options.append(MatrixEntry(supplier_id, rate, SPOT))
         entries[item] = tuple(options)
     return CostMatrix(entries=entries, competition_slope=competition_slope,
                       competition_basis=competition_basis)
@@ -95,83 +89,69 @@ def _entry_sort_key(entry: MatrixEntry) -> tuple:
     return (entry.unit_cost, entry.supplier_id, _PROVENANCE_RANK[entry.provenance])
 
 
-def _allocate_by_supplier_subsets(matrix: CostMatrix, quantities: Mapping[str, int],
-                                  po_overhead: float) -> dict[str, MatrixEntry]:
-    items = sorted(matrix.entries)
-    # cheapest option per (item, supplier); provenance ties prefer contract
-    best: dict[str, dict[str, MatrixEntry]] = {}
-    suppliers: set[str] = set()
-    for item in items:
-        per_supplier: dict[str, MatrixEntry] = {}
-        for entry in sorted(matrix.entries[item], key=_entry_sort_key):
-            per_supplier.setdefault(entry.supplier_id, entry)
-        best[item] = per_supplier
-        suppliers.update(per_supplier)
-    pool = sorted(suppliers)
+# each search takes the items' options in _entry_sort_key order and their
+# quantities, and returns each item's (chosen option, final unit rate)
+_Priced = list[tuple[MatrixEntry, float]]
+
+
+def _allocate_by_supplier_subsets(option_lists: list[list[MatrixEntry]], units: list[int],
+                                  po_overhead: float) -> _Priced:
+    # given the supplier subset, each item independently takes its first
+    # option from a supplier in the subset
+    pool = sorted({entry.supplier_id for options in option_lists for entry in options})
     if len(pool) > MAX_SUPPLIERS_PER_CATEGORY:
         raise InfeasibleAllocationError(
             f"supplier pool of {len(pool)} exceeds the exact-search bound of {MAX_SUPPLIERS_PER_CATEGORY}"
         )
-
-    best_key: tuple | None = None
-    best_choice: dict[str, MatrixEntry] | None = None
-    for mask in range(1, 1 << len(pool)):
-        subset = tuple(pool[i] for i in range(len(pool)) if mask >> i & 1)
-        total = po_overhead * (len(subset) - 1)
-        choice: dict[str, MatrixEntry] = {}
-        feasible = True
-        for item in items:
-            candidates = [best[item][s] for s in subset if s in best[item]]
-            if not candidates:
-                feasible = False
-                break
-            entry = min(candidates, key=_entry_sort_key)
-            choice[item] = entry
-            total += entry.unit_cost * quantities[item]
-        if not feasible:
-            continue
-        key = (total, len(subset), subset)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_choice = choice
+    # subsets come in increasing size, each size in lexicographic order, so
+    # accepting only a strictly smaller total breaks ties toward fewer
+    # suppliers, then the smallest supplier set
+    best_total: float | None = None
+    best_choice: list[MatrixEntry] | None = None
+    for size in range(1, len(pool) + 1):
+        for subset in itertools.combinations(pool, size):
+            total = po_overhead * (size - 1)
+            choice = []
+            for options, q in zip(option_lists, units):
+                entry = next((e for e in options if e.supplier_id in subset), None)
+                if entry is None:
+                    break
+                choice.append(entry)
+                total += entry.unit_cost * q
+            else:
+                if best_total is None or total < best_total:
+                    best_total, best_choice = total, choice
     if best_choice is None:
         raise InfeasibleAllocationError("no feasible supplier subset")
-    return best_choice
+    return [(entry, entry.unit_cost) for entry in best_choice]
 
 
-def _allocate_by_assignment_enumeration(matrix: CostMatrix, quantities: Mapping[str, int],
-                                        po_overhead: float) -> dict[str, MatrixEntry]:
+def _allocate_by_assignment_enumeration(option_lists: list[list[MatrixEntry]], units: list[int],
+                                        po_overhead: float, slope: float) -> _Priced:
     # per_supplier_total markup couples the items, so the subset search does
     # not apply; enumerate full assignments instead
-    items = sorted(matrix.entries)
-    option_lists = [sorted(matrix.entries[item], key=_entry_sort_key) for item in items]
-    size = 1
-    for options in option_lists:
-        size *= len(options)
-        if size > ASSIGNMENT_ENUMERATION_LIMIT:
-            raise InfeasibleAllocationError(
-                f"assignment space exceeds enumeration bound of {ASSIGNMENT_ENUMERATION_LIMIT}"
-            )
-    slope = matrix.competition_slope
+    if math.prod(len(options) for options in option_lists) > ASSIGNMENT_ENUMERATION_LIMIT:
+        raise InfeasibleAllocationError(
+            f"assignment space exceeds enumeration bound of {ASSIGNMENT_ENUMERATION_LIMIT}"
+        )
     best_key: tuple | None = None
-    best_choice: dict[str, MatrixEntry] | None = None
+    best_choice: _Priced | None = None
     for combo in itertools.product(*option_lists):
         spot_units: dict[str, int] = {}
-        for item, entry in zip(items, combo):
+        for entry, q in zip(combo, units):
             if entry.provenance == SPOT:
-                spot_units[entry.supplier_id] = spot_units.get(entry.supplier_id, 0) + quantities[item]
+                spot_units[entry.supplier_id] = spot_units.get(entry.supplier_id, 0) + q
+        rates = [e.unit_cost + slope * spot_units[e.supplier_id] if e.provenance == SPOT else e.unit_cost
+                 for e in combo]
         used = sorted({entry.supplier_id for entry in combo})
         total = po_overhead * (len(used) - 1)
-        for item, entry in zip(items, combo):
-            rate = entry.unit_cost
-            if entry.provenance == SPOT:
-                rate += slope * spot_units[entry.supplier_id]
-            total += rate * quantities[item]
+        for rate, q in zip(rates, units):
+            total += rate * q
         key = (total, len(used), tuple(used),
                tuple((e.supplier_id, e.provenance) for e in combo))
         if best_key is None or key < best_key:
             best_key = key
-            best_choice = dict(zip(items, combo))
+            best_choice = list(zip(combo, rates))
     if best_choice is None:
         raise InfeasibleAllocationError("no feasible assignment")
     return best_choice
@@ -195,38 +175,30 @@ def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
         if quantities[item] < 1:
             raise ValueError(f"quantity for item {item!r} must be at least 1")
 
-    coupled = matrix.competition_basis == "per_supplier_total" and matrix.competition_slope > 0.0
-    if coupled:
-        choice = _allocate_by_assignment_enumeration(matrix, quantities, po_overhead)
+    items = sorted(matrix.entries)
+    option_lists = [sorted(matrix.entries[item], key=_entry_sort_key) for item in items]
+    units = [quantities[item] for item in items]
+    if matrix.competition_basis == "per_supplier_total" and matrix.competition_slope > 0.0:
+        priced = _allocate_by_assignment_enumeration(option_lists, units, po_overhead,
+                                                     matrix.competition_slope)
     else:
-        choice = _allocate_by_supplier_subsets(matrix, quantities, po_overhead)
-
-    spot_units: dict[str, int] = {}
-    if coupled:
-        for item, entry in choice.items():
-            if entry.provenance == SPOT:
-                spot_units[entry.supplier_id] = spot_units.get(entry.supplier_id, 0) + quantities[item]
-
-    allocated: dict[str, AllocatedItem] = {}
-    for item in sorted(choice):
-        entry = choice[item]
-        rate = entry.unit_cost
-        if coupled and entry.provenance == SPOT:
-            rate += matrix.competition_slope * spot_units[entry.supplier_id]
-        allocated[item] = AllocatedItem(supplier_id=entry.supplier_id, unit_cost=rate,
-                                        quantity=quantities[item], provenance=entry.provenance)
-    n_orders = len({a.supplier_id for a in allocated.values()})
+        priced = _allocate_by_supplier_subsets(option_lists, units, po_overhead)
+    allocated = {item: AllocatedItem(supplier_id=entry.supplier_id, unit_cost=rate, quantity=q,
+                                     provenance=entry.provenance)
+                 for item, (entry, rate), q in zip(items, priced, units)}
+    n_orders = len({entry.supplier_id for entry, _ in priced})
     return Allocation(items=allocated, overhead_cost=po_overhead * (n_orders - 1))
 
 
 def decide_rfq_scope(requisition: Requisition,
-                     contract_terms: Mapping[str, Mapping[str, tuple[float, float]]],
+                     contract_terms: Mapping[str, Mapping[str, float]],
                      policy: PolicyKind) -> tuple[str, ...]:
     """Items to quote, sorted; empty means the order is issued directly.
 
-    Naive quotes only items with no active contract; dynamic quotes every item
-    regardless of contract status.  Every eligible supplier of the category is
-    asked for a quote, contract holders included.
+    The one place the policies differ.  Naive quotes only items with no
+    active contract; dynamic quotes every item regardless of contract status.
+    Every eligible supplier of the category is asked for a quote, contract
+    holders included.
     """
     if policy.kind == "dynamic":
         return tuple(sorted(requisition.items))

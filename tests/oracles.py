@@ -94,7 +94,7 @@ class _SimEvent:
 @dataclass
 class _PendingPR:
     requisition: Requisition
-    contract_terms: Mapping[str, Mapping[str, tuple[float, float]]] | None = None
+    contract_terms: Mapping[str, Mapping[str, float]] | None = None
     scope_items: tuple[str, ...] = ()
     quotes: dict[str, Quote] = field(default_factory=dict)
     quote_streams: dict[str, np.random.Generator] = field(default_factory=dict)
@@ -263,7 +263,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
         elif event.kind == PO_GENERATION:
             state = pending.pop(event.pr_id)
             requisition = state.requisition
-            matrix = build_cost_matrix(requisition, state.contract_terms, state.quotes, policy,
+            matrix = build_cost_matrix(requisition, state.contract_terms, state.quotes,
                                        competition_slope=spot.competition_slope,
                                        competition_basis=spot.competition_basis)
             allocation = allocate_min_cost(matrix, requisition.items, policy.po_overhead)

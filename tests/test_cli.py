@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -337,15 +341,20 @@ class TestCompareCommand:
         assert run_cli("compare", "paper_s5.json", "--policies", "naive",
                        "--slopes", "0", "--runs", "2", "--out", str(tmp_path / "x")) == 1
 
-    def test_identical_policies_identical_distributions(self, tmp_path):
-        out = tmp_path / "grid"
-        assert run_cli("compare", "paper_s5.json", "--policies", "naive,naive",
-                       "--slopes", "0", "--runs", "4", "--seed", "3",
-                       "--out", str(out)) == 0
-        a = (out / "naive_slope0" / "runs.csv").read_bytes()
-        assert a == (out / "naive_slope0" / "runs.csv").read_bytes()
-        table = (out / "comparison.csv").read_text().splitlines()
-        assert table[1].split(",")[2:] == table[2].split(",")[2:]
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--policies", "naive,greedy", "invalid policy 'greedy'"),
+        ("--policies", "naive,naive", "repeated policy 'naive'"),
+        ("--policies", "dynamic, naive,dynamic", "repeated policy 'dynamic'"),
+        ("--slopes", "0,0.01,0.010", "repeated slope '0.010'"),
+        ("--slopes", "0,0.0", "repeated slope '0.0'"),
+    ], ids=["unknown-policy", "repeated-policy", "repeated-policy-spaced", "repeated-slope",
+            "repeated-slope-zero"])
+    def test_bad_or_repeated_grid_value_is_a_usage_error(self, tmp_path, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("compare", "paper_s5.json", flag, value, "--out", str(tmp_path / "o"))
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_common_random_numbers_across_policies(self, tmp_path):
         # request times and quantities must match per run across policy cells
@@ -367,6 +376,10 @@ class TestValidateCommand:
         assert run_cli("validate", "paper_s5.json") == 0
         assert capsys.readouterr().out.startswith("OK")
 
+    def test_bundled_name_under_a_missing_directory_fails(self, capsys):
+        assert run_cli("validate", "/no/such/dir/paper_s5.json") == 1
+        assert "scenario file not found: /no/such/dir/paper_s5.json" in capsys.readouterr().err
+
     def test_invalid_scenario_fails(self, tmp_path, capsys):
         doc = json.loads(bundled_scenario_path("paper_s5.json").read_text())
         doc["contracts"][0]["valid_until"] = doc["contracts"][0]["valid_from"]
@@ -374,3 +387,22 @@ class TestValidateCommand:
         path.write_text(json.dumps(doc))
         assert run_cli("validate", str(path)) == 1
         assert "empty validity window" in capsys.readouterr().err
+
+
+class TestBenchmarkTrace:
+    def test_traced_run_reaches_every_layer(self, tmp_path):
+        # the benchmark's traced path patches layer functions by name; a moved
+        # or renamed one would leave its span with no calls
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), "trace", str(tmp_path / "s.csv.gz"),
+             "run", "paper_s5.json", "--runs", "3", "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["rc"] == 0
+        for layer in ("hazards.sample_gap", "demand.build_requisition", "market.make_quote",
+                      "policy.allocate_min_cost"):
+            assert out["layers"][f"{layer}.calls"][0] > 0, layer

@@ -127,12 +127,14 @@ class TestValidation:
         (lambda s: _with_covariate(s, phase=math.nan), "vessels[0].hazards[consumables].covariates[0].phase"),
         (lambda s: _with_covariate(s, coefficient=math.inf),
          "vessels[0].hazards[consumables].covariates[0].coefficient"),
+        (lambda s: _with_covariate(s, coefficient=710.0, amplitude=1.0),
+         "vessels[0].hazards[consumables].covariates"),
         (lambda s: _with_contract(s, lead_time=math.nan), "contracts[0].lead_time"),
         (lambda s: _with_contract(s, lead_time=-1.0), "contracts[0].lead_time"),
         (lambda s: _with_supplier(s, spot_lead_time=math.nan), "suppliers[0].spot_lead_time"),
         (lambda s: _with_supplier(s, spot_lead_time=-1.0), "suppliers[0].spot_lead_time"),
     ], ids=["overhead-inf", "amplitude-nan", "phase-inf", "covariate-phase-nan", "coefficient-inf",
-            "contract-lead-nan", "contract-lead-negative", "spot-lead-nan", "spot-lead-negative"])
+            "covariate-bound-overflow", "contract-lead-nan", "contract-lead-negative", "spot-lead-nan", "spot-lead-negative"])
     def test_non_finite_or_negative_parameter_rejected(self, paper_scenario, edit, path):
         with pytest.raises(ScenarioValidationError) as err:
             validate_scenario(edit(paper_scenario))
@@ -200,14 +202,14 @@ class TestRoundTrip:
 class TestQuoteSet:
     def test_aggregates_per_supplier_responses(self):
         from rto_sim.domain import Quote
-        from rto_sim.policy import build_cost_matrix, PolicyKind
+        from rto_sim.policy import build_cost_matrix
 
         quotes = {
-            "A": Quote(supplier_id="A", responded_at=9.0, unit_rates={"P1": 10.0}, lead_time=3.0),
-            "B": Quote(supplier_id="B", responded_at=9.5, unit_rates={"P1": 9.0}, lead_time=4.0),
+            "A": Quote(unit_rates={"P1": 10.0}, lead_time=3.0),
+            "B": Quote(unit_rates={"P1": 9.0}, lead_time=4.0),
         }
         req = Requisition(id="r", vessel_id="V", category_id="c", created_at=1.0, items={"P1": 2})
-        matrix = build_cost_matrix(req, {}, quotes, PolicyKind(kind="naive"))
+        matrix = build_cost_matrix(req, {}, quotes)
         assert sorted(e.supplier_id for e in matrix.entries["P1"]) == ["A", "B"]
 
 

@@ -331,6 +331,29 @@ class TestGrid:
             run_batch((), 1, 42)
 
 
+class TestCommonRandomNumbers:
+    @staticmethod
+    def order_costs(out):
+        return {r.pr_id: r.payload.total_cost for r in out.log if r.kind == PO_GENERATION}
+
+    def test_dynamic_never_costs_more_per_requisition(self, paper_scenario):
+        # dynamic admits a superset of naive's options on the same demand and
+        # quotes, so a requisition ordered under both costs no more under dynamic
+        sources = [(paper_scenario, range(6))] + [(random_scenario(seed), range(2)) for seed in range(20)]
+        compared = 0
+        for base, run_indices in sources:
+            for basis in ("per_item", "per_supplier_total"):
+                world = dataclasses.replace(base, spot=dataclasses.replace(base.spot, competition_basis=basis))
+                for slope in (0.0, 0.05):
+                    for run_index in run_indices:
+                        naive, dynamic = (self.order_costs(out) for out in
+                                          run_once(grid(world, (slope,)), run_index, 11))
+                        for pr_id in naive.keys() & dynamic.keys():
+                            assert dynamic[pr_id] <= naive[pr_id] * (1.0 + 1e-9), (basis, slope, pr_id)
+                            compared += 1
+        assert compared > 1000  # 1,512 requisitions
+
+
 class TestReferenceEquivalence:
     """Every cell of the shared-demand kernel replays the event-queue reference exactly."""
 

@@ -27,24 +27,23 @@ def requisition(items):
     return Requisition(id="r", vessel_id="V", category_id="cat", created_at=1.0, items=items)
 
 
-def quote(supplier, rates):
-    return Quote(supplier_id=supplier, responded_at=9.0, unit_rates=rates, lead_time=3.0)
+def quote(rates):
+    return Quote(unit_rates=rates, lead_time=3.0)
 
 
 class TestBuildCostMatrix:
     def test_naive_contract_only(self):
         req = requisition({"P1": 2, "P2": 3})
-        terms = {"P1": {"A": (11.0, 2.0)}, "P2": {"B": (11.0, 2.0)}}
-        matrix = build_cost_matrix(req, terms, {}, NAIVE)
+        terms = {"P1": {"A": 11.0}, "P2": {"B": 11.0}}
+        matrix = build_cost_matrix(req, terms, {})
         assert all(e.provenance == CONTRACT for options in matrix.entries.values() for e in options)
         assert [e.supplier_id for e in matrix.entries["P1"]] == ["A"]
 
     def test_dynamic_union_of_contract_and_quotes(self):
         req = requisition({"P1": 2})
-        terms = {"P1": {"A": (11.0, 2.0)}}
-        quotes = {"A": quote("A", {"P1": 9.5}), "B": quote("B", {"P1": 10.2}),
-                  "C": quote("C", {"P1": 12.8})}
-        matrix = build_cost_matrix(req, terms, quotes, DYNAMIC)
+        terms = {"P1": {"A": 11.0}}
+        quotes = {"A": quote({"P1": 9.5}), "B": quote({"P1": 10.2}), "C": quote({"P1": 12.8})}
+        matrix = build_cost_matrix(req, terms, quotes)
         assert len(matrix.entries["P1"]) == 4
         costs = sorted(e.unit_cost for e in matrix.entries["P1"])
         assert costs == [9.5, 10.2, 11.0, 12.8]
@@ -53,18 +52,33 @@ class TestBuildCostMatrix:
         # P1/P2 contracts lapsed, P3 still covered: spot columns for the
         # expired items, a contract column for the covered one
         req = requisition({"P1": 2, "P3": 4})
-        terms = {"P3": {"C": (12.0, 2.0)}}
-        quotes = {s: quote(s, {"P1": 10.0 + i}) for i, s in enumerate(("A", "B", "C"))}
-        matrix = build_cost_matrix(req, terms, quotes, NAIVE)
+        terms = {"P3": {"C": 12.0}}
+        quotes = {s: quote({"P1": 10.0 + i}) for i, s in enumerate(("A", "B", "C"))}
+        matrix = build_cost_matrix(req, terms, quotes)
         assert sorted(e.supplier_id for e in matrix.entries["P1"]) == ["A", "B", "C"]
         assert all(e.provenance == SPOT for e in matrix.entries["P1"])
         assert [(e.supplier_id, e.provenance) for e in matrix.entries["P3"]] == [("C", CONTRACT)]
 
-    def test_missing_quote_is_an_invariant_violation(self):
+    def test_unquoted_uncovered_item_has_no_admissible_supplier(self):
         req = requisition({"P1": 2, "P2": 1})
-        quotes = {"A": quote("A", {"P1": 10.0})}  # no rate for P2
-        with pytest.raises(InfeasibleAllocationError, match="missing quote"):
-            build_cost_matrix(req, {}, quotes, NAIVE)
+        quotes = {"A": quote({"P1": 10.0})}  # no contract and no rate for P2
+        matrix = build_cost_matrix(req, {}, quotes)
+        assert matrix.entries["P2"] == ()
+        with pytest.raises(InfeasibleAllocationError, match="no admissible supplier for item 'P2'"):
+            allocate_min_cost(matrix, req.items, 10.0)
+
+    @pytest.mark.parametrize("policy", [NAIVE, DYNAMIC], ids=["naive", "dynamic"])
+    def test_policy_acts_only_through_the_scope(self, policy):
+        # quotes cut to the policy's RFQ scope give each item its spot options
+        req = requisition({"P1": 2, "P3": 4})
+        terms = {"P3": {"C": 12.0}}
+        scope = decide_rfq_scope(req, terms, policy)
+        quotes = {s: quote({item: 10.0 + i for item in scope}) for i, s in enumerate(("A", "B", "C"))}
+        matrix = build_cost_matrix(req, terms, quotes)
+        for item in req.items:
+            spot = sorted(e.supplier_id for e in matrix.entries[item] if e.provenance == SPOT)
+            assert spot == (["A", "B", "C"] if item in scope else [])
+        assert ("C", CONTRACT) in [(e.supplier_id, e.provenance) for e in matrix.entries["P3"]]
 
 
 class TestAllocateMinCost:
@@ -132,6 +146,22 @@ class TestAllocateMinCost:
             for overhead in (0.0, 10.0, 25.0):
                 _assert_matches_oracle(matrix, quantities, overhead)
 
+    def test_tie_break_pins_the_minimizer(self):
+        # small integer costs make exact ties common; among the minimizers the
+        # solver takes the fewest suppliers, then the smallest supplier set,
+        # then the smallest per-item supplier tuple
+        rng = random.Random(5)
+        for _ in range(3000):
+            matrix, quantities = _random_instance(rng, cost_range=(1, 3))
+            costs = {item: {e.supplier_id: e.unit_cost for e in options}
+                     for item, options in matrix.entries.items()}
+            for overhead in (0.0, 1.0, 3.0):
+                _, minimizers = exhaustive_allocation(OracleInstance(costs, quantities, overhead))
+                want = min(minimizers, key=lambda m: (len(set(m.values())), sorted(set(m.values())),
+                                                      [m[item] for item in sorted(m)]))
+                alloc = allocate_min_cost(matrix, quantities, overhead)
+                assert {item: a.supplier_id for item, a in alloc.items.items()} == want
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6),
            h1=st.sampled_from([0.0, 5.0, 10.0]), extra=st.sampled_from([5.0, 15.0, 40.0]))
@@ -184,23 +214,24 @@ class TestSupplierTotalBasis:
 class TestDecideRfqScope:
     def test_all_contracted_naive_skips_rfq(self):
         req = requisition({"P1": 1, "P2": 1})
-        terms = {"P1": {"A": (11.0, 2.0)}, "P2": {"B": (11.0, 2.0)}}
+        terms = {"P1": {"A": 11.0}, "P2": {"B": 11.0}}
         assert decide_rfq_scope(req, terms, NAIVE) == ()
 
     def test_dynamic_full_cross_product(self):
         req = requisition({"P1": 1, "P2": 1, "P3": 1})
-        terms = {"P1": {"A": (11.0, 2.0)}}
+        terms = {"P1": {"A": 11.0}}
         assert decide_rfq_scope(req, terms, DYNAMIC) == ("P1", "P2", "P3")
 
     def test_naive_quotes_expired_items_from_all_suppliers(self):
         # after the half-year contracts lapse, their items go to the full
         # spot round while still-covered items skip it
         req = requisition({"P1": 1, "P2": 1, "P3": 1})
-        terms = {"P3": {"C": (12.0, 2.0)}}
+        terms = {"P3": {"C": 12.0}}
         assert decide_rfq_scope(req, terms, NAIVE) == ("P1", "P2")
 
 
-def _random_instance(rng: random.Random, basis: str = "per_item", slope: float = 0.0):
+def _random_instance(rng: random.Random, basis: str = "per_item", slope: float = 0.0,
+                     cost_range: tuple[int, int] = (1, 20)):
     n_items = rng.randint(1, 5)
     n_suppliers = rng.randint(1, 3)
     suppliers = [f"S{i}" for i in range(n_suppliers)]
@@ -211,7 +242,7 @@ def _random_instance(rng: random.Random, basis: str = "per_item", slope: float =
         # every item keeps at least one option so instances stay feasible
         available = [s for s in suppliers if rng.random() < 0.8] or [rng.choice(suppliers)]
         entries[item] = tuple(
-            MatrixEntry(s, float(rng.randint(1, 20)), SPOT) for s in sorted(available)
+            MatrixEntry(s, float(rng.randint(*cost_range)), SPOT) for s in sorted(available)
         )
         quantities[item] = rng.randint(1, 10)
     return CostMatrix(entries=entries, competition_slope=slope, competition_basis=basis), quantities
