@@ -43,7 +43,6 @@ __all__ = [
     "ScenarioFile",
     "load_scenario",
     "parse_scenario",
-    "dump_scenario",
     "bundled_scenario_path",
     "cmd_run",
     "cmd_compare",
@@ -137,7 +136,6 @@ def _reject_unknown(mapping: dict, allowed: Iterable[str], path: str) -> None:
 _SCALARS = {float: _number, int: _integer, str: _string, bool: _boolean}
 _JSON_KEYS = {(Scenario, "horizon"): "horizon_days"}  # field -> JSON key, where they differ
 _KINDS = {"constant": ConstantBaseline, "weibull": WeibullBaseline}  # "kind" tag of a union member
-_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 _SPOT_RATE_KEY = ("product_id", "supplier_id")  # the only mapping with a composite key
 _FILE_KEYS = ("schema_version", "runs", "output")  # top-level keys beside the scenario fields
 
@@ -203,23 +201,6 @@ def _decode(hint: Any, value: Any, path: str) -> Any:
     return _decode_object(hint, value, path)
 
 
-def _encode(hint: Any, value: Any) -> Any:
-    if value is None or hint in _SCALARS:
-        return value
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is types.UnionType and type(None) in args:
-        return _encode(args[0], value)
-    if origin is types.UnionType:
-        return {"kind": _KIND_OF[type(value)], **_encode(type(value), value)}
-    if origin is tuple:
-        return [_encode(args[0], v) for v in value]
-    if origin is collections.abc.Mapping and args[0] is str:
-        return {k: _encode(args[1], v) for k, v in sorted(value.items())}
-    if origin is collections.abc.Mapping:
-        return [{**dict(zip(_SPOT_RATE_KEY, key)), **_encode(args[1], v)} for key, v in sorted(value.items())]
-    return {m.key: _encode(m.hint, getattr(value, m.name)) for m in _members(hint)}
-
-
 def parse_scenario(doc: Any) -> ScenarioFile:
     """Build a ScenarioFile from a decoded JSON document; errors carry field paths."""
     doc = _expect(doc, "")
@@ -234,12 +215,6 @@ def parse_scenario(doc: Any) -> ScenarioFile:
         if value < 1:
             raise ScenarioFormatError(f"{path} must be at least 1", path)
     return sf
-
-
-def dump_scenario(sf: ScenarioFile) -> dict:
-    """Inverse of parse_scenario: a JSON-ready document that parses back equal."""
-    return {"schema_version": SCHEMA_VERSION, **_encode(Scenario, sf.scenario),
-            "runs": _encode(RunsConfig, sf.runs), "output": _encode(OutputConfig, sf.output)}
 
 
 def bundled_scenario_path(name: str) -> Path:
@@ -501,8 +476,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     slopes = args.slopes if args.slopes is not None else [(_fmt(file_slope), file_slope)]
     grid = [(policy, token, _apply_overrides(sf.scenario, policy, slope))
             for policy, _ in args.policies for token, slope in slopes]
-    if len(grid) < 2:
-        raise ScenarioFormatError("compare needs at least two (policy, slope) cells")
 
     out_dir = Path(sf.output.directory)
     cells = [(scenario, out_dir / f"{policy}_slope{token}") for policy, token, scenario in grid]
@@ -617,7 +590,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "compare":
+        n_slopes = len(args.slopes) if args.slopes is not None else 1
+        if len(args.policies) * n_slopes < 2:
+            parser.error("compare needs at least two (policy, slope) cells from --policies and --slopes")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

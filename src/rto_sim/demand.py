@@ -76,7 +76,7 @@ def build_requisition(vessel: Vessel, category: Category, inventory: InventorySt
 
 
 def next_requisition_time(vessel: Vessel, category: Category, t_last_event: float,
-                          horizon: float, rng, window_width: float | None = None) -> float | None:
+                          horizon: float, rng) -> float | None:
     """Next trigger time for the (vessel, category) renewal clock, or None past the horizon."""
     spec = vessel.hazards[category.id]
-    return hazards.sample_gap(spec, t_last_event, horizon, rng, window_width=window_width)
+    return hazards.sample_gap(spec, t_last_event, horizon, rng)

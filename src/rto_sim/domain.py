@@ -229,7 +229,6 @@ class Scenario:
     spot: SpotModel
     policy: PolicyKind = PolicyKind(kind="naive")
     delays: DelayConfig = DelayConfig()
-    hazard_window_width: float | None = None  # thinning lookahead override
 
     def __post_init__(self):
         object.__setattr__(self, "vessels", tuple(sorted(self.vessels, key=lambda v: v.id)))
@@ -371,9 +370,5 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         _check(supplier_id in known_suppliers, f"unknown supplier {supplier_id!r}", "delays.rfq_response_overrides")
         _check(_finite(mean) and mean > 0, "delay mean must be positive",
                f"delays.rfq_response_overrides[{supplier_id}]")
-
-    if scenario.hazard_window_width is not None:
-        _check(_finite(scenario.hazard_window_width) and scenario.hazard_window_width > 0,
-               "hazard window width must be positive", "hazard_window_width")
 
     return scenario

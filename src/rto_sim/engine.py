@@ -1,16 +1,15 @@
-"""Replication kernel: a shared demand pass, then a requisition lifecycle pass per grid cell.
+"""Replication kernel: one walk of the renewal clocks, every grid cell deciding each requisition.
 
 A replication is simulated for a grid of scenarios that differ only in
 policy and competition slope (the cells).  Requisitions never interact: the
 contract book is immutable, the ledger only adds, inventories are per
 (vessel, category), and every random draw comes from a stream keyed by
-(run, purpose, entity).  So the policy-independent part of a run -- renewal
-triggers, requisition content, processing delays, contract snapshots and
-supplier responses -- is drawn once and shared by every cell.  Each cell then
-decides its RFQ scopes, times its orders directly from the delays, and
-allocates them.  An event counts iff it falls strictly before the horizon;
-requests whose lifecycle is incomplete by then count as in-flight and stay
-out of the totals.
+(run, purpose, entity).  So the policy-independent part of a requisition --
+its trigger, content, processing delays, contract snapshot and supplier
+responses -- is drawn once, and every cell decides the requisition as soon
+as it is drawn: its RFQ scope, the order time, and the allocation.  An event
+counts iff it falls strictly before the horizon; requests whose lifecycle is
+incomplete by then count as in-flight and stay out of the totals.
 
 Randomness comes from a keyed splittable plan, so results are reproducible
 regardless of execution order or parallelism, and every cell faces identical
@@ -24,12 +23,12 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import demand
-from .domain import Allocation, EventRecord, Quote, Requisition, Scenario
+from .domain import Allocation, Category, EventRecord, PolicyKind, Quote, Requisition, Scenario, SpotModel
 from .hazards import sample_exponential_delay
 from .market import ContractBook, make_quote, scope_quote
 from .metrics import ComplianceLedger, RunResult, record_allocation, utilization
@@ -85,20 +84,6 @@ class HandlingRecord:
     rfq_suppliers: tuple[str, ...]
 
 
-@dataclass
-class _Lifecycle:
-    """The policy-independent timeline of one material requisition, shared by every cell."""
-
-    requisition: Requisition
-    generated: EventRecord | None  # the generation log record, when logs are collected
-    handled_at: float
-    to_po: float  # handling-to-order delay
-    # contract snapshot at handling; None when handling falls at or after the horizon
-    terms: Mapping[str, Mapping[str, float]] | None
-    # supplier -> (response time, base-rate quote or None past the horizon), drawn on first need
-    responses: dict[str, tuple[float, Quote | None]] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class RunOutput:
     result: RunResult
@@ -139,22 +124,59 @@ def _check_grid(scenarios: Sequence[Scenario]) -> Scenario:
     return world
 
 
-def _demand_pass(world: Scenario, run_index: int, plan,
-                 collect_log: bool) -> tuple[list[_Lifecycle], int]:
-    """Material requisitions in (vessel, category, creation) order, and the empty-draw count.
+@dataclass
+class _Cell:
+    """One grid cell's tally over a run: handlings, responses per supplier, orders and log."""
 
-    Each (vessel, category) renewal clock is walked to the horizon; the clock
-    resets on every trigger, material or not.  Each material requisition gets
-    its creation-to-approval, approval-to-handling and handling-to-order
-    delays, in that order, and the contract terms active at handling.
+    policy: PolicyKind
+    spot: SpotModel
+    n_rfq: dict[str, int]
+    n_hl: int = 0
+    # (order time, requisition index, order)
+    orders: list[tuple[float, int, Allocation]] = field(default_factory=list)
+    log: list[EventRecord] = field(default_factory=list)
+
+    def output(self, world: Scenario, run_index: int, n_pr: int, empty_draws: int,
+               collect_log: bool) -> RunOutput:
+        """The cell's result; orders accrue in order time, so the cost sum adds as an event clock would."""
+        ledger = ComplianceLedger.from_contracts(world.contracts)
+        terminal_cost = 0.0
+        self.orders.sort(key=itemgetter(0, 1))
+        for _, _, allocation in self.orders:
+            terminal_cost += record_allocation(ledger, allocation)
+        if collect_log:
+            # records were appended per requisition in walk order; the stable
+            # sort keeps that order among equal times
+            self.log.sort(key=attrgetter("time"))
+            self.log.append(EventRecord(kind=TERMINATION, time=world.horizon))
+
+        utilizations = {s: utilization(ledger.volumes[s], k)
+                        for s, k in sorted(ledger.commitments.items()) if k > 0}
+        deviations = {s: ledger.volumes[s] - k for s, k in sorted(ledger.commitments.items())}
+        result = RunResult(
+            run_index=run_index,
+            terminal_cost=terminal_cost,
+            volumes=dict(sorted(ledger.volumes.items())),
+            utilizations=utilizations,
+            deviations=deviations,
+            n_pr=n_pr,
+            n_hl=self.n_hl,
+            n_po=len(self.orders),
+            n_rfq=self.n_rfq,
+            in_flight=n_pr - len(self.orders),
+            empty_draws=empty_draws,
+        )
+        return RunOutput(result=result, log=tuple(self.log))
+
+
+def _triggers(world: Scenario, run_index: int, plan) -> Iterator[tuple[Category, Requisition | None]]:
+    """Every renewal trigger before the horizon and its requisition, None when it drew nothing.
+
+    The (vessel, category) clocks are walked one after another, each to the
+    horizon; a clock resets on every trigger, material or not.
     """
     horizon = world.horizon
-    delays = world.delays
-    window = world.hazard_window_width
-    book = ContractBook(world.contracts)
     categories = {c.id: c for c in world.catalog.categories}
-    lifecycles: list[_Lifecycle] = []
-    empty_draws = 0
     for vessel in world.vessels:
         for category_id in sorted(vessel.hazards):
             category = categories[category_id]
@@ -163,122 +185,14 @@ def _demand_pass(world: Scenario, run_index: int, plan,
             contents = plan.stream(run_index, "pr-items", entity)
             inventory = demand.InventoryState.fresh(category)
             count = 0
-            t = demand.next_requisition_time(vessel, category, 0.0, horizon, gaps,
-                                             window_width=window)
+            t = demand.next_requisition_time(vessel, category, 0.0, horizon, gaps)
             while t is not None and t < horizon:
                 requisition = demand.build_requisition(vessel, category, inventory, t, contents,
                                                        pr_id=f"{entity}:{count}")
-                if requisition is None:
-                    empty_draws += 1
-                else:
+                if requisition is not None:
                     count += 1
-                    d = plan.stream(run_index, "pr-delays", requisition.id)
-                    handled_at = (t + sample_exponential_delay(delays.creation_to_approval, d)
-                                  + sample_exponential_delay(delays.approval_to_handling, d))
-                    to_po = sample_exponential_delay(delays.handling_to_po, d)
-                    terms = None
-                    if handled_at < horizon:
-                        terms = book.terms_snapshot(sorted(requisition.items),
-                                                    category.eligible_suppliers, handled_at)
-                    generated = None
-                    if collect_log:
-                        generated = EventRecord(kind=PR_GENERATION, time=t, pr_id=requisition.id,
-                                                vessel_id=vessel.id, category_id=category_id,
-                                                payload=requisition)
-                    lifecycles.append(_Lifecycle(requisition, generated, handled_at, to_po, terms))
-                t = demand.next_requisition_time(vessel, category, t, horizon, gaps,
-                                                 window_width=window)
-    return lifecycles, empty_draws
-
-
-def _cell_pass(scenario: Scenario, run_index: int, lifecycles: list[_Lifecycle], empty_draws: int,
-               respond: Callable[[_Lifecycle, str], tuple[float, Quote | None]],
-               collect_log: bool) -> RunOutput:
-    """One cell's lifecycles on the shared demand: scope, responses, order time and allocation.
-
-    The order follows the last response in the RFQ scope, or handling when the
-    scope is empty, by the handling-to-order delay.  Orders accrue in order
-    time, so the cost sum adds in the same sequence an event clock would.
-    """
-    horizon = scenario.horizon
-    policy = scenario.policy
-    spot = scenario.spot
-    eligible = {c.id: c.eligible_suppliers for c in scenario.catalog.categories}
-    n_rfq = {s.id: 0 for s in scenario.suppliers}
-    n_hl = 0
-    orders: list[tuple[float, int, Allocation]] = []  # (order time, lifecycle index, order)
-    log: list[EventRecord] = []
-
-    for seq, life in enumerate(lifecycles):
-        requisition = life.requisition
-        if collect_log:
-            log.append(life.generated)
-        terms = life.terms
-        if terms is None:
-            continue
-        n_hl += 1
-        scope_items = decide_rfq_scope(requisition, terms, policy)
-        scope_suppliers = eligible[requisition.category_id] if scope_items else ()
-        if collect_log:
-            log.append(EventRecord(kind=PR_HANDLING, time=life.handled_at, pr_id=requisition.id,
-                                   vessel_id=requisition.vessel_id,
-                                   category_id=requisition.category_id,
-                                   payload=HandlingRecord(contract_terms=terms,
-                                                          rfq_items=scope_items,
-                                                          rfq_suppliers=scope_suppliers)))
-        last = life.handled_at
-        quotes: dict[str, Quote] = {}
-        for supplier_id in scope_suppliers:
-            response_at, base = respond(life, supplier_id)
-            last = max(last, response_at)
-            if base is None:
-                continue
-            n_rfq[supplier_id] += 1
-            quote = scope_quote(base, requisition, scope_items, spot)
-            quotes[supplier_id] = quote
-            if collect_log:
-                log.append(EventRecord(kind=RFQ_RESPONSE, time=response_at, pr_id=requisition.id,
-                                       supplier_id=supplier_id, payload=quote))
-        po_at = last + life.to_po
-        if po_at >= horizon:
-            continue
-        matrix = build_cost_matrix(requisition, terms, quotes,
-                                   competition_slope=spot.competition_slope,
-                                   competition_basis=spot.competition_basis)
-        allocation = allocate_min_cost(matrix, requisition.items, policy.po_overhead)
-        orders.append((po_at, seq, allocation))
-        if collect_log:
-            log.append(EventRecord(kind=PO_GENERATION, time=po_at, pr_id=requisition.id,
-                                   payload=allocation))
-
-    ledger = ComplianceLedger.from_contracts(scenario.contracts)
-    terminal_cost = 0.0
-    orders.sort(key=itemgetter(0, 1))
-    for _, _, allocation in orders:
-        terminal_cost += record_allocation(ledger, allocation)
-    if collect_log:
-        # records were appended per requisition in lifecycle order; the stable
-        # sort keeps that order among equal times
-        log.sort(key=attrgetter("time"))
-        log.append(EventRecord(kind=TERMINATION, time=horizon))
-
-    utilizations = {s: utilization(ledger.volumes[s], k)
-                    for s, k in sorted(ledger.commitments.items()) if k > 0}
-    deviations = {s: ledger.volumes[s] - k for s, k in sorted(ledger.commitments.items())}
-    result = RunResult(
-        run_index=run_index,
-        terminal_cost=terminal_cost,
-        volumes=dict(sorted(ledger.volumes.items())),
-        utilizations=utilizations,
-        deviations=deviations,
-        n_pr=len(lifecycles),
-        n_hl=n_hl,
-        n_po=len(orders),
-        n_rfq=n_rfq,
-        in_flight=len(lifecycles) - len(orders),
-        empty_draws=empty_draws,
-    )
-    return RunOutput(result=result, log=tuple(log))
+                yield category, requisition
+                t = demand.next_requisition_time(vessel, category, t, horizon, gaps)
 
 
 def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
@@ -288,37 +202,97 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
 
     `scenarios` may differ only in `policy` and `spot.competition_slope`
     (ValueError otherwise); one output is returned per scenario, in order.
-    The demand is simulated once and shared by every cell.  A supplier's RFQ
-    stream is created when some cell's scope first needs it: it gives the
-    response time and, if that falls before the horizon, the quote's base
-    rates, to which each cell applies its own per-item markup.  A cell's log,
-    when collected, is its records in time order with the termination marker
-    last.
+    The renewal clocks are walked once.  A material requisition draws its
+    creation-to-approval, approval-to-handling and handling-to-order delays,
+    in that order, and snapshots the contract terms at handling; then every
+    cell decides it at once.  A supplier's RFQ stream is created when some
+    cell's scope first needs it: it gives the response time and, if that
+    falls before the horizon, the quote's base rates, to which each cell
+    applies its own per-item markup.  The order follows the last response in
+    the scope, or handling when the scope is empty, by the handling-to-order
+    delay.  A cell's log, when collected, is its records in time order with
+    the termination marker last.
     """
     world = _check_grid(scenarios)
     plan = rng_plan if rng_plan is not None else RngPlan(master_seed)
     horizon = world.horizon
+    delays = world.delays
+    book = ContractBook(world.contracts)
     product_ids = {c.id: c.product_ids for c in world.catalog.categories}
     lead_times = {s.id: s.spot_lead_time for s in world.suppliers}
-    lifecycles, empty_draws = _demand_pass(world, run_index, plan, collect_log)
+    cells = [_Cell(s.policy, s.spot, n_rfq=dict.fromkeys(lead_times, 0)) for s in scenarios]
+    n_pr = empty_draws = 0
 
-    def respond(life: _Lifecycle, supplier_id: str) -> tuple[float, Quote | None]:
-        hit = life.responses.get(supplier_id)
-        if hit is None:
-            requisition = life.requisition
-            stream = plan.stream(run_index, "rfq", f"{requisition.id}|{supplier_id}")
-            response_at = life.handled_at + sample_exponential_delay(
-                world.delays.rfq_mean(supplier_id), stream)
-            base = None
-            if response_at < horizon:
-                base = make_quote(world.spot, requisition, supplier_id, response_at, stream,
-                                  category_product_ids=product_ids[requisition.category_id],
-                                  lead_time=lead_times[supplier_id])
-            hit = life.responses[supplier_id] = (response_at, base)
-        return hit
+    for category, requisition in _triggers(world, run_index, plan):
+        if requisition is None:
+            empty_draws += 1
+            continue
+        n_pr += 1
+        d = plan.stream(run_index, "pr-delays", requisition.id)
+        handled_at = (requisition.created_at + sample_exponential_delay(delays.creation_to_approval, d)
+                      + sample_exponential_delay(delays.approval_to_handling, d))
+        to_po = sample_exponential_delay(delays.handling_to_po, d)
+        terms = None
+        if handled_at < horizon:
+            terms = book.terms_snapshot(sorted(requisition.items), category.eligible_suppliers,
+                                        handled_at)
+        if collect_log:
+            generated = EventRecord(kind=PR_GENERATION, time=requisition.created_at,
+                                    pr_id=requisition.id, vessel_id=requisition.vessel_id,
+                                    category_id=category.id, payload=requisition)
+        # supplier -> (response time, base-rate quote or None past the horizon)
+        responses: dict[str, tuple[float, Quote | None]] = {}
 
-    return tuple(_cell_pass(scenario, run_index, lifecycles, empty_draws, respond, collect_log)
-                 for scenario in scenarios)
+        for cell in cells:
+            if collect_log:
+                cell.log.append(generated)
+            if terms is None:
+                continue
+            cell.n_hl += 1
+            scope_items = decide_rfq_scope(requisition, terms, cell.policy)
+            scope_suppliers = category.eligible_suppliers if scope_items else ()
+            if collect_log:
+                cell.log.append(EventRecord(kind=PR_HANDLING, time=handled_at, pr_id=requisition.id,
+                                            vessel_id=requisition.vessel_id, category_id=category.id,
+                                            payload=HandlingRecord(contract_terms=terms,
+                                                                   rfq_items=scope_items,
+                                                                   rfq_suppliers=scope_suppliers)))
+            last = handled_at
+            quotes: dict[str, Quote] = {}
+            for supplier_id in scope_suppliers:
+                if supplier_id not in responses:
+                    stream = plan.stream(run_index, "rfq", f"{requisition.id}|{supplier_id}")
+                    response_at = handled_at + sample_exponential_delay(delays.rfq_mean(supplier_id),
+                                                                        stream)
+                    base = None
+                    if response_at < horizon:
+                        base = make_quote(world.spot, requisition, supplier_id, response_at, stream,
+                                          category_product_ids=product_ids[category.id],
+                                          lead_time=lead_times[supplier_id])
+                    responses[supplier_id] = (response_at, base)
+                response_at, base = responses[supplier_id]
+                last = max(last, response_at)
+                if base is None:
+                    continue
+                cell.n_rfq[supplier_id] += 1
+                quote = quotes[supplier_id] = scope_quote(base, requisition, scope_items, cell.spot)
+                if collect_log:
+                    cell.log.append(EventRecord(kind=RFQ_RESPONSE, time=response_at,
+                                                pr_id=requisition.id, supplier_id=supplier_id,
+                                                payload=quote))
+            po_at = last + to_po
+            if po_at >= horizon:
+                continue
+            matrix = build_cost_matrix(requisition, terms, quotes,
+                                       competition_slope=cell.spot.competition_slope,
+                                       competition_basis=cell.spot.competition_basis)
+            allocation = allocate_min_cost(matrix, requisition.items, cell.policy.po_overhead)
+            cell.orders.append((po_at, n_pr, allocation))
+            if collect_log:
+                cell.log.append(EventRecord(kind=PO_GENERATION, time=po_at, pr_id=requisition.id,
+                                            payload=allocation))
+
+    return tuple(cell.output(world, run_index, n_pr, empty_draws, collect_log) for cell in cells)
 
 
 def _run_span(args) -> list:

@@ -112,17 +112,18 @@ def _check_dominated(rate: float, dominating: float) -> None:
         raise RuntimeError(f"hazard {rate!r} exceeds its thinning bound {dominating!r}")
 
 
-def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng,
-               window_width: float | None = None) -> float | None:
+def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng) -> float | None:
     """Draw the next event time in (t_last, horizon] for a renewal clock reset at t_last.
 
     Returns None when the sampled time falls beyond the horizon.  Constant
-    baselines without covariates invert the exponential directly.  Everything
-    else is thinned against a dominating rate: a piecewise-constant bound over
-    lookahead windows of width `window_width` (default scale/4) when the
-    baseline is non-decreasing, and the bare Weibull hazard scaled by the
-    covariate bound when shape < 1, where no finite piecewise-constant bound
-    exists near zero.
+    baselines without covariates invert the exponential directly.  A Weibull
+    baseline with shape < 1 is thinned against the bare Weibull hazard scaled
+    by the covariate bound, since no finite piecewise-constant bound exists
+    near zero.  Every other baseline is non-decreasing and is thinned window
+    by window against its value at the window's right edge, scaled by the
+    covariate bound: a Weibull window is scale/4 wide, and a constant
+    baseline has one unbounded window.  Thinning is exact whatever the window
+    width (Lewis & Shedler 1979).
     """
     if t_last >= horizon:
         return None
@@ -133,20 +134,9 @@ def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng,
         if not spec.covariates:
             t = t_last + sample_exponential_delay(1.0 / baseline.rate, rng)
             return t if t <= horizon else None
-        dominating = baseline.rate * bound
-        elapsed = 0.0
-        while True:
-            elapsed += _unit_exponential(rng) / dominating
-            t = t_last + elapsed
-            if t > horizon:
-                return None
-            rate = hazard_value(spec, elapsed, t)
-            _check_dominated(rate, dominating)
-            if rng.random() * dominating <= rate:
-                return t
-
-    shape, scale = baseline.shape, baseline.scale
-    if shape < 1.0:
+        width = math.inf
+    elif baseline.shape < 1.0:
+        shape, scale = baseline.shape, baseline.scale
         cum = 0.0  # accumulated (elapsed/scale)**shape of the dominating process
         while True:
             cum += _unit_exponential(rng) / bound
@@ -159,10 +149,9 @@ def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng,
             _check_dominated(rate, dominating)
             if rng.random() * dominating <= rate:
                 return t
+    else:
+        width = baseline.scale / 4.0
 
-    width = window_width if window_width is not None else scale / 4.0
-    if width <= 0.0:
-        raise ValueError("window width must be positive")
     elapsed = 0.0
     win_end = width
     while True:

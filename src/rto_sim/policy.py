@@ -147,6 +147,8 @@ def _allocate_by_assignment_enumeration(option_lists: list[list[MatrixEntry]], u
         total = po_overhead * (len(used) - 1)
         for rate, q in zip(rates, units):
             total += rate * q
+        if best_key is not None and total > best_key[0]:
+            continue  # the key leads with the total, so it cannot win
         key = (total, len(used), tuple(used),
                tuple((e.supplier_id, e.provenance) for e in combo))
         if best_key is None or key < best_key:

@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import collections.abc
 import math
 import random
-from typing import Sequence
+import types
+import typing
+from typing import Any, Sequence
 
 import pytest
 
-from rto_sim.cli import bundled_scenario_path, load_scenario
+from rto_sim.cli import (
+    _KINDS,
+    _SCALARS,
+    _SPOT_RATE_KEY,
+    SCHEMA_VERSION,
+    OutputConfig,
+    RunsConfig,
+    ScenarioFile,
+    _members,
+    bundled_scenario_path,
+    load_scenario,
+)
 from rto_sim.domain import (
     Catalog,
     Category,
@@ -99,6 +113,32 @@ def count_local_maxima(counts: Sequence[float], smooth_window: int = 1) -> int:
         if left_lower and right_lower and len(levels) > 1:
             peaks += 1
     return peaks
+
+
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+
+
+def _encode(hint: Any, value: Any) -> Any:
+    if value is None or hint in _SCALARS:
+        return value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType and type(None) in args:
+        return _encode(args[0], value)
+    if origin is types.UnionType:
+        return {"kind": _KIND_OF[type(value)], **_encode(type(value), value)}
+    if origin is tuple:
+        return [_encode(args[0], v) for v in value]
+    if origin is collections.abc.Mapping and args[0] is str:
+        return {k: _encode(args[1], v) for k, v in sorted(value.items())}
+    if origin is collections.abc.Mapping:
+        return [{**dict(zip(_SPOT_RATE_KEY, key)), **_encode(args[1], v)} for key, v in sorted(value.items())]
+    return {m.key: _encode(m.hint, getattr(value, m.name)) for m in _members(hint)}
+
+
+def dump_scenario(sf: ScenarioFile) -> dict:
+    """Inverse of rto_sim.cli.parse_scenario: a JSON-ready document that parses back equal."""
+    return {"schema_version": SCHEMA_VERSION, **_encode(Scenario, sf.scenario),
+            "runs": _encode(RunsConfig, sf.runs), "output": _encode(OutputConfig, sf.output)}
 
 
 def single_product_scenario(*, contracted: bool, horizon: float = 100.0,

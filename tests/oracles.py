@@ -122,7 +122,6 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
     policy = scenario.policy
     spot = scenario.spot
     book = ContractBook(scenario.contracts)
-    window = scenario.hazard_window_width
 
     categories = {c.id: c for c in scenario.catalog.categories}
     lead_times = {s.id: s.spot_lead_time for s in scenario.suppliers}
@@ -155,7 +154,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             inventories[pair] = demand.InventoryState.fresh(categories[category_id])
             pr_counters[pair] = 0
             t = demand.next_requisition_time(vessel, categories[category_id], 0.0,
-                                             horizon, gap_streams[pair], window_width=window)
+                                             horizon, gap_streams[pair])
             if t is not None:
                 schedule(t, PR_GENERATION, vessel_id=vessel.id, category_id=category_id)
 
@@ -189,7 +188,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
                                                    time, item_streams[pair], pr_id=pr_id)
             # renewal clock resets on the trigger whether or not it was material
             t_next = demand.next_requisition_time(vessel, category, time, horizon,
-                                                  gap_streams[pair], window_width=window)
+                                                  gap_streams[pair])
             if t_next is not None:
                 schedule(t_next, PR_GENERATION, vessel_id=event.vessel_id,
                          category_id=event.category_id)

@@ -1,14 +1,19 @@
 """Scenario-file parsing, CLI command, and output-stability tests."""
 
+import collections
 import copy
+import csv
+import gzip
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import dump_scenario
 from rto_sim import cli
 from rto_sim.cli import (
     OutputConfig,
@@ -16,7 +21,6 @@ from rto_sim.cli import (
     ScenarioFile,
     ScenarioFormatError,
     bundled_scenario_path,
-    dump_scenario,
     load_scenario,
     main,
     parse_scenario,
@@ -57,6 +61,23 @@ def mutated(doc, path, value):
     return doc
 
 
+SET_ARRAYS = {"vessels", "suppliers", "contracts", "categories", "products", "eligible_suppliers", "rates"}
+
+
+def shuffled(value, rng, key=None):
+    """`value` with every object's keys and every set-like array in random order."""
+    if isinstance(value, dict):
+        entries = [(k, shuffled(v, rng, k)) for k, v in value.items()]
+        rng.shuffle(entries)
+        return dict(entries)
+    if isinstance(value, list):
+        entries = [shuffled(v, rng) for v in value]
+        if key in SET_ARRAYS:
+            rng.shuffle(entries)
+        return entries
+    return value
+
+
 # (path, value, exact error message): one malformed document per row
 MALFORMED = [
     (("horizon_days",), "365", "horizon_days: expected a number"),
@@ -73,7 +94,7 @@ MALFORMED = [
     (("contracts", 0, "product_rates", "P1"), "11", "contracts[0].product_rates[P1]: expected a number"),
     (("delays", "rfq_response_overrides"), [], "delays.rfq_response_overrides: expected an object"),
     (("runs", "master_seed"), 1.5, "runs.master_seed: expected an integer"),
-    (("hazard_window_width",), "1", "hazard_window_width: expected a number"),
+    (("hazard_window_width",), 1.0, "unknown field 'hazard_window_width'"),
     (("typo",), 1, "unknown field 'typo'"),
     (HAZARD + ("baseline", "typo"), 1, "vessels[0].hazards[consumables].baseline: unknown field 'typo'"),
     (("horizon_days",), DELETE, "missing required field 'horizon_days'"),
@@ -111,7 +132,6 @@ class TestCodecConformance:
 
     @pytest.mark.parametrize("path, read", [
         (("runs", "master_seed"), lambda sf: sf.runs.master_seed),
-        (("hazard_window_width",), lambda sf: sf.scenario.hazard_window_width),
     ])
     def test_null_means_unset(self, paper_doc, path, read):
         assert read(parse_scenario(mutated(paper_doc, path, None))) is None
@@ -337,9 +357,15 @@ class TestCompareCommand:
                        "--out", str(out)) == 1
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
-    def test_single_cell_rejected(self, tmp_path):
-        assert run_cli("compare", "paper_s5.json", "--policies", "naive",
-                       "--slopes", "0", "--runs", "2", "--out", str(tmp_path / "x")) == 1
+    def test_single_cell_rejected(self, tmp_path, capsys):
+        for grid in (["--policies", "naive", "--slopes", "0"], ["--policies", ","],
+                     ["--slopes", ","]):
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli("compare", "paper_s5.json", *grid, "--runs", "2", "--out", str(tmp_path / "x"))
+            assert exit_info.value.code == 2, grid
+            err = capsys.readouterr().err
+            assert "--policies" in err and "--slopes" in err, grid
+            assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--policies", "naive,greedy", "invalid policy 'greedy'"),
@@ -370,6 +396,29 @@ class TestCompareCommand:
             assert cells[0] == cells[1]
             assert len(cells[0]) > 0
 
+    @pytest.mark.parametrize("source", ["paper_s5", "wide-market"])
+    def test_shuffled_scenario_file_gives_identical_outputs(self, tmp_path, monkeypatch, source):
+        # entry order in the file carries no meaning; covariates keep theirs,
+        # because their terms are summed in list order
+        if source == "paper_s5":
+            doc = json.loads(bundled_scenario_path("paper_s5.json").read_text())
+        else:
+            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+            from workloads import wide_market_doc
+
+            doc = wide_market_doc(0)
+        outputs = []
+        for seed in (None, 1, 2):
+            path = tmp_path / f"scenario_{seed}.json"
+            path.write_text(json.dumps(doc if seed is None else shuffled(doc, random.Random(seed))))
+            out = tmp_path / f"out_{seed}"
+            assert run_cli("compare", str(path), "--slopes", "0,0.05", "--runs", "20", "--seed", "3",
+                           "--export-events", "--out", str(out)) == 0
+            outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert len(outputs[0]) > 100
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
 
 class TestValidateCommand:
     def test_reports_ok(self, capsys):
@@ -397,7 +446,7 @@ class TestBenchmarkTrace:
         env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.run(
             [sys.executable, str(root / "perfbench" / "child.py"), "trace", str(tmp_path / "s.csv.gz"),
-             "run", "paper_s5.json", "--runs", "3", "--out", str(tmp_path / "o")],
+             "run", "paper_s5.json", "--runs", "3", "--export-events", "--out", str(tmp_path / "o")],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
@@ -406,3 +455,12 @@ class TestBenchmarkTrace:
         for layer in ("hazards.sample_gap", "demand.build_requisition", "market.make_quote",
                       "policy.allocate_min_cost"):
             assert out["layers"][f"{layer}.calls"][0] > 0, layer
+        with gzip.open(tmp_path / "s.csv.gz", "rt", encoding="utf-8") as fh:
+            spans = collections.Counter(row["name"] for row in csv.DictReader(fh))  # one row per span
+        for name in ("cli.main", "cli.load_scenario", "engine.run_batch", "engine.run_once",
+                     "engine.stream", "hazards.sample_gap", "demand.build_requisition",
+                     "market.terms_snapshot", "market.make_quote", "policy.decide_rfq_scope",
+                     "policy.build_cost_matrix", "policy.allocate_min_cost.subset",
+                     "metrics.record_allocation", "metrics.summarize_batch", "cli.write_runs_csv",
+                     "cli.write_summary_json", "cli.write_histogram_csv", "cli.write_events_csv"):
+            assert spans[name] >= 1, name

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import single_product_scenario
-from rto_sim.cli import dump_scenario, parse_scenario
+from conftest import dump_scenario, single_product_scenario
+from rto_sim.cli import parse_scenario
 from rto_sim.domain import (
     Catalog,
     Category,

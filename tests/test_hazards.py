@@ -155,13 +155,6 @@ class TestSampleGap:
             t = sample_gap(spec, 50.0, 1e9, rng)
             assert t > 50.0
 
-    def test_window_width_override_preserves_distribution(self):
-        spec = HazardSpec(WeibullBaseline(shape=2.0, scale=10.0))
-        rng = stream(5)
-        gaps = [sample_gap(spec, 0.0, 1e9, rng, window_width=0.8) for _ in range(2000)]
-        result = stats.kstest(gaps, lambda x: np.vectorize(weibull_cdf)(2.0, 10.0, x))
-        assert result.pvalue > 0.01
-
     @pytest.mark.parametrize("baseline", [ConstantBaseline(rate=0.5),
                                           WeibullBaseline(shape=0.7, scale=5.0),
                                           WeibullBaseline(shape=2.0, scale=10.0)])
