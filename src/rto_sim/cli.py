@@ -13,6 +13,7 @@ import collections.abc
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -530,6 +531,17 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _slope(text: str) -> float:
+    """Argument type of a competition slope: a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"invalid slope {text!r}: expected a finite number of at least 0")
+    return value
+
+
 def _distinct_list(what: str, convert: Callable[[str], Any]) -> Callable[[str], list[tuple[str, Any]]]:
     """Argument type of a comma-separated list: (token, value) pairs of distinct values, in order."""
     def parse(text: str) -> list[tuple[str, Any]]:
@@ -571,14 +583,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one policy cell and emit distributions")
     add_common(run_p)
     run_p.add_argument("--policy", choices=POLICY_KINDS, default=None)
-    run_p.add_argument("--competition-slope", type=float, default=None)
+    run_p.add_argument("--competition-slope", type=_slope, default=None)
     run_p.set_defaults(func=cmd_run)
 
     cmp_p = sub.add_parser("compare", help="run a policy/slope grid under common random numbers")
     add_common(cmp_p)
     cmp_p.add_argument("--policies", type=_distinct_list("policy", _policy_kind),
                        default="naive,dynamic", help="comma-separated policy list")
-    cmp_p.add_argument("--slopes", type=_distinct_list("slope", float), default=None,
+    cmp_p.add_argument("--slopes", type=_distinct_list("slope", _slope), default=None,
                        help="comma-separated competition slopes")
     cmp_p.set_defaults(func=cmd_compare)
 

@@ -1,9 +1,10 @@
 """Requisition generation from latent shipboard inventories.
 
-Timing follows a renewal process per (vessel, category) whose clock resets at
-each request.  Content comes from a replenishment model: stock depletes
-linearly, the chance of including a product grows with the depleted fraction,
-and included products are restocked to their baseline level.
+Triggers come from a renewal clock per (vessel, category) that resets at each
+request (`hazards.sample_gap`).  Content comes from a replenishment model:
+stock depletes linearly, the chance of including a product grows with the
+depleted fraction, and included products are restocked to their baseline
+level.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import hazards
 from .domain import Category, Requisition, Vessel
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "inventory_level",
     "propensity",
     "build_requisition",
-    "next_requisition_time",
 ]
 
 
@@ -74,9 +73,3 @@ def build_requisition(vessel: Vessel, category: Category, inventory: InventorySt
     return Requisition(id=pr_id, vessel_id=vessel.id, category_id=category.id,
                        created_at=t, items=items)
 
-
-def next_requisition_time(vessel: Vessel, category: Category, t_last_event: float,
-                          horizon: float, rng) -> float | None:
-    """Next trigger time for the (vessel, category) renewal clock, or None past the horizon."""
-    spec = vessel.hazards[category.id]
-    return hazards.sample_gap(spec, t_last_event, horizon, rng)

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import demand
+from . import demand, hazards
 from .domain import Allocation, Category, EventRecord, PolicyKind, Quote, Requisition, Scenario, SpotModel
 from .hazards import sample_exponential_delay
 from .market import ContractBook, make_quote, scope_quote
@@ -183,16 +183,17 @@ def _triggers(world: Scenario, run_index: int, plan) -> Iterator[tuple[Category,
             entity = f"{vessel.id}:{category_id}"
             gaps = plan.stream(run_index, "pr-gap", entity)
             contents = plan.stream(run_index, "pr-items", entity)
+            spec = vessel.hazards[category_id]
             inventory = demand.InventoryState.fresh(category)
             count = 0
-            t = demand.next_requisition_time(vessel, category, 0.0, horizon, gaps)
+            t = hazards.sample_gap(spec, 0.0, horizon, gaps)
             while t is not None and t < horizon:
                 requisition = demand.build_requisition(vessel, category, inventory, t, contents,
                                                        pr_id=f"{entity}:{count}")
                 if requisition is not None:
                     count += 1
                 yield category, requisition
-                t = demand.next_requisition_time(vessel, category, t, horizon, gaps)
+                t = hazards.sample_gap(spec, t, horizon, gaps)
 
 
 def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,

@@ -1,11 +1,12 @@
 """Independent references used only by tests.
 
 These stay deliberately naive: the allocation oracle enumerates every
-assignment outright, the Weibull CDF is the textbook closed form, and the
-replication reference drives one scenario through a future-event queue.  The
-first two must not share code with the production solver or samplers they
-check; the replication reference checks the engine's timing, ordering and
-horizon cut, so it calls the same model layers as the engine.
+assignment outright, the Weibull CDF is the textbook closed form, the hazard
+is evaluated pointwise from its definition, and the replication reference
+drives one scenario through a future-event queue.  The first three must not
+share code with the production solver or samplers they check; the
+replication reference checks the engine's timing, ordering and horizon cut,
+so it calls the same model layers as the engine.
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ from rto_sim.engine import (
     RngPlan,
     RunOutput,
 )
-from rto_sim.hazards import sample_exponential_delay
+from rto_sim.hazards import (
+    ConstantBaseline,
+    HazardSpec,
+    WeibullBaseline,
+    sample_exponential_delay,
+    sample_gap,
+)
 from rto_sim.market import ContractBook, make_quote, scope_quote
 from rto_sim.metrics import ComplianceLedger, RunResult, record_allocation, utilization
 from rto_sim.policy import allocate_min_cost, build_cost_matrix, decide_rfq_scope
@@ -78,6 +85,27 @@ def weibull_cdf(shape: float, scale: float, x: float) -> float:
     if x < 0:
         raise ValueError("x must be non-negative")
     return 1.0 - math.exp(-((x / scale) ** shape))
+
+
+def _baseline_value(baseline: ConstantBaseline | WeibullBaseline, elapsed: float) -> float:
+    if isinstance(baseline, ConstantBaseline):
+        return baseline.rate
+    shape, scale = baseline.shape, baseline.scale
+    if elapsed == 0.0:
+        if shape < 1.0:
+            raise ValueError("Weibull hazard diverges at zero elapsed time for shape < 1")
+        return 1.0 / scale if shape == 1.0 else 0.0
+    return (shape / scale) * (elapsed / scale) ** (shape - 1.0)
+
+
+def hazard_value(spec: HazardSpec, elapsed: float, t_abs: float) -> float:
+    """Instantaneous event rate at `elapsed` days since the last event, absolute time `t_abs`."""
+    if elapsed < 0.0:
+        raise ValueError("elapsed time must be non-negative")
+    rate = _baseline_value(spec.baseline, elapsed)
+    if spec.covariates:
+        rate *= math.exp(spec.log_modulation(t_abs))
+    return rate
 
 
 @dataclass(frozen=True)
@@ -153,8 +181,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             item_streams[pair] = plan.stream(run_index, "pr-items", entity)
             inventories[pair] = demand.InventoryState.fresh(categories[category_id])
             pr_counters[pair] = 0
-            t = demand.next_requisition_time(vessel, categories[category_id], 0.0,
-                                             horizon, gap_streams[pair])
+            t = sample_gap(vessel.hazards[category_id], 0.0, horizon, gap_streams[pair])
             if t is not None:
                 schedule(t, PR_GENERATION, vessel_id=vessel.id, category_id=category_id)
 
@@ -187,8 +214,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             requisition = demand.build_requisition(vessel, category, inventories[pair],
                                                    time, item_streams[pair], pr_id=pr_id)
             # renewal clock resets on the trigger whether or not it was material
-            t_next = demand.next_requisition_time(vessel, category, time, horizon,
-                                                  gap_streams[pair])
+            t_next = sample_gap(vessel.hazards[event.category_id], time, horizon, gap_streams[pair])
             if t_next is not None:
                 schedule(t_next, PR_GENERATION, vessel_id=event.vessel_id,
                          category_id=event.category_id)

@@ -18,7 +18,6 @@ from scipy import stats
 from conftest import count_local_maxima, random_scenario
 from oracles import OracleInstance, exhaustive_allocation, weibull_cdf
 from rto_sim.cli import load_scenario, main
-from rto_sim.domain import Category, Product, Vessel
 from rto_sim.engine import audit_event_log, run_batch, run_once
 from rto_sim.hazards import HazardSpec, WeibullBaseline, sample_gap
 from rto_sim.policy import SPOT, CostMatrix, MatrixEntry, allocate_min_cost
@@ -83,13 +82,7 @@ def test_a1_sampler_fidelity():
 
 def test_a2_demand_accumulation():
     # renewal process over 365 days; horizon exceeds five mean gaps
-    from rto_sim.demand import next_requisition_time
-
     spec = HazardSpec(WeibullBaseline(shape=1.5, scale=10.0))
-    vessel = Vessel(id="V", hazards={"cat": spec})
-    category = Category(id="cat", eligible_suppliers=("S",), products=(
-        Product(id="P", family_id="F", baseline_stock=10, depletion_rate=0.1),
-    ))
     mu = 10.0 * math.gamma(1.0 + 1.0 / 1.5)
     assert 365.0 >= 5 * mu
     horizon = 365.0
@@ -100,7 +93,7 @@ def test_a2_demand_accumulation():
     for _ in range(n_runs):
         t = 0.0
         while True:
-            nxt = next_requisition_time(vessel, category, t, horizon, rng)
+            nxt = sample_gap(spec, t, horizon, rng)
             if nxt is None:
                 break
             t = nxt

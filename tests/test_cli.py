@@ -5,10 +5,12 @@ import copy
 import csv
 import gzip
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -248,6 +250,29 @@ class TestRunCommand:
             run_cli("run", "paper_s5.json", "--runs", "0", "--out", str(tmp_path / "o"))
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_competition_slope_is_a_usage_error(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", "paper_s5.json", "--competition-slope", value, "--out", str(tmp_path / "o"))
+        assert exit_info.value.code == 2
+        assert f"argument --competition-slope: invalid slope '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_pathological_hazard_fails_bounded(self, tmp_path, capsys, scenario_doc):
+        # passes validate, but thinning would need ~1e10 proposals for one gap
+        scenario_doc["vessels"][0]["hazards"]["consumables"] = {
+            "baseline": {"kind": "weibull", "shape": 1.5, "scale": 12.0},
+            "covariates": [{"coefficient": 20.0, "amplitude": 1.0, "period": 365.0, "phase": math.pi}],
+        }
+        path = tmp_path / "spin.json"
+        path.write_text(json.dumps(scenario_doc))
+        started = time.perf_counter()
+        assert run_cli("run", str(path), "--runs", "1", "--parallelism", "1",
+                       "--out", str(tmp_path / "o")) == 1
+        assert time.perf_counter() - started < 60.0
+        err = capsys.readouterr().err
+        assert "run 0 failed" in err and "1000000 proposals under covariate bound" in err
+
     def test_policy_and_slope_overrides_land_in_summary(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("run", "paper_s5.json", "--runs", "2", "--seed", "1",
@@ -373,8 +398,11 @@ class TestCompareCommand:
         ("--policies", "dynamic, naive,dynamic", "repeated policy 'dynamic'"),
         ("--slopes", "0,0.01,0.010", "repeated slope '0.010'"),
         ("--slopes", "0,0.0", "repeated slope '0.0'"),
+        ("--slopes", "0,-1", "invalid slope '-1'"),
+        ("--slopes", "nan,0", "invalid slope 'nan'"),
+        ("--slopes", "inf,0", "invalid slope 'inf'"),
     ], ids=["unknown-policy", "repeated-policy", "repeated-policy-spaced", "repeated-slope",
-            "repeated-slope-zero"])
+            "repeated-slope-zero", "negative-slope", "nan-slope", "infinite-slope"])
     def test_bad_or_repeated_grid_value_is_a_usage_error(self, tmp_path, capsys, flag, value, message):
         with pytest.raises(SystemExit) as exit_info:
             run_cli("compare", "paper_s5.json", flag, value, "--out", str(tmp_path / "o"))

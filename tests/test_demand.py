@@ -12,11 +12,10 @@ from rto_sim.demand import (
     InventoryState,
     build_requisition,
     inventory_level,
-    next_requisition_time,
     propensity,
 )
 from rto_sim.domain import Category, Product, Vessel
-from rto_sim.hazards import HazardSpec, WeibullBaseline
+from rto_sim.hazards import HazardSpec, WeibullBaseline, sample_gap
 
 
 def make_category(*specs):
@@ -143,16 +142,12 @@ class TestBuildRequisition:
 
 class TestNextRequisitionTime:
     def test_empty_window_returns_none(self):
-        vessel = Vessel(id="V", hazards={"cat": VESSEL_SPEC})
-        category = make_category(("P1", 10, 0.1))
         rng = np.random.Generator(np.random.PCG64(0))
-        assert next_requisition_time(vessel, category, 0.0, 0.0, rng) is None
+        assert sample_gap(VESSEL_SPEC, 0.0, 0.0, rng) is None
 
     def test_shape_one_gives_poisson_counts(self):
         # Weibull(1, scale) renewals are exponential: mean count ~ horizon/scale
         spec = HazardSpec(WeibullBaseline(shape=1.0, scale=5.0))
-        vessel = Vessel(id="V", hazards={"cat": spec})
-        category = make_category(("P1", 10, 0.1))
         horizon = 50.0
         rng = np.random.Generator(np.random.PCG64(11))
         total = 0
@@ -160,7 +155,7 @@ class TestNextRequisitionTime:
         for _ in range(n_runs):
             t = 0.0
             while True:
-                nxt = next_requisition_time(vessel, category, t, horizon, rng)
+                nxt = sample_gap(spec, t, horizon, rng)
                 if nxt is None:
                     break
                 t = nxt

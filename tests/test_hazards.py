@@ -1,6 +1,7 @@
 """Hazard evaluation and sampler distribution tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from conftest import StubRng, U_MEAN
-from oracles import weibull_cdf
+from oracles import hazard_value, weibull_cdf
 from rto_sim.hazards import (
+    PROPOSAL_BUDGET,
     ConstantBaseline,
     CovariateTerm,
     HazardSpec,
     WeibullBaseline,
-    hazard_value,
     sample_exponential_delay,
     sample_gap,
 )
@@ -128,13 +129,15 @@ class TestSampleGap:
         result = stats.kstest(gaps, lambda x: np.vectorize(weibull_cdf)(0.7, 5.0, x))
         assert result.pvalue > 0.01
 
-    @pytest.mark.parametrize("shape", [0.8, 1.0, 1.4])
-    def test_covariate_sampler_matches_quadrature_cdf(self, shape):
+    @pytest.mark.parametrize("baseline, covariate", [
+        *((WeibullBaseline(shape=shape, scale=8.0), CovariateTerm(0.5, 1.0, 50.0, phase=0.3))
+          for shape in (0.8, 1.0, 1.4)),
+        (WeibullBaseline(shape=1.5, scale=12.0), CovariateTerm(0.35, 1.0, 365.0)),
+        (ConstantBaseline(rate=0.2), CovariateTerm(0.5, 1.0, 50.0, phase=0.3)),
+    ], ids=["0.8", "1.0", "1.4", "paper_s5", "constant"])
+    def test_covariate_sampler_matches_quadrature_cdf(self, baseline, covariate):
         # oracle CDF: 1 - exp(-integral of the modulated hazard), on a dense grid
-        spec = HazardSpec(
-            WeibullBaseline(shape=shape, scale=8.0),
-            covariates=(CovariateTerm(coefficient=0.5, amplitude=1.0, period=50.0, phase=0.3),),
-        )
+        spec = HazardSpec(baseline, covariates=(covariate,))
         t_last = 13.7
         grid = np.linspace(1e-9, 200.0, 40_001)
         lam = np.array([hazard_value(spec, e, t_last + e) for e in grid])
@@ -146,6 +149,20 @@ class TestSampleGap:
         assert max(gaps) < 200.0
         result = stats.kstest(gaps, lambda x: np.interp(x, grid, cdf_grid))
         assert result.pvalue > 0.01
+
+    @pytest.mark.parametrize("baseline, inverse", [
+        (ConstantBaseline(rate=0.5), lambda cum: cum / 0.5),
+        (WeibullBaseline(shape=1.5, scale=12.0), lambda cum: 12.0 * cum ** (1.0 / 1.5)),
+    ], ids=["constant", "weibull"])
+    def test_without_covariates_one_draw_inverts_the_baseline(self, baseline, inverse):
+        uniforms = [0.2, U_MEAN, 0.9]
+        rng = StubRng(uniforms)
+        t = 3.0
+        for left, u in enumerate(uniforms, start=1):
+            gap = sample_gap(HazardSpec(baseline), t, 1e9, rng) - t
+            assert gap == pytest.approx(inverse(-math.log(1.0 - u)), rel=1e-12)
+            assert len(rng.uniforms) == len(uniforms) - left
+            t += gap
 
     def test_gap_respects_renewal_offset(self):
         # absolute event times start from t_last, not zero
@@ -160,12 +177,19 @@ class TestSampleGap:
                                           WeibullBaseline(shape=2.0, scale=10.0)])
     def test_hazard_above_dominating_rate_raises(self, baseline, monkeypatch):
         # an explicit raise, not an assert, so it also holds under python -O
-        import rto_sim.hazards as hazards
-
         spec = HazardSpec(baseline, covariates=(CovariateTerm(0.3, 1.0, 365.0),))
-        monkeypatch.setattr(hazards, "hazard_value", lambda spec, elapsed, t_abs: 1e9)
+        monkeypatch.setattr(HazardSpec, "log_modulation", lambda self, t: 50.0)
         with pytest.raises(RuntimeError, match="thinning bound"):
             sample_gap(spec, 0.0, 1e9, stream(0))
+
+    def test_pathological_modulation_exhausts_a_bounded_budget(self):
+        # a valid spec whose modulation near t=0 is e^-40 of its bound: at the
+        # proposal rate that bound implies, the first acceptance is ~1e10 draws away
+        spec = HazardSpec(WeibullBaseline(shape=1.5, scale=12.0),
+                          covariates=(CovariateTerm(20.0, 1.0, 365.0, phase=math.pi),))
+        message = f"{PROPOSAL_BUDGET} proposals under covariate bound {spec.modulation_bound()!r}"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            sample_gap(spec, 0.0, 365.0, stream(0))
 
 
 @settings(max_examples=25, deadline=None)
