@@ -19,7 +19,7 @@ demand (common random numbers).
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from operator import attrgetter, itemgetter
@@ -336,12 +336,27 @@ def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
             runs.extend(_run_span(job))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                for chunk_runs in pool.map(_run_span, jobs):
-                    runs.extend(chunk_runs)
-            except BrokenProcessPool as exc:
-                # every run before len(runs) arrived, so the lost chunk starts there
-                raise BatchRunError(len(runs), f"a worker process died: {exc}") from exc
+            # a chunk is handed out only when a worker is free, so a failure
+            # leaves no queued chunk to run, only those already running
+            futures = []
+            running: set = set()
+            for job in jobs:
+                if len(running) == workers:
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    if any(future.exception() is not None for future in done):
+                        break
+                try:
+                    future = pool.submit(_run_span, job)
+                except BrokenProcessPool as exc:  # reported below unless an earlier chunk was lost
+                    future = Future()
+                    future.set_exception(exc)
+                futures.append(future)
+                running.add(future)
+            for span, future in zip(spans, futures):  # the first failing chunk in index order
+                try:
+                    runs.extend(future.result())
+                except BrokenProcessPool as exc:
+                    raise BatchRunError(span[0], f"a worker process died: {exc}") from exc
 
     return tuple(
         BatchResult(results=tuple(outputs[cell].result for outputs in runs),

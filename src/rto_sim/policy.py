@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .domain import (
     MAX_SUPPLIERS_PER_CATEGORY,
@@ -89,73 +92,119 @@ def _entry_sort_key(entry: MatrixEntry) -> tuple:
     return (entry.unit_cost, entry.supplier_id, _PROVENANCE_RANK[entry.provenance])
 
 
-# each search takes the items' options in _entry_sort_key order and their
-# quantities, and returns each item's (chosen option, final unit rate)
+# each search takes the items' options in _entry_sort_key order, their
+# quantities, the overhead and every supplier's index in the sorted pool, and
+# returns each item's (chosen option, final unit rate)
 _Priced = list[tuple[MatrixEntry, float]]
+
+# assignments evaluated per array block: bounds the enumeration's working
+# memory at a few MB whatever the size of the assignment space
+_ENUMERATION_BLOCK = 1 << 14
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_membership(n_suppliers: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every non-empty subset of range(n_suppliers) as a membership row, with its size.
+
+    Subsets come in increasing size, each size in `itertools.combinations`
+    order.  A last column, index -1, is offered by every subset.
+    """
+    subsets = [subset for size in range(1, n_suppliers + 1)
+               for subset in itertools.combinations(range(n_suppliers), size)]
+    member = np.zeros((len(subsets), n_suppliers + 1), dtype=bool)
+    member[:, -1] = True
+    for row, subset in enumerate(subsets):
+        member[row, list(subset)] = True
+    sizes = np.array([len(subset) for subset in subsets])
+    member.flags.writeable = sizes.flags.writeable = False
+    return member, sizes
 
 
 def _allocate_by_supplier_subsets(option_lists: list[list[MatrixEntry]], units: list[int],
-                                  po_overhead: float) -> _Priced:
+                                  po_overhead: float, code: Mapping[str, int]) -> _Priced:
     # given the supplier subset, each item independently takes its first
-    # option from a supplier in the subset
-    pool = sorted({entry.supplier_id for options in option_lists for entry in options})
-    if len(pool) > MAX_SUPPLIERS_PER_CATEGORY:
-        raise InfeasibleAllocationError(
-            f"supplier pool of {len(pool)} exceeds the exact-search bound of {MAX_SUPPLIERS_PER_CATEGORY}"
-        )
-    # subsets come in increasing size, each size in lexicographic order, so
-    # accepting only a strictly smaller total breaks ties toward fewer
-    # suppliers, then the smallest supplier set
-    best_total: float | None = None
-    best_choice: list[MatrixEntry] | None = None
-    for size in range(1, len(pool) + 1):
-        for subset in itertools.combinations(pool, size):
-            total = po_overhead * (size - 1)
-            choice = []
-            for options, q in zip(option_lists, units):
-                entry = next((e for e in options if e.supplier_id in subset), None)
-                if entry is None:
-                    break
-                choice.append(entry)
-                total += entry.unit_cost * q
-            else:
-                if best_total is None or total < best_total:
-                    best_total, best_choice = total, choice
-    if best_choice is None:
+    # option from a supplier in the subset; every subset is one array row,
+    # and an item no supplier of the subset offers falls to the last column,
+    # priced at inf
+    member, sizes = _subset_membership(len(code))
+    total = po_overhead * (sizes - 1)
+    choices = []
+    for options, q in zip(option_lists, units):
+        offers = member[:, [code[entry.supplier_id] for entry in options] + [-1]]
+        choice = offers.argmax(axis=1)  # the first offering option
+        total = total + np.array([entry.unit_cost for entry in options] + [math.inf])[choice] * q
+        choices.append(choice)
+    # argmin takes the first minimum: ties break toward fewer suppliers, then
+    # the smallest supplier set
+    best = int(np.argmin(total))
+    if total[best] == math.inf:
         raise InfeasibleAllocationError("no feasible supplier subset")
-    return [(entry, entry.unit_cost) for entry in best_choice]
+    chosen = [options[choice[best]] for options, choice in zip(option_lists, choices)]
+    return [(entry, entry.unit_cost) for entry in chosen]
 
 
 def _allocate_by_assignment_enumeration(option_lists: list[list[MatrixEntry]], units: list[int],
-                                        po_overhead: float, slope: float) -> _Priced:
+                                        po_overhead: float, code: Mapping[str, int],
+                                        slope: float) -> _Priced:
     # per_supplier_total markup couples the items, so the subset search does
-    # not apply; enumerate full assignments instead
-    if math.prod(len(options) for options in option_lists) > ASSIGNMENT_ENUMERATION_LIMIT:
+    # not apply; evaluate every full assignment, in itertools.product order,
+    # one block of rows at a time
+    shape = tuple(len(options) for options in option_lists)
+    n_assignments = math.prod(shape)
+    if n_assignments > ASSIGNMENT_ENUMERATION_LIMIT:
         raise InfeasibleAllocationError(
             f"assignment space exceeds enumeration bound of {ASSIGNMENT_ENUMERATION_LIMIT}"
         )
+    # one column per option of every item, items in order: the supplier's
+    # index, the base rate, the markup per spot unit (exactly 0.0 on a
+    # contract rate), the spot units the option adds to its supplier, and
+    # (supplier, provenance) as one number in tuple order
+    flat = [entry for options in option_lists for entry in options]
+    columns = []
+    for options, q in zip(option_lists, units):
+        for entry in options:
+            spot = entry.provenance == SPOT
+            index = code[entry.supplier_id]
+            columns.append((index, entry.unit_cost, slope if spot else 0.0, q if spot else 0,
+                            2 * index + _PROVENANCE_RANK[entry.provenance]))
+    supplier, cost, markup, spot_units, item_key = np.array(columns).T
+    supplier = supplier.astype(np.intp)
+    offsets = np.array([0, *itertools.accumulate(shape[:-1])])[:, None]
+    quantity = np.array(units)[:, None]
+    n_pool = len(code)
+
     best_key: tuple | None = None
     best_choice: _Priced | None = None
-    for combo in itertools.product(*option_lists):
-        spot_units: dict[str, int] = {}
-        for entry, q in zip(combo, units):
-            if entry.provenance == SPOT:
-                spot_units[entry.supplier_id] = spot_units.get(entry.supplier_id, 0) + q
-        rates = [e.unit_cost + slope * spot_units[e.supplier_id] if e.provenance == SPOT else e.unit_cost
-                 for e in combo]
-        used = sorted({entry.supplier_id for entry in combo})
-        total = po_overhead * (len(used) - 1)
-        for rate, q in zip(rates, units):
-            total += rate * q
-        if best_key is not None and total > best_key[0]:
-            continue  # the key leads with the total, so it cannot win
-        key = (total, len(used), tuple(used),
-               tuple((e.supplier_id, e.provenance) for e in combo))
+    for start in range(0, n_assignments, _ENUMERATION_BLOCK):
+        rows = np.arange(start, min(start + _ENUMERATION_BLOCK, n_assignments))
+        option = np.stack(np.unravel_index(rows, shape)) + offsets  # (item, row)
+        # (row, supplier) cells: suppliers used and their spot volume
+        cell = (supplier[option] + np.arange(len(rows)) * n_pool).ravel()
+        used = np.bincount(cell, minlength=len(rows) * n_pool).reshape(len(rows), n_pool) > 0
+        volume = np.bincount(cell, weights=spot_units[option].ravel(), minlength=len(rows) * n_pool)
+        rate = cost[option] + markup[option] * volume[cell].reshape(option.shape)
+        n_used = used.sum(axis=1)
+        # bit-identical to a scalar loop: the overhead first, then each
+        # item's rate * q in item order
+        total = po_overhead * (n_used - 1)
+        for item_total in rate * quantity:
+            total = total + item_total
+        # the key leads with the total, so only rows at the minimum can win;
+        # among those, lexsort orders by (len(used), used, per-item key): a
+        # sorted supplier tuple of fixed length compares as its membership
+        # row with members first
+        tied = np.flatnonzero(total == total.min())
+        if len(tied) > 1:
+            tied = tied[np.lexsort(np.vstack((item_key[option[:, tied]][::-1],
+                                              ~used[tied].T[::-1], n_used[tied])))]
+        row = tied[0]
+        combo = [flat[column] for column in option[:, row]]
+        used_ids = sorted({entry.supplier_id for entry in combo})
+        key = (float(total[row]), len(used_ids), tuple(used_ids),
+               tuple((entry.supplier_id, entry.provenance) for entry in combo))
         if best_key is None or key < best_key:
             best_key = key
-            best_choice = list(zip(combo, rates))
-    if best_choice is None:
-        raise InfeasibleAllocationError("no feasible assignment")
+            best_choice = list(zip(combo, map(float, rate[:, row])))
     return best_choice
 
 
@@ -165,9 +214,11 @@ def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
 
     Minimizes sum(unit cost * quantity) plus `po_overhead` for every distinct
     supplier beyond the first.  Ties break toward fewer suppliers, then the
-    lexicographically smallest supplier set.  The search enumerates supplier
-    subsets (items decouple given the subset); the per_supplier_total
-    competition basis falls back to full assignment enumeration.
+    lexicographically smallest supplier set, then the smallest per-item
+    (supplier, provenance) tuple.  When every item's cheapest option comes
+    from one supplier, that assignment is returned directly; otherwise the
+    search evaluates supplier subsets (items decouple given the subset), and
+    the per_supplier_total competition basis evaluates full assignments.
     """
     if not matrix.entries:
         raise ValueError("empty cost matrix")
@@ -180,11 +231,26 @@ def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
     items = sorted(matrix.entries)
     option_lists = [sorted(matrix.entries[item], key=_entry_sort_key) for item in items]
     units = [quantities[item] for item in items]
-    if matrix.competition_basis == "per_supplier_total" and matrix.competition_slope > 0.0:
-        priced = _allocate_by_assignment_enumeration(option_lists, units, po_overhead,
-                                                     matrix.competition_slope)
+    coupled = matrix.competition_basis == "per_supplier_total" and matrix.competition_slope > 0.0
+    pool = sorted({entry.supplier_id for options in option_lists for entry in options})
+    if not coupled and len(pool) > MAX_SUPPLIERS_PER_CATEGORY:
+        raise InfeasibleAllocationError(
+            f"supplier pool of {len(pool)} exceeds the exact-search bound of {MAX_SUPPLIERS_PER_CATEGORY}"
+        )
+    firsts = [options[0] for options in option_lists]
+    # every item at its cheapest rate with one order costs no more than any
+    # other assignment and wins the tie-break, unless a spot markup depends
+    # on the allocation
+    if (len({entry.supplier_id for entry in firsts}) == 1 and po_overhead >= 0
+            and not (coupled and any(entry.provenance == SPOT for entry in firsts))):
+        priced = [(entry, entry.unit_cost) for entry in firsts]
     else:
-        priced = _allocate_by_supplier_subsets(option_lists, units, po_overhead)
+        code = {supplier_id: index for index, supplier_id in enumerate(pool)}
+        if coupled:
+            priced = _allocate_by_assignment_enumeration(option_lists, units, po_overhead, code,
+                                                         matrix.competition_slope)
+        else:
+            priced = _allocate_by_supplier_subsets(option_lists, units, po_overhead, code)
     allocated = {item: AllocatedItem(supplier_id=entry.supplier_id, unit_cost=rate, quantity=q,
                                      provenance=entry.provenance)
                  for item, (entry, rate), q in zip(items, priced, units)}

@@ -1,12 +1,14 @@
 """Independent references used only by tests.
 
 These stay deliberately naive: the allocation oracle enumerates every
-assignment outright, the Weibull CDF is the textbook closed form, the hazard
-is evaluated pointwise from its definition, and the replication reference
-drives one scenario through a future-event queue.  The first three must not
-share code with the production solver or samplers they check; the
-replication reference checks the engine's timing, ordering and horizon cut,
-so it calls the same model layers as the engine.
+assignment outright, the reference solver searches supplier subsets and
+full assignments in Python loops, the Weibull CDF is the textbook closed
+form, the hazard is evaluated pointwise from its definition, and the
+replication reference drives one scenario through a future-event queue.
+The first four must not share code with the production solver or samplers
+they check (the reference solver takes only the option sort order from
+it); the replication reference checks the engine's timing, ordering and
+horizon cut, so it calls the same model layers as the engine.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from typing import Mapping
 import numpy as np
 
 from rto_sim import demand
-from rto_sim.domain import EventRecord, Quote, Requisition, Scenario
+from rto_sim.domain import (
+    MAX_SUPPLIERS_PER_CATEGORY,
+    AllocatedItem,
+    Allocation,
+    EventRecord,
+    Quote,
+    Requisition,
+    Scenario,
+)
 from rto_sim.engine import (
     PO_GENERATION,
     PR_GENERATION,
@@ -40,7 +50,17 @@ from rto_sim.hazards import (
 )
 from rto_sim.market import ContractBook, make_quote, scope_quote
 from rto_sim.metrics import ComplianceLedger, RunResult, record_allocation, utilization
-from rto_sim.policy import allocate_min_cost, build_cost_matrix, decide_rfq_scope
+from rto_sim.policy import (
+    ASSIGNMENT_ENUMERATION_LIMIT,
+    SPOT,
+    CostMatrix,
+    InfeasibleAllocationError,
+    MatrixEntry,
+    _entry_sort_key,
+    allocate_min_cost,
+    build_cost_matrix,
+    decide_rfq_scope,
+)
 
 ENUMERATION_LIMIT = 2 ** 20
 
@@ -79,6 +99,109 @@ def exhaustive_allocation(instance: OracleInstance) -> tuple[float, list[dict]]:
             minimizers.append(dict(zip(items, combo)))
     assert best is not None
     return best, minimizers
+
+
+# each search takes the items' options in _entry_sort_key order and their
+# quantities, and returns each item's (chosen option, final unit rate)
+_Priced = list[tuple[MatrixEntry, float]]
+
+
+def _allocate_by_supplier_subsets(option_lists: list[list[MatrixEntry]], units: list[int],
+                                  po_overhead: float) -> _Priced:
+    # given the supplier subset, each item independently takes its first
+    # option from a supplier in the subset
+    pool = sorted({entry.supplier_id for options in option_lists for entry in options})
+    if len(pool) > MAX_SUPPLIERS_PER_CATEGORY:
+        raise InfeasibleAllocationError(
+            f"supplier pool of {len(pool)} exceeds the exact-search bound of {MAX_SUPPLIERS_PER_CATEGORY}"
+        )
+    # subsets come in increasing size, each size in lexicographic order, so
+    # accepting only a strictly smaller total breaks ties toward fewer
+    # suppliers, then the smallest supplier set
+    best_total: float | None = None
+    best_choice: list[MatrixEntry] | None = None
+    for size in range(1, len(pool) + 1):
+        for subset in itertools.combinations(pool, size):
+            total = po_overhead * (size - 1)
+            choice = []
+            for options, q in zip(option_lists, units):
+                entry = next((e for e in options if e.supplier_id in subset), None)
+                if entry is None:
+                    break
+                choice.append(entry)
+                total += entry.unit_cost * q
+            else:
+                if best_total is None or total < best_total:
+                    best_total, best_choice = total, choice
+    if best_choice is None:
+        raise InfeasibleAllocationError("no feasible supplier subset")
+    return [(entry, entry.unit_cost) for entry in best_choice]
+
+
+def _allocate_by_assignment_enumeration(option_lists: list[list[MatrixEntry]], units: list[int],
+                                        po_overhead: float, slope: float) -> _Priced:
+    # per_supplier_total markup couples the items, so the subset search does
+    # not apply; enumerate full assignments instead
+    if math.prod(len(options) for options in option_lists) > ASSIGNMENT_ENUMERATION_LIMIT:
+        raise InfeasibleAllocationError(
+            f"assignment space exceeds enumeration bound of {ASSIGNMENT_ENUMERATION_LIMIT}"
+        )
+    best_key: tuple | None = None
+    best_choice: _Priced | None = None
+    for combo in itertools.product(*option_lists):
+        spot_units: dict[str, int] = {}
+        for entry, q in zip(combo, units):
+            if entry.provenance == SPOT:
+                spot_units[entry.supplier_id] = spot_units.get(entry.supplier_id, 0) + q
+        rates = [e.unit_cost + slope * spot_units[e.supplier_id] if e.provenance == SPOT else e.unit_cost
+                 for e in combo]
+        used = sorted({entry.supplier_id for entry in combo})
+        total = po_overhead * (len(used) - 1)
+        for rate, q in zip(rates, units):
+            total += rate * q
+        if best_key is not None and total > best_key[0]:
+            continue  # the key leads with the total, so it cannot win
+        key = (total, len(used), tuple(used),
+               tuple((e.supplier_id, e.provenance) for e in combo))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_choice = list(zip(combo, rates))
+    if best_choice is None:
+        raise InfeasibleAllocationError("no feasible assignment")
+    return best_choice
+
+
+def reference_allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
+                                po_overhead: float) -> Allocation:
+    """The scalar exact solver: `policy.allocate_min_cost` without the fast path, in Python loops.
+
+    Minimizes sum(unit cost * quantity) plus `po_overhead` for every distinct
+    supplier beyond the first.  Ties break toward fewer suppliers, then the
+    lexicographically smallest supplier set.  The search enumerates supplier
+    subsets (items decouple given the subset); the per_supplier_total
+    competition basis falls back to full assignment enumeration.
+    """
+    if not matrix.entries:
+        raise ValueError("empty cost matrix")
+    for item, options in matrix.entries.items():
+        if not options:
+            raise InfeasibleAllocationError(f"no admissible supplier for item {item!r}")
+        if quantities[item] < 1:
+            raise ValueError(f"quantity for item {item!r} must be at least 1")
+
+    items = sorted(matrix.entries)
+    option_lists = [sorted(matrix.entries[item], key=_entry_sort_key) for item in items]
+    units = [quantities[item] for item in items]
+    if matrix.competition_basis == "per_supplier_total" and matrix.competition_slope > 0.0:
+        priced = _allocate_by_assignment_enumeration(option_lists, units, po_overhead,
+                                                     matrix.competition_slope)
+    else:
+        priced = _allocate_by_supplier_subsets(option_lists, units, po_overhead)
+    allocated = {item: AllocatedItem(supplier_id=entry.supplier_id, unit_cost=rate, quantity=q,
+                                     provenance=entry.provenance)
+                 for item, (entry, rate), q in zip(items, priced, units)}
+    n_orders = len({entry.supplier_id for entry, _ in priced})
+    return Allocation(items=allocated, overhead_cost=po_overhead * (n_orders - 1))
 
 
 def weibull_cdf(shape: float, scale: float, x: float) -> float:

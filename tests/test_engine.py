@@ -4,6 +4,7 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,31 @@ def grid(base, slopes, policies=("naive", "dynamic")):
         for kind in policies for slope in slopes
     )
 
+
+
+class InlineExecutor:
+    """Runs each submitted chunk at once in this process; records the pool size and chunk starts."""
+
+    sizes: list[int] = []
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, job):
+        self.started.append(job[2][0])
+        future = Future()
+        try:
+            future.set_result(fn(job))
+        except Exception as exc:  # noqa: BLE001 - handed to the caller, as a pool would
+            future.set_exception(exc)
+        return future
 
 class TestRngPlan:
     def test_reproducible_streams(self):
@@ -224,27 +250,35 @@ class TestBatchDeterminism:
     def test_pool_never_exceeds_the_chunk_count(self, paper_scenario, monkeypatch):
         import rto_sim.engine as engine_mod
 
-        sizes = []
-
-        class InlineExecutor:
-            """Runs the chunks in this process and records the pool size asked for."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
         monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", InlineExecutor)
+        InlineExecutor.sizes.clear()
         batch = engine_mod.run_batch((paper_scenario,), 2, 42, parallelism=8)[0]
-        assert sizes == [2]
+        assert InlineExecutor.sizes == [2]
         assert batch.results == run_batch((paper_scenario,), 2, 42)[0].results
+
+    @pytest.mark.parametrize("failing, reported, n_started",
+                             [((0,), 0, 2), ((3,), 3, 4), ((1, 0), 0, 2)])
+    def test_failure_stops_handing_out_chunks(self, paper_scenario, monkeypatch,
+                                             failing, reported, n_started):
+        # 8 one-run chunks on 2 workers, each ending as soon as it is handed
+        # out: chunks go out in pairs, the pair holding a failure is the last
+        # one, and the first failing chunk in index order is reported
+        import rto_sim.engine as engine_mod
+
+        real = engine_mod.run_once
+
+        def exploding(scenarios, run_index, master_seed, **kwargs):
+            if run_index in failing:
+                raise RuntimeError("boom")
+            return real(scenarios, run_index, master_seed, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "run_once", exploding)
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", InlineExecutor)
+        InlineExecutor.started.clear()
+        with pytest.raises(BatchRunError) as err:
+            engine_mod.run_batch((paper_scenario,), 8, 42, parallelism=2)
+        assert err.value.run_index == reported
+        assert InlineExecutor.started == list(range(n_started))
 
     def test_batch_error_pickles_its_fields(self):
         err = pickle.loads(pickle.dumps(BatchRunError(7, "ValueError('a: b')")))

@@ -1,12 +1,14 @@
 """Cost-matrix construction and allocation-solver tests."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import OracleInstance, exhaustive_allocation
+from oracles import OracleInstance, exhaustive_allocation, reference_allocate_min_cost
+from rto_sim import policy
 from rto_sim.domain import PolicyKind, Quote, Requisition
 from rto_sim.policy import (
     CONTRACT,
@@ -211,6 +213,90 @@ class TestSupplierTotalBasis:
         assert alloc.items["P2"].unit_cost == pytest.approx(14.0)
 
 
+class TestArraySearches:
+    """The array searches and the fast path against the scalar reference solver, bit for bit."""
+
+    def test_matches_the_reference_on_random_matrices(self):
+        # integer costs 1-3 make exact ties common; a mixed instance lets one
+        # supplier offer an item both under contract and on spot
+        rng = random.Random(8)
+        for _ in range(20_000):
+            basis = rng.choice(("per_item", "per_supplier_total"))
+            slope = rng.choice((0.0, 0.05, 0.1))
+            matrix, quantities = _random_instance(rng, basis, slope, cost_range=(1, 3), max_items=4,
+                                                  max_suppliers=6, mixed=True)
+            _assert_matches_reference(matrix, quantities, rng.choice((0.0, 1.0, 3.0)))
+
+    def test_spot_first_options_from_one_supplier_still_split(self):
+        # both items on A would cost (5 + 0.1 * 20) * 20 = 140; the split
+        # costs (5 + 1) * 10 + (5.5 + 1) * 10 = 125
+        options = (MatrixEntry("A", 5.0, SPOT), MatrixEntry("B", 5.5, SPOT))
+        matrix = CostMatrix(entries={"P1": options, "P2": options}, competition_slope=0.1,
+                            competition_basis="per_supplier_total")
+        alloc = allocate_min_cost(matrix, {"P1": 10, "P2": 10}, 0.0)
+        assert alloc.total_cost == 125.0
+        assert {item: a.supplier_id for item, a in alloc.items.items()} == {"P1": "A", "P2": "B"}
+
+    @pytest.mark.parametrize("basis, slope, search", [
+        ("per_supplier_total", 0.1, "_allocate_by_assignment_enumeration"),
+        ("per_item", 0.0, "_allocate_by_supplier_subsets"),
+    ])
+    def test_first_options_from_one_supplier_skip_the_search(self, monkeypatch, basis, slope, search):
+        # every item's cheapest option is A's contract rate, so no search runs
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        matrix = CostMatrix(entries={
+            "P1": (MatrixEntry("A", 5.0, CONTRACT), MatrixEntry("B", 6.0, SPOT)),
+            "P2": (MatrixEntry("A", 6.0, CONTRACT), MatrixEntry("B", 6.5, SPOT),
+                   MatrixEntry("A", 6.0, SPOT)),
+        }, competition_slope=slope, competition_basis=basis)
+        quantities = {"P1": 3, "P2": 4}
+        want = reference_allocate_min_cost(matrix, quantities, 10.0)
+        monkeypatch.setattr(policy, search, no_search)
+        alloc = allocate_min_cost(matrix, quantities, 10.0)
+        assert alloc == want
+        assert {(a.supplier_id, a.provenance) for a in alloc.items.values()} == {("A", CONTRACT)}
+
+    @pytest.mark.parametrize("block", [2, 7])
+    def test_small_blocks_match_the_reference(self, monkeypatch, block):
+        monkeypatch.setattr(policy, "_ENUMERATION_BLOCK", block)
+        rng = random.Random(block)
+        for _ in range(2000):
+            matrix, quantities = _random_instance(rng, "per_supplier_total", 0.1, cost_range=(1, 3),
+                                                  max_items=4, max_suppliers=4, mixed=True)
+            _assert_matches_reference(matrix, quantities, rng.choice((0.0, 1.0, 3.0)))
+
+    def test_tie_straddling_two_blocks(self, monkeypatch):
+        # assignments 0 (A, B) and 2 (B, B) both total 2; the second, in the
+        # second block, wins on fewer suppliers
+        monkeypatch.setattr(policy, "_ENUMERATION_BLOCK", 2)
+        matrix = CostMatrix(entries={
+            "P1": (MatrixEntry("A", 1.0, CONTRACT), MatrixEntry("B", 1.0, CONTRACT)),
+            "P2": (MatrixEntry("B", 1.0, CONTRACT), MatrixEntry("C", 5.0, SPOT)),
+        }, competition_slope=0.1, competition_basis="per_supplier_total")
+        alloc = allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 0.0)
+        assert alloc.suppliers_used == ("B",)
+        assert alloc == reference_allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 0.0)
+
+    def test_a_million_assignments_stay_within_32_mb(self):
+        rng = random.Random(6)
+        suppliers = [f"S{i}" for i in range(10)]
+        entries = {f"P{k}": tuple(MatrixEntry(s, rng.uniform(5.0, 15.0), SPOT) for s in suppliers)
+                   for k in range(6)}
+        matrix = CostMatrix(entries=entries, competition_slope=0.01,
+                            competition_basis="per_supplier_total")
+        quantities = {item: rng.randint(1, 10) for item in entries}
+        tracemalloc.start()
+        try:
+            alloc = allocate_min_cost(matrix, quantities, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert len(alloc.items) == 6
+
+
 class TestDecideRfqScope:
     def test_all_contracted_naive_skips_rfq(self):
         req = requisition({"P1": 1, "P2": 1})
@@ -231,9 +317,10 @@ class TestDecideRfqScope:
 
 
 def _random_instance(rng: random.Random, basis: str = "per_item", slope: float = 0.0,
-                     cost_range: tuple[int, int] = (1, 20)):
-    n_items = rng.randint(1, 5)
-    n_suppliers = rng.randint(1, 3)
+                     cost_range: tuple[int, int] = (1, 20), max_items: int = 5,
+                     max_suppliers: int = 3, mixed: bool = False):
+    n_items = rng.randint(1, max_items)
+    n_suppliers = rng.randint(1, max_suppliers)
     suppliers = [f"S{i}" for i in range(n_suppliers)]
     entries = {}
     quantities = {}
@@ -241,11 +328,23 @@ def _random_instance(rng: random.Random, basis: str = "per_item", slope: float =
         item = f"P{k}"
         # every item keeps at least one option so instances stay feasible
         available = [s for s in suppliers if rng.random() < 0.8] or [rng.choice(suppliers)]
-        entries[item] = tuple(
-            MatrixEntry(s, float(rng.randint(*cost_range)), SPOT) for s in sorted(available)
-        )
+        options = []
+        for s in sorted(available):
+            # a mixed instance lets a supplier offer the item under contract,
+            # on spot, or both
+            kinds = rng.choice(((CONTRACT,), (SPOT,), (CONTRACT, SPOT))) if mixed else (SPOT,)
+            options += [MatrixEntry(s, float(rng.randint(*cost_range)), kind) for kind in kinds]
+        entries[item] = tuple(options)
         quantities[item] = rng.randint(1, 10)
     return CostMatrix(entries=entries, competition_slope=slope, competition_basis=basis), quantities
+
+
+def _assert_matches_reference(matrix, quantities, overhead):
+    got = allocate_min_cost(matrix, quantities, overhead)
+    want = reference_allocate_min_cost(matrix, quantities, overhead)
+    assert ({item: (a.supplier_id, a.provenance, a.unit_cost) for item, a in got.items.items()}
+            == {item: (a.supplier_id, a.provenance, a.unit_cost) for item, a in want.items.items()})
+    assert got.overhead_cost == want.overhead_cost
 
 
 def _assert_matches_oracle(matrix, quantities, overhead):
