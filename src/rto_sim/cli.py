@@ -325,7 +325,7 @@ def write_summary_json(path: Path, config: Mapping[str, Any],
 def _event_detail(record) -> str:
     payload = record.payload
     if record.kind == PR_GENERATION:
-        return "items=" + "|".join(f"{pid}:{q}" for pid, q in sorted(payload.items.items()))
+        return "items=" + "|".join(f"{pid}:{q}" for pid, q in payload.items.items())
     if record.kind == PR_HANDLING:
         contracted = "|".join(sorted(payload.contract_terms))
         return (f"contracted={contracted};rfq_items=" + "|".join(payload.rfq_items)

@@ -118,6 +118,7 @@ class Requisition:
     items: Mapping[str, int]  # product id -> quantity, present iff included
 
     def __post_init__(self):
+        object.__setattr__(self, "items", dict(sorted(self.items.items())))
         for product_id, quantity in self.items.items():
             if quantity < 1:
                 raise ScenarioValidationError(

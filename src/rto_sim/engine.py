@@ -235,8 +235,7 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
         to_po = sample_exponential_delay(delays.handling_to_po, d)
         terms = None
         if handled_at < horizon:
-            terms = book.terms_snapshot(sorted(requisition.items), category.eligible_suppliers,
-                                        handled_at)
+            terms = book.terms_snapshot(requisition.items, category.eligible_suppliers, handled_at)
         if collect_log:
             generated = EventRecord(kind=PR_GENERATION, time=requisition.created_at,
                                     pr_id=requisition.id, vessel_id=requisition.vessel_id,

@@ -76,7 +76,7 @@ def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str,
         for product_id in category_product_ids:
             noise[product_id] = rng.standard_normal()
     unit_rates: dict[str, float] = {}
-    for product_id in sorted(requisition.items):
+    for product_id in requisition.items:
         rate = _seasonal_rate(model.rates[(product_id, supplier_id)], model.period, response_time)
         rate += model.noise_sd * noise.get(product_id, 0.0)
         unit_rates[product_id] = max(rate, MIN_SPOT_RATE)

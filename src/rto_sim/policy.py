@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -76,7 +77,7 @@ def build_cost_matrix(requisition: Requisition,
     provenances.
     """
     entries: dict[str, tuple[MatrixEntry, ...]] = {}
-    for item in sorted(requisition.items):
+    for item in requisition.items:
         terms = contract_terms.get(item, {})
         options = [MatrixEntry(supplier_id, terms[supplier_id], CONTRACT) for supplier_id in sorted(terms)]
         for supplier_id in sorted(quotes):
@@ -103,21 +104,22 @@ _ENUMERATION_BLOCK = 1 << 14
 
 
 @functools.lru_cache(maxsize=None)
-def _subset_membership(n_suppliers: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every non-empty subset of range(n_suppliers) as a membership row, with its size.
+def _supplier_sets(n_suppliers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every non-empty subset of range(n_suppliers) in the tie-break order of supplier sets.
 
-    Subsets come in increasing size, each size in `itertools.combinations`
-    order.  A last column, index -1, is offered by every subset.
+    That is by size, each size in `combinations` order.  Returns the membership
+    rows, with a last column every set offers, the sizes, and the row of each
+    set's bit mask (bit i for supplier i).
     """
-    subsets = [subset for size in range(1, n_suppliers + 1)
-               for subset in itertools.combinations(range(n_suppliers), size)]
-    member = np.zeros((len(subsets), n_suppliers + 1), dtype=bool)
-    member[:, -1] = True
-    for row, subset in enumerate(subsets):
-        member[row, list(subset)] = True
-    sizes = np.array([len(subset) for subset in subsets])
-    member.flags.writeable = sizes.flags.writeable = False
-    return member, sizes
+    masks = np.array([sum(1 << index for index in subset) for size in range(1, n_suppliers + 1)
+                      for subset in itertools.combinations(range(n_suppliers), size)])
+    member = np.ones((len(masks), n_suppliers + 1), dtype=bool)
+    member[:, :-1] = (masks[:, None] >> np.arange(n_suppliers)) & 1
+    sizes = member.sum(axis=1) - 1
+    rank = np.zeros(1 << n_suppliers, dtype=np.intp)
+    rank[masks] = np.arange(len(masks))
+    member.flags.writeable = sizes.flags.writeable = rank.flags.writeable = False
+    return member, sizes, rank
 
 
 def _allocate_by_supplier_subsets(option_lists: list[list[MatrixEntry]], units: list[int],
@@ -126,7 +128,7 @@ def _allocate_by_supplier_subsets(option_lists: list[list[MatrixEntry]], units: 
     # option from a supplier in the subset; every subset is one array row,
     # and an item no supplier of the subset offers falls to the last column,
     # priced at inf
-    member, sizes = _subset_membership(len(code))
+    member, sizes, _ = _supplier_sets(len(code))
     total = po_overhead * (sizes - 1)
     choices = []
     for options, q in zip(option_lists, units):
@@ -148,63 +150,50 @@ def _allocate_by_assignment_enumeration(option_lists: list[list[MatrixEntry]], u
                                         slope: float) -> _Priced:
     # per_supplier_total markup couples the items, so the subset search does
     # not apply; evaluate every full assignment, in itertools.product order,
-    # one block of rows at a time
+    # one block of rows at a time.  With each item's options in (supplier,
+    # provenance) order ("contract" < "spot"), that is the per-item tie-break
+    option_lists = [sorted(options, key=operator.attrgetter("supplier_id", "provenance"))
+                    for options in option_lists]
     shape = tuple(len(options) for options in option_lists)
     n_assignments = math.prod(shape)
     if n_assignments > ASSIGNMENT_ENUMERATION_LIMIT:
-        raise InfeasibleAllocationError(
-            f"assignment space exceeds enumeration bound of {ASSIGNMENT_ENUMERATION_LIMIT}"
-        )
+        raise InfeasibleAllocationError("assignment space exceeds enumeration bound of "
+                                        f"{ASSIGNMENT_ENUMERATION_LIMIT}")
     # one column per option of every item, items in order: the supplier's
     # index, the base rate, the markup per spot unit (exactly 0.0 on a
-    # contract rate), the spot units the option adds to its supplier, and
-    # (supplier, provenance) as one number in tuple order
+    # contract rate) and the spot units the option adds to its supplier
     flat = [entry for options in option_lists for entry in options]
-    columns = []
-    for options, q in zip(option_lists, units):
-        for entry in options:
-            spot = entry.provenance == SPOT
-            index = code[entry.supplier_id]
-            columns.append((index, entry.unit_cost, slope if spot else 0.0, q if spot else 0,
-                            2 * index + _PROVENANCE_RANK[entry.provenance]))
-    supplier, cost, markup, spot_units, item_key = np.array(columns).T
+    columns = [(code[entry.supplier_id], entry.unit_cost) + ((slope, q) if entry.provenance == SPOT else (0.0, 0))
+               for options, q in zip(option_lists, units) for entry in options]
+    supplier, cost, markup, spot_units = np.array(columns).T
     supplier = supplier.astype(np.intp)
+    bit = 1 << supplier
     offsets = np.array([0, *itertools.accumulate(shape[:-1])])[:, None]
     quantity = np.array(units)[:, None]
     n_pool = len(code)
+    _, sizes, rank = _supplier_sets(n_pool)
 
-    best_key: tuple | None = None
-    best_choice: _Priced | None = None
+    best_key = best_choice = None
     for start in range(0, n_assignments, _ENUMERATION_BLOCK):
         rows = np.arange(start, min(start + _ENUMERATION_BLOCK, n_assignments))
         option = np.stack(np.unravel_index(rows, shape)) + offsets  # (item, row)
-        # (row, supplier) cells: suppliers used and their spot volume
+        # each row's spot volume per (row, supplier) cell
         cell = (supplier[option] + np.arange(len(rows)) * n_pool).ravel()
-        used = np.bincount(cell, minlength=len(rows) * n_pool).reshape(len(rows), n_pool) > 0
         volume = np.bincount(cell, weights=spot_units[option].ravel(), minlength=len(rows) * n_pool)
         rate = cost[option] + markup[option] * volume[cell].reshape(option.shape)
-        n_used = used.sum(axis=1)
+        position = rank[functools.reduce(operator.or_, bit[option])]  # the row's supplier set
         # bit-identical to a scalar loop: the overhead first, then each
         # item's rate * q in item order
-        total = po_overhead * (n_used - 1)
+        total = po_overhead * (sizes[position] - 1)
         for item_total in rate * quantity:
             total = total + item_total
-        # the key leads with the total, so only rows at the minimum can win;
-        # among those, lexsort orders by (len(used), used, per-item key): a
-        # sorted supplier tuple of fixed length compares as its membership
-        # row with members first
+        # among rows at the minimum, argmin takes the first of the earliest set
         tied = np.flatnonzero(total == total.min())
-        if len(tied) > 1:
-            tied = tied[np.lexsort(np.vstack((item_key[option[:, tied]][::-1],
-                                              ~used[tied].T[::-1], n_used[tied])))]
-        row = tied[0]
-        combo = [flat[column] for column in option[:, row]]
-        used_ids = sorted({entry.supplier_id for entry in combo})
-        key = (float(total[row]), len(used_ids), tuple(used_ids),
-               tuple((entry.supplier_id, entry.provenance) for entry in combo))
+        row = tied[np.argmin(position[tied])]
+        key = (float(total[row]), int(position[row]))
         if best_key is None or key < best_key:
             best_key = key
-            best_choice = list(zip(combo, map(float, rate[:, row])))
+            best_choice = [(flat[column], float(r)) for column, r in zip(option[:, row], rate[:, row])]
     return best_choice
 
 
@@ -222,6 +211,8 @@ def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
     """
     if not matrix.entries:
         raise ValueError("empty cost matrix")
+    if not (math.isfinite(po_overhead) and po_overhead >= 0):
+        raise ValueError(f"po_overhead must be finite and non-negative, got {po_overhead!r}")
     for item, options in matrix.entries.items():
         if not options:
             raise InfeasibleAllocationError(f"no admissible supplier for item {item!r}")
@@ -233,15 +224,14 @@ def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
     units = [quantities[item] for item in items]
     coupled = matrix.competition_basis == "per_supplier_total" and matrix.competition_slope > 0.0
     pool = sorted({entry.supplier_id for options in option_lists for entry in options})
-    if not coupled and len(pool) > MAX_SUPPLIERS_PER_CATEGORY:
-        raise InfeasibleAllocationError(
-            f"supplier pool of {len(pool)} exceeds the exact-search bound of {MAX_SUPPLIERS_PER_CATEGORY}"
-        )
+    if len(pool) > MAX_SUPPLIERS_PER_CATEGORY:
+        raise InfeasibleAllocationError(f"supplier pool of {len(pool)} exceeds the exact-search bound "
+                                        f"of {MAX_SUPPLIERS_PER_CATEGORY}")
     firsts = [options[0] for options in option_lists]
     # every item at its cheapest rate with one order costs no more than any
     # other assignment and wins the tie-break, unless a spot markup depends
     # on the allocation
-    if (len({entry.supplier_id for entry in firsts}) == 1 and po_overhead >= 0
+    if (len({entry.supplier_id for entry in firsts}) == 1
             and not (coupled and any(entry.provenance == SPOT for entry in firsts))):
         priced = [(entry, entry.unit_cost) for entry in firsts]
     else:
@@ -269,5 +259,5 @@ def decide_rfq_scope(requisition: Requisition,
     holders included.
     """
     if policy.kind == "dynamic":
-        return tuple(sorted(requisition.items))
-    return tuple(i for i in sorted(requisition.items) if not contract_terms.get(i))
+        return tuple(requisition.items)
+    return tuple(i for i in requisition.items if not contract_terms.get(i))

@@ -173,6 +173,13 @@ class TestNormalization:
         assert shuffled.vessels == paper_scenario.vessels
         assert shuffled.suppliers == paper_scenario.suppliers
 
+    def test_requisition_items_sorted_on_construction(self):
+        items = {"P3": 1, "P1": 4, "P2": 2}
+        req = Requisition(id="r", vessel_id="V", category_id="c", created_at=1.0, items=items)
+        assert list(req.items.items()) == [("P1", 4), ("P2", 2), ("P3", 1)]
+        items["P4"] = 5  # the requisition holds its own copy
+        assert list(req.items) == ["P1", "P2", "P3"]
+
 
 class TestRoundTrip:
     def test_serialize_parse_round_trip(self, paper_file):

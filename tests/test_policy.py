@@ -1,5 +1,8 @@
 """Cost-matrix construction and allocation-solver tests."""
 
+import dataclasses
+import itertools
+import math
 import random
 import tracemalloc
 
@@ -126,6 +129,23 @@ class TestAllocateMinCost:
         with pytest.raises(InfeasibleAllocationError, match="exact-search bound"):
             allocate_min_cost(matrix, {"P1": 1}, 10.0)
 
+    def test_supplier_pool_bound_covers_the_coupled_basis(self):
+        options = tuple(MatrixEntry(f"S{i:02d}", 5.0, SPOT) for i in range(13))
+        matrix = CostMatrix(entries={"P1": options, "P2": options[::-1]}, competition_slope=0.1,
+                            competition_basis="per_supplier_total")
+        with pytest.raises(InfeasibleAllocationError, match="supplier pool of 13 exceeds"):
+            allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 10.0)
+
+    @pytest.mark.parametrize("overhead", [-50.0, math.nan, math.inf])
+    def test_negative_or_non_finite_overhead_rejected(self, overhead):
+        # at -50 the subset search would return A, A at 20.0, charging the
+        # overhead for every supplier of a set, used or not, while A, B costs
+        # -10.0; at NaN it would return a NaN cost
+        options = (MatrixEntry("A", 10.0, SPOT), MatrixEntry("B", 30.0, SPOT))
+        matrix = CostMatrix(entries={"P1": options, "P2": options})
+        with pytest.raises(ValueError, match="po_overhead must be finite and non-negative"):
+            allocate_min_cost(matrix, {"P1": 1, "P2": 1}, overhead)
+
     def test_contract_preferred_on_equal_cost(self):
         matrix = CostMatrix(entries={
             "P1": (MatrixEntry("A", 5.0, SPOT), MatrixEntry("A", 5.0, CONTRACT)),
@@ -218,14 +238,21 @@ class TestArraySearches:
 
     def test_matches_the_reference_on_random_matrices(self):
         # integer costs 1-3 make exact ties common; a mixed instance lets one
-        # supplier offer an item both under contract and on spot
-        rng = random.Random(8)
+        # supplier offer an item both under contract and on spot; the
+        # instance's options come sorted by supplier, so each is also solved
+        # with every item's options shuffled
+        rng, shuffler = random.Random(8), random.Random(9)
         for _ in range(20_000):
             basis = rng.choice(("per_item", "per_supplier_total"))
             slope = rng.choice((0.0, 0.05, 0.1))
             matrix, quantities = _random_instance(rng, basis, slope, cost_range=(1, 3), max_items=4,
                                                   max_suppliers=6, mixed=True)
-            _assert_matches_reference(matrix, quantities, rng.choice((0.0, 1.0, 3.0)))
+            overhead = rng.choice((0.0, 1.0, 3.0))
+            _assert_matches_reference(matrix, quantities, overhead)
+            shuffled = {item: tuple(shuffler.sample(options, len(options)))
+                        for item, options in matrix.entries.items()}
+            _assert_matches_reference(dataclasses.replace(matrix, entries=shuffled), quantities,
+                                      overhead)
 
     def test_spot_first_options_from_one_supplier_still_split(self):
         # both items on A would cost (5 + 0.1 * 20) * 20 = 140; the split
@@ -278,6 +305,33 @@ class TestArraySearches:
         alloc = allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 0.0)
         assert alloc.suppliers_used == ("B",)
         assert alloc == reference_allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 0.0)
+
+    def test_full_tie_straddling_two_blocks_keeps_the_earlier_row(self, monkeypatch):
+        # in (supplier, provenance) order, assignments 0 (A contract, A
+        # contract) and 2 (A spot at 0.5 + 0.5 * 1, A contract) both total 2.0
+        # on the set {A}; the first, in the first block, wins
+        monkeypatch.setattr(policy, "_ENUMERATION_BLOCK", 2)
+        matrix = CostMatrix(entries={
+            "P1": (MatrixEntry("A", 0.5, SPOT), MatrixEntry("A", 1.0, CONTRACT)),
+            "P2": (MatrixEntry("B", 5.0, SPOT), MatrixEntry("A", 1.0, CONTRACT)),
+        }, competition_slope=0.5, competition_basis="per_supplier_total")
+        alloc = allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 0.0)
+        assert {item: a.provenance for item, a in alloc.items.items()} == {"P1": CONTRACT,
+                                                                           "P2": CONTRACT}
+        assert alloc.total_cost == 2.0
+        assert alloc == reference_allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 0.0)
+
+    @pytest.mark.parametrize("n_suppliers", range(1, 13))
+    def test_supplier_sets_in_tie_break_order(self, n_suppliers):
+        member, sizes, rank = policy._supplier_sets(n_suppliers)
+        subsets = [subset for size in range(1, n_suppliers + 1)
+                   for subset in itertools.combinations(range(n_suppliers), size)]
+        assert [tuple(row.nonzero()[0]) for row in member[:, :-1]] == subsets
+        assert member[:, -1].all()
+        assert (sizes == member.sum(axis=1) - 1).all()
+        masks = [sum(1 << index for index in subset) for subset in subsets]
+        assert (rank[masks] == range(len(subsets))).all()
+        assert not (member.flags.writeable or sizes.flags.writeable or rank.flags.writeable)
 
     def test_a_million_assignments_stay_within_32_mb(self):
         rng = random.Random(6)
