@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .domain import POLICY_KINDS, Scenario, validate_scenario
+from .domain import POLICY_KINDS, Scenario, ScenarioValidationError, validate_scenario
 from .engine import (
     PO_GENERATION,
     PR_GENERATION,
@@ -55,12 +55,8 @@ SCHEMA_VERSION = 1
 ENV_SEED = "RTO_SIM_SEED"
 
 
-class ScenarioFormatError(ValueError):
+class ScenarioFormatError(ScenarioValidationError):
     """Scenario document is malformed; the message carries the field path."""
-
-    def __init__(self, message: str, path: str = ""):
-        self.path = path
-        super().__init__(f"{path}: {message}" if path else message)
 
 
 @dataclass(frozen=True)

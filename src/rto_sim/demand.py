@@ -10,27 +10,14 @@ level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .domain import Category, Requisition, Vessel
 
 __all__ = [
-    "InventoryState",
     "inventory_level",
     "propensity",
     "build_requisition",
 ]
-
-
-@dataclass
-class InventoryState:
-    """Last-replenishment clock per product for one vessel; levels are derived."""
-
-    last_replenished: dict[str, float]
-
-    @classmethod
-    def fresh(cls, category: Category) -> "InventoryState":
-        return cls({p.id: 0.0 for p in category.products})
 
 
 def inventory_level(q0: int, depletion_rate: float, t: float, t_last: float) -> float:
@@ -49,27 +36,29 @@ def propensity(q0: int, level: float) -> float:
     return (q0 - level) / q0
 
 
-def build_requisition(vessel: Vessel, category: Category, inventory: InventoryState,
+def build_requisition(vessel: Vessel, category: Category, last_replenished: dict[str, float],
                       t: float, rng, pr_id: str = "") -> Requisition | None:
     """Sample the content of a request triggered at time t; None when nothing is included.
 
-    Inclusion is decided per product by inverse transform (include iff U < p),
-    consuming exactly one draw per product regardless of outcome, so a fixed
-    stream yields comparable draws across scenarios.  Included products are
-    restocked to baseline (quantity = depleted amount, rounded up); inventory
-    is untouched when the draw comes up empty.
+    `last_replenished` maps each product id to its last restock day; stock
+    levels derive from it.  Inclusion is decided per product by inverse
+    transform (include iff U < p), consuming exactly one draw per product
+    regardless of outcome, so a fixed stream yields comparable draws across
+    scenarios.  Included products are restocked to baseline (quantity =
+    depleted amount, rounded up, restock day t); `last_replenished` is
+    untouched when the draw comes up empty.
     """
     items: dict[str, int] = {}
     for product in category.products:
         level = inventory_level(product.baseline_stock, product.depletion_rate,
-                                t, inventory.last_replenished[product.id])
+                                t, last_replenished[product.id])
         p = propensity(product.baseline_stock, level)
         if rng.random() < p:
             items[product.id] = math.ceil(product.baseline_stock - level)
     if not items:
         return None
     for product_id in items:
-        inventory.last_replenished[product_id] = t
+        last_replenished[product_id] = t
     return Requisition(id=pr_id, vessel_id=vessel.id, category_id=category.id,
                        created_at=t, items=items)
 

@@ -9,6 +9,7 @@ order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 MAX_SUPPLIERS_PER_CATEGORY = 12  # exact allocation search enumerates supplier subsets
+ASSIGNMENT_ENUMERATION_LIMIT = 2 ** 20  # the coupled per_supplier_total search enumerates assignments
 
 
 class ScenarioValidationError(ValueError):
@@ -363,6 +365,14 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     _check(scenario.policy.kind in POLICY_KINDS, "policy kind must be naive or dynamic", "policy.kind")
     _check(_finite(scenario.policy.po_overhead) and scenario.policy.po_overhead >= 0,
            "order overhead must be finite and non-negative", "policy.po_overhead")
+    if spot.competition_basis == "per_supplier_total" and spot.competition_slope > 0:
+        # an item has at most one option per eligible supplier; dynamic adds
+        # a contract rate per supplier holding a contract on it
+        holders = Counter(p for p, _ in windows) if scenario.policy.kind == "dynamic" else Counter()
+        for c, category in enumerate(scenario.catalog.categories):
+            space = math.prod(len(category.eligible_suppliers) + holders[p.id] for p in category.products)
+            _check(space <= ASSIGNMENT_ENUMERATION_LIMIT, f"per_supplier_total assignment space of {space} "
+                   f"exceeds the enumeration bound of {ASSIGNMENT_ENUMERATION_LIMIT}", f"catalog.categories[{c}]")
 
     d = scenario.delays
     for name in ("creation_to_approval", "approval_to_handling", "rfq_response", "handling_to_po"):

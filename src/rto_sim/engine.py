@@ -2,7 +2,7 @@
 
 A replication is simulated for a grid of scenarios that differ only in
 policy and competition slope (the cells).  Requisitions never interact: the
-contract book is immutable, the ledger only adds, inventories are per
+contract book is immutable, contract volumes only add, inventories are per
 (vessel, category), and every random draw comes from a stream keyed by
 (run, purpose, entity).  So the policy-independent part of a requisition --
 its trigger, content, processing delays, contract snapshot and supplier
@@ -31,7 +31,7 @@ from . import demand, hazards
 from .domain import Allocation, Category, EventRecord, PolicyKind, Quote, Requisition, Scenario, SpotModel
 from .hazards import sample_exponential_delay
 from .market import ContractBook, make_quote, scope_quote
-from .metrics import ComplianceLedger, RunResult, record_allocation, utilization
+from .metrics import RunResult, record_allocation, utilization
 from .policy import allocate_min_cost, build_cost_matrix, decide_rfq_scope
 
 __all__ = [
@@ -136,29 +136,26 @@ class _Cell:
     orders: list[tuple[float, int, Allocation]] = field(default_factory=list)
     log: list[EventRecord] = field(default_factory=list)
 
-    def output(self, world: Scenario, run_index: int, n_pr: int, empty_draws: int,
-               collect_log: bool) -> RunOutput:
+    def output(self, world: Scenario, commitments: Mapping[str, int], run_index: int, n_pr: int,
+               empty_draws: int, collect_log: bool) -> RunOutput:
         """The cell's result; orders accrue in order time, so the cost sum adds as an event clock would."""
-        ledger = ComplianceLedger.from_contracts(world.contracts)
+        volumes = dict.fromkeys(commitments, 0)
         terminal_cost = 0.0
         self.orders.sort(key=itemgetter(0, 1))
         for _, _, allocation in self.orders:
-            terminal_cost += record_allocation(ledger, allocation)
+            terminal_cost += record_allocation(volumes, allocation)
         if collect_log:
             # records were appended per requisition in walk order; the stable
             # sort keeps that order among equal times
             self.log.sort(key=attrgetter("time"))
             self.log.append(EventRecord(kind=TERMINATION, time=world.horizon))
 
-        utilizations = {s: utilization(ledger.volumes[s], k)
-                        for s, k in sorted(ledger.commitments.items()) if k > 0}
-        deviations = {s: ledger.volumes[s] - k for s, k in sorted(ledger.commitments.items())}
         result = RunResult(
             run_index=run_index,
             terminal_cost=terminal_cost,
-            volumes=dict(sorted(ledger.volumes.items())),
-            utilizations=utilizations,
-            deviations=deviations,
+            volumes=volumes,
+            utilizations={s: utilization(volumes[s], k) for s, k in commitments.items() if k > 0},
+            deviations={s: volumes[s] - k for s, k in commitments.items()},
             n_pr=n_pr,
             n_hl=self.n_hl,
             n_po=len(self.orders),
@@ -184,12 +181,12 @@ def _triggers(world: Scenario, run_index: int, plan) -> Iterator[tuple[Category,
             gaps = plan.stream(run_index, "pr-gap", entity)
             contents = plan.stream(run_index, "pr-items", entity)
             spec = vessel.hazards[category_id]
-            inventory = demand.InventoryState.fresh(category)
+            last_replenished = dict.fromkeys(category.product_ids, 0.0)
             count = 0
             t = hazards.sample_gap(spec, 0.0, horizon, gaps)
             while t is not None and t < horizon:
-                requisition = demand.build_requisition(vessel, category, inventory, t, contents,
-                                                       pr_id=f"{entity}:{count}")
+                requisition = demand.build_requisition(vessel, category, last_replenished, t,
+                                                       contents, pr_id=f"{entity}:{count}")
                 if requisition is not None:
                     count += 1
                 yield category, requisition
@@ -222,6 +219,9 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     product_ids = {c.id: c.product_ids for c in world.catalog.categories}
     lead_times = {s.id: s.spot_lead_time for s in world.suppliers}
     cells = [_Cell(s.policy, s.spot, n_rfq=dict.fromkeys(lead_times, 0)) for s in scenarios]
+    commitments: dict[str, int] = {}  # in supplier order: the contracts are sorted by supplier
+    for contract in world.contracts:
+        commitments[contract.supplier_id] = commitments.get(contract.supplier_id, 0) + contract.volume_commitment
     n_pr = empty_draws = 0
 
     for category, requisition in _triggers(world, run_index, plan):
@@ -292,7 +292,8 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                 cell.log.append(EventRecord(kind=PO_GENERATION, time=po_at, pr_id=requisition.id,
                                             payload=allocation))
 
-    return tuple(cell.output(world, run_index, n_pr, empty_draws, collect_log) for cell in cells)
+    return tuple(cell.output(world, commitments, run_index, n_pr, empty_draws, collect_log)
+                 for cell in cells)
 
 
 def _run_span(args) -> list:

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .domain import Allocation, Contract
+from .domain import Allocation
 
 __all__ = [
-    "ComplianceLedger",
     "RunResult",
     "record_allocation",
     "utilization",
@@ -23,34 +22,15 @@ __all__ = [
 QUANTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
 
 
-@dataclass
-class ComplianceLedger:
-    """Volume allocated under contract terms per supplier, against commitments."""
-
-    commitments: dict[str, int]
-    volumes: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_contracts(cls, contracts: Iterable[Contract]) -> "ComplianceLedger":
-        commitments: dict[str, int] = {}
-        volumes: dict[str, int] = {}
-        for contract in contracts:
-            commitments[contract.supplier_id] = (
-                commitments.get(contract.supplier_id, 0) + contract.volume_commitment
-            )
-            volumes.setdefault(contract.supplier_id, 0)
-        return cls(commitments=commitments, volumes=volumes)
-
-
-def record_allocation(ledger: ComplianceLedger, allocation: Allocation) -> float:
-    """Accrue one finalized order; returns its cost, `allocation.total_cost`.
+def record_allocation(volumes: dict[str, int], allocation: Allocation) -> float:
+    """Add one finalized order's contract units to `volumes` (supplier -> units); returns its cost.
 
     Only contract-provenance items count toward committed volume: spot
     allocations to a supplier who also holds a contract do not fulfil it.
     """
     for item in allocation.items.values():
         if item.provenance == "contract":
-            ledger.volumes[item.supplier_id] = ledger.volumes.get(item.supplier_id, 0) + item.quantity
+            volumes[item.supplier_id] = volumes.get(item.supplier_id, 0) + item.quantity
     return allocation.total_cost
 
 

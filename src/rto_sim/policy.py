@@ -12,6 +12,7 @@ from typing import Mapping
 import numpy as np
 
 from .domain import (
+    ASSIGNMENT_ENUMERATION_LIMIT,
     MAX_SUPPLIERS_PER_CATEGORY,
     AllocatedItem,
     Allocation,
@@ -34,8 +35,6 @@ __all__ = [
 CONTRACT = "contract"
 SPOT = "spot"
 _PROVENANCE_RANK = {CONTRACT: 0, SPOT: 1}
-
-ASSIGNMENT_ENUMERATION_LIMIT = 2 ** 20
 
 
 class InfeasibleAllocationError(RuntimeError):

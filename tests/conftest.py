@@ -185,6 +185,28 @@ def three_supplier_spot_scenario(horizon: float = 100.0) -> Scenario:
     )
 
 
+def uniform_market_scenario(n_suppliers: int, n_products: int, *, basis: str = "per_supplier_total",
+                            slope: float = 0.05, kind: str = "naive", holders: int = 0) -> Scenario:
+    """One category with every supplier eligible and no vessels.
+
+    The first `holders` suppliers hold a contract on every product.
+    """
+    suppliers = [f"S{i:02d}" for i in range(n_suppliers)]
+    products = [f"P{i:02d}" for i in range(n_products)]
+    return Scenario(
+        horizon=100.0,
+        catalog=Catalog(categories=(Category(id="cat", eligible_suppliers=tuple(suppliers), products=tuple(
+            Product(id=p, family_id="F", baseline_stock=10, depletion_rate=0.5) for p in products)),)),
+        vessels=(),
+        suppliers=tuple(Supplier(id=s) for s in suppliers),
+        contracts=tuple(Contract(supplier_id=s, product_rates=dict.fromkeys(products, 5.0),
+                                 valid_from=0.0, valid_until=100.0) for s in suppliers[:holders]),
+        spot=SpotModel(rates={(p, s): SpotRate(baseline=5.0) for p in products for s in suppliers},
+                       competition_slope=slope, competition_basis=basis),
+        policy=PolicyKind(kind=kind),
+    )
+
+
 def random_scenario(seed: int) -> Scenario:
     """Small structurally valid scenario with randomized shape, for invariant sweeps."""
     rng = random.Random(seed)

@@ -6,9 +6,9 @@ full assignments in Python loops, the Weibull CDF is the textbook closed
 form, the hazard is evaluated pointwise from its definition, and the
 replication reference drives one scenario through a future-event queue.
 The first four must not share code with the production solver or samplers
-they check (the reference solver takes only the option sort order from
-it); the replication reference checks the engine's timing, ordering and
-horizon cut, so it calls the same model layers as the engine.
+they check; the replication reference checks the engine's timing, ordering
+and horizon cut, so it calls the same model layers as the engine, but keeps
+its own contract commitments.
 """
 
 from __future__ import annotations
@@ -49,14 +49,13 @@ from rto_sim.hazards import (
     sample_gap,
 )
 from rto_sim.market import ContractBook, make_quote, scope_quote
-from rto_sim.metrics import ComplianceLedger, RunResult, record_allocation, utilization
+from rto_sim.metrics import RunResult, record_allocation, utilization
 from rto_sim.policy import (
     ASSIGNMENT_ENUMERATION_LIMIT,
     SPOT,
     CostMatrix,
     InfeasibleAllocationError,
     MatrixEntry,
-    _entry_sort_key,
     allocate_min_cost,
     build_cost_matrix,
     decide_rfq_scope,
@@ -101,9 +100,14 @@ def exhaustive_allocation(instance: OracleInstance) -> tuple[float, list[dict]]:
     return best, minimizers
 
 
-# each search takes the items' options in _entry_sort_key order and their
+# each search takes the items' options in _option_key order and their
 # quantities, and returns each item's (chosen option, final unit rate)
 _Priced = list[tuple[MatrixEntry, float]]
+
+
+def _option_key(entry: MatrixEntry) -> tuple:
+    """Cheapest first, then by supplier, a contract rate before a spot quote."""
+    return (entry.unit_cost, entry.supplier_id, entry.provenance != "contract")
 
 
 def _allocate_by_supplier_subsets(option_lists: list[list[MatrixEntry]], units: list[int],
@@ -190,7 +194,7 @@ def reference_allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int
             raise ValueError(f"quantity for item {item!r} must be at least 1")
 
     items = sorted(matrix.entries)
-    option_lists = [sorted(matrix.entries[item], key=_entry_sort_key) for item in items]
+    option_lists = [sorted(matrix.entries[item], key=_option_key) for item in items]
     units = [quantities[item] for item in items]
     if matrix.competition_basis == "per_supplier_total" and matrix.competition_slope > 0.0:
         priced = _allocate_by_assignment_enumeration(option_lists, units, po_overhead,
@@ -292,7 +296,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
 
     gap_streams: dict[tuple[str, str], np.random.Generator] = {}
     item_streams: dict[tuple[str, str], np.random.Generator] = {}
-    inventories: dict[tuple[str, str], demand.InventoryState] = {}
+    last_replenished: dict[tuple[str, str], dict[str, float]] = {}
     pr_counters: dict[tuple[str, str], int] = {}
     vessels = {v.id: v for v in scenario.vessels}
 
@@ -302,7 +306,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             entity = f"{vessel.id}:{category_id}"
             gap_streams[pair] = plan.stream(run_index, "pr-gap", entity)
             item_streams[pair] = plan.stream(run_index, "pr-items", entity)
-            inventories[pair] = demand.InventoryState.fresh(categories[category_id])
+            last_replenished[pair] = {p.id: 0.0 for p in categories[category_id].products}
             pr_counters[pair] = 0
             t = sample_gap(vessel.hazards[category_id], 0.0, horizon, gap_streams[pair])
             if t is not None:
@@ -310,7 +314,10 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
 
     pending: dict[str, _PendingPR] = {}
     delay_streams: dict[str, np.random.Generator] = {}
-    ledger = ComplianceLedger.from_contracts(scenario.contracts)
+    commitments: dict[str, int] = {}
+    for contract in scenario.contracts:
+        commitments[contract.supplier_id] = commitments.get(contract.supplier_id, 0) + contract.volume_commitment
+    volumes = {s: 0 for s in commitments}
     terminal_cost = 0.0
     n_pr = n_hl = n_po = 0
     n_rfq = {s.id: 0 for s in scenario.suppliers}
@@ -334,7 +341,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             category = categories[event.category_id]
             pair = (event.vessel_id, event.category_id)
             pr_id = f"{event.vessel_id}:{event.category_id}:{pr_counters[pair]}"
-            requisition = demand.build_requisition(vessel, category, inventories[pair],
+            requisition = demand.build_requisition(vessel, category, last_replenished[pair],
                                                    time, item_streams[pair], pr_id=pr_id)
             # renewal clock resets on the trigger whether or not it was material
             t_next = sample_gap(vessel.hazards[event.category_id], time, horizon, gap_streams[pair])
@@ -415,7 +422,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
                                        competition_slope=spot.competition_slope,
                                        competition_basis=spot.competition_basis)
             allocation = allocate_min_cost(matrix, requisition.items, policy.po_overhead)
-            terminal_cost += record_allocation(ledger, allocation)
+            terminal_cost += record_allocation(volumes, allocation)
             n_po += 1
             delay_streams.pop(event.pr_id, None)
             if collect_log:
@@ -425,13 +432,12 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
         else:
             raise AssertionError(f"unknown event kind {event.kind!r}")
 
-    utilizations = {s: utilization(ledger.volumes[s], k)
-                    for s, k in sorted(ledger.commitments.items()) if k > 0}
-    deviations = {s: ledger.volumes[s] - k for s, k in sorted(ledger.commitments.items())}
+    utilizations = {s: utilization(volumes[s], k) for s, k in sorted(commitments.items()) if k > 0}
+    deviations = {s: volumes[s] - k for s, k in sorted(commitments.items())}
     result = RunResult(
         run_index=run_index,
         terminal_cost=terminal_cost,
-        volumes=dict(sorted(ledger.volumes.items())),
+        volumes=dict(sorted(volumes.items())),
         utilizations=utilizations,
         deviations=deviations,
         n_pr=n_pr,

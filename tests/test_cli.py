@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import dump_scenario
+from conftest import dump_scenario, uniform_market_scenario
 from rto_sim import cli
 from rto_sim.cli import (
     OutputConfig,
@@ -33,6 +33,7 @@ from rto_sim.domain import (
     Contract,
     Product,
     Scenario,
+    ScenarioValidationError,
     SpotModel,
     SpotRate,
     Supplier,
@@ -207,6 +208,27 @@ class TestLoadScenario:
         path.write_text('{"schema_version": 1,\n  "horizon_days": }\n')
         with pytest.raises(ScenarioFormatError, match="line 2"):
             load_scenario(path)
+
+    def test_format_error_is_a_validation_error(self, scenario_doc):
+        scenario_doc["catalog"]["categories"][0]["typo"] = 1
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(scenario_doc)
+        assert type(err.value) is ScenarioFormatError
+        assert err.value.path == "catalog.categories[0]"
+        assert str(err.value) == "catalog.categories[0]: unknown field 'typo'"
+
+    def test_oversized_assignment_space_fails_at_validate(self, tmp_path, capsys):
+        # 12 eligible suppliers and 6 products under a coupled per_supplier_total markup
+        path = tmp_path / "wide.json"
+        sf = ScenarioFile(scenario=uniform_market_scenario(12, 6), runs=RunsConfig(), output=OutputConfig())
+        path.write_text(json.dumps(dump_scenario(sf)))
+        expected = ("error: catalog.categories[0]: per_supplier_total assignment space of 2985984 "
+                    "exceeds the enumeration bound of 1048576")
+        assert main(["validate", str(path)]) == 1
+        assert expected in capsys.readouterr().err
+        assert main(["run", str(path), "--runs", "2", "--out", str(tmp_path / "o")]) == 1
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioFormatError, match="not found"):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import StubRng
 from rto_sim.demand import (
-    InventoryState,
     build_requisition,
     inventory_level,
     propensity,
@@ -26,6 +25,11 @@ def make_category(*specs):
                        for pid, q0, g in specs),
         eligible_suppliers=("S",),
     )
+
+
+def fresh(category):
+    """Every product last restocked on day 0."""
+    return {p.id: 0.0 for p in category.products}
 
 
 VESSEL_SPEC = HazardSpec(WeibullBaseline(shape=1.5, scale=10.0))
@@ -65,36 +69,35 @@ class TestPropensity:
 class TestBuildRequisition:
     def test_full_stock_never_requests(self):
         category = make_category(("P1", 50, 1.0), ("P2", 80, 2.0))
-        inventory = InventoryState.fresh(category)
+        last_replenished = fresh(category)
         vessel = Vessel(id="V", hazards={"cat": VESSEL_SPEC})
-        assert build_requisition(vessel, category, inventory, 0.0, StubRng([0.0, 0.0])) is None
-        assert inventory.last_replenished == {"P1": 0.0, "P2": 0.0}
+        assert build_requisition(vessel, category, last_replenished, 0.0, StubRng([0.0, 0.0])) is None
+        assert last_replenished == {"P1": 0.0, "P2": 0.0}
 
     def test_depleted_product_certain_full_restock(self):
         category = make_category(("P1", 50, 1.0))
-        inventory = InventoryState.fresh(category)
+        last_replenished = fresh(category)
         vessel = Vessel(id="V", hazards={"cat": VESSEL_SPEC})
-        req = build_requisition(vessel, category, inventory, 60.0, StubRng([0.999999]), pr_id="r")
+        req = build_requisition(vessel, category, last_replenished, 60.0, StubRng([0.999999]), pr_id="r")
         assert req is not None and req.items == {"P1": 50}
-        assert inventory.last_replenished["P1"] == 60.0
+        assert last_replenished["P1"] == 60.0
 
     def test_fixed_seed_golden_pattern(self):
         # frozen from a verified run: draws for seed 2024 are
         # (0.67583..., 0.21432..., 0.30945...) against propensities (0.3, 0.6, 0.0)
         category = make_category(("P1", 100, 1.0), ("P2", 100, 1.0), ("P3", 100, 1.0))
-        inventory = InventoryState({"P1": 0.0, "P2": -30.0, "P3": 30.0})
+        last_replenished = {"P1": 0.0, "P2": -30.0, "P3": 30.0}
         vessel = Vessel(id="V", hazards={"cat": VESSEL_SPEC})
         rng = np.random.Generator(np.random.PCG64(2024))
-        req = build_requisition(vessel, category, inventory, 30.0, rng, pr_id="golden")
+        req = build_requisition(vessel, category, last_replenished, 30.0, rng, pr_id="golden")
         assert req is not None
         assert req.items == {"P2": 60}
-        assert inventory.last_replenished == {"P1": 0.0, "P2": 30.0, "P3": 30.0}
+        assert last_replenished == {"P1": 0.0, "P2": 30.0, "P3": 30.0}
 
     def test_quantities_at_least_one(self):
         category = make_category(("P1", 10, 0.01))
-        inventory = InventoryState.fresh(category)
         vessel = Vessel(id="V", hazards={"cat": VESSEL_SPEC})
-        req = build_requisition(vessel, category, inventory, 1.0, StubRng([0.0]), pr_id="r")
+        req = build_requisition(vessel, category, fresh(category), 1.0, StubRng([0.0]), pr_id="r")
         assert req is not None and req.items["P1"] == 1
 
     @given(level_hi=st.floats(min_value=0.0, max_value=100.0),
@@ -108,8 +111,8 @@ class TestBuildRequisition:
         vessel = Vessel(id="V", hazards={"cat": VESSEL_SPEC})
         included = {}
         for tag, level in (("hi", level_hi), ("lo", level_lo)):
-            inventory = InventoryState({"P1": -(100.0 - level)})
-            req = build_requisition(vessel, category, inventory, 0.0, StubRng([u]), pr_id=tag)
+            req = build_requisition(vessel, category, {"P1": -(100.0 - level)}, 0.0, StubRng([u]),
+                                    pr_id=tag)
             included[tag] = req is not None
         if included["hi"]:
             assert included["lo"]
@@ -118,7 +121,7 @@ class TestBuildRequisition:
         # piecewise-linear decrease between replenishments, jump to baseline at each
         category = make_category(("P1", 30, 0.8))
         product = category.products[0]
-        inventory = InventoryState.fresh(category)
+        last_replenished = fresh(category)
         vessel = Vessel(id="V", hazards={"cat": VESSEL_SPEC})
         rng = np.random.Generator(np.random.PCG64(99))
         t = 0.0
@@ -126,11 +129,11 @@ class TestBuildRequisition:
         for _ in range(400):
             t += rng.random() * 8.0
             before = inventory_level(product.baseline_stock, product.depletion_rate,
-                                     t, inventory.last_replenished["P1"])
+                                     t, last_replenished["P1"])
             assert 0.0 <= before <= product.baseline_stock
-            req = build_requisition(vessel, category, inventory, t, rng)
+            req = build_requisition(vessel, category, last_replenished, t, rng)
             after = inventory_level(product.baseline_stock, product.depletion_rate,
-                                    t, inventory.last_replenished["P1"])
+                                    t, last_replenished["P1"])
             if req is not None:
                 assert after == product.baseline_stock
                 assert req.items["P1"] == math.ceil(product.baseline_stock - before)

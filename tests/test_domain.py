@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import dump_scenario, single_product_scenario
+from conftest import dump_scenario, single_product_scenario, uniform_market_scenario
+from rto_sim import policy
 from rto_sim.cli import parse_scenario
 from rto_sim.domain import (
+    ASSIGNMENT_ENUMERATION_LIMIT,
     Catalog,
     Category,
     Contract,
@@ -154,6 +156,48 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError) as err:
             validate_scenario(scenario)
         assert err.value.path.startswith("contracts[")
+
+
+class TestAssignmentSpaceBound:
+    """The coupled per_supplier_total solver's assignment space is bounded at validate time."""
+
+    def test_space_at_the_bound_accepted(self):
+        assert 4 ** 10 == ASSIGNMENT_ENUMERATION_LIMIT == policy.ASSIGNMENT_ENUMERATION_LIMIT
+        validate_scenario(uniform_market_scenario(4, 10))
+
+    @pytest.mark.parametrize("n_suppliers, n_products, space", [(4, 11, 4 ** 11), (12, 6, 12 ** 6)])
+    def test_space_over_the_bound_rejected(self, n_suppliers, n_products, space):
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(uniform_market_scenario(n_suppliers, n_products))
+        assert err.value.path == "catalog.categories[0]"
+        assert f"{space} exceeds" in str(err.value) and str(ASSIGNMENT_ENUMERATION_LIMIT) in str(err.value)
+
+    @pytest.mark.parametrize("changes", [{"slope": 0.0}, {"basis": "per_item"},
+                                         {"basis": "per_item", "kind": "dynamic"}],
+                             ids=["slope-0", "per-item", "per-item-dynamic"])
+    def test_uncoupled_market_not_bounded(self, changes):
+        validate_scenario(uniform_market_scenario(4, 11, **changes))
+
+    def test_dynamic_adds_the_contract_holders(self):
+        # 2 eligible suppliers and 20 products: 2^20 under naive; one contract
+        # holder per product makes it 3^20 under dynamic
+        validate_scenario(uniform_market_scenario(2, 20, holders=1))
+        with pytest.raises(ScenarioValidationError, match=f"{3 ** 20} exceeds"):
+            validate_scenario(uniform_market_scenario(2, 20, holders=1, kind="dynamic"))
+
+    def test_generated_scenarios_stay_valid(self, paper_scenario, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from conftest import random_scenario
+        from workloads import VARIANTS, wide_market_doc
+
+        scenarios = [paper_scenario] + [random_scenario(seed) for seed in range(40)]
+        scenarios += [parse_scenario(wide_market_doc(v)).scenario for v in range(VARIANTS)]
+        for scenario in scenarios:
+            for kind in ("naive", "dynamic"):
+                validate_scenario(dataclasses.replace(
+                    scenario, policy=dataclasses.replace(scenario.policy, kind=kind),
+                    spot=dataclasses.replace(scenario.spot, competition_basis="per_supplier_total",
+                                             competition_slope=0.05)))
 
 
 class TestNormalization:

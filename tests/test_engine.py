@@ -35,6 +35,7 @@ from rto_sim.engine import (
     run_once,
 )
 from rto_sim.hazards import sample_exponential_delay
+from rto_sim.market import MIN_SPOT_RATE
 
 GAP_40 = u_for_delay(40.0, 100.0)  # first trigger at day 40 under rate 0.01
 GAP_FAR = u_for_delay(600.0, 100.0)  # second trigger lands past any test horizon
@@ -386,6 +387,47 @@ class TestCommonRandomNumbers:
                             assert dynamic[pr_id] <= naive[pr_id] * (1.0 + 1e-9), (basis, slope, pr_id)
                             compared += 1
         assert compared > 1000  # 1,512 requisitions
+
+
+def scaled_prices(scenario, factor):
+    """Every price times `factor`: contract rates, spot curves and noise, the slope and the overhead."""
+    spot = scenario.spot
+    return dataclasses.replace(
+        scenario,
+        contracts=tuple(dataclasses.replace(c, product_rates={p: r * factor for p, r in c.product_rates.items()})
+                        for c in scenario.contracts),
+        spot=dataclasses.replace(
+            spot, noise_sd=spot.noise_sd * factor, competition_slope=spot.competition_slope * factor,
+            rates={key: dataclasses.replace(rate, baseline=rate.baseline * factor,
+                                            amplitude=rate.amplitude * factor)
+                   for key, rate in spot.rates.items()}),
+        policy=dataclasses.replace(scenario.policy, po_overhead=scenario.policy.po_overhead * factor),
+    )
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("basis", ["per_item", "per_supplier_total"])
+    def test_doubling_every_price_doubles_the_cost_exactly(self, paper_scenario, basis):
+        # times 2 is exact in floating point, so every rate, markup, order
+        # total and comparison scales exactly, unless the spot floor binds
+        world = dataclasses.replace(paper_scenario, spot=dataclasses.replace(paper_scenario.spot,
+                                                                             competition_basis=basis))
+        cells = grid(world, (0.0, 0.1))
+        doubled = tuple(scaled_prices(cell, 2.0) for cell in cells)
+        compared = 0
+        for run_index in range(20):
+            base_outs = run_once(cells, run_index, 7)
+            # the dynamic slope-0 cell quotes every item at its base rate
+            rates = [rate for out in base_outs for record in out.log if record.kind == RFQ_RESPONSE
+                     for rate in record.payload.unit_rates.values()]
+            assert min(rates) > MIN_SPOT_RATE
+            for base, scaled in zip(base_outs, run_once(doubled, run_index, 7, collect_log=False)):
+                base, scaled = base.result, scaled.result
+                assert scaled.terminal_cost == 2.0 * base.terminal_cost
+                # volumes, utilizations, deviations and counts are unchanged
+                assert dataclasses.replace(scaled, terminal_cost=base.terminal_cost) == base
+                compared += 1
+        assert compared == 80
 
 
 class TestReferenceEquivalence:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from rto_sim.domain import AllocatedItem, Allocation
 from conftest import count_local_maxima
 from rto_sim.metrics import (
-    ComplianceLedger,
     record_allocation,
     summarize_values,
     utilization,
@@ -20,23 +19,23 @@ def allocation(items, overhead=0.0):
 
 class TestRecordAllocation:
     def test_spot_only_leaves_volumes_unchanged(self):
-        ledger = ComplianceLedger(commitments={"A": 75}, volumes={"A": 0})
-        delta = record_allocation(ledger, allocation(
+        volumes = {"A": 0}
+        delta = record_allocation(volumes, allocation(
             {"P1": AllocatedItem("A", 9.5, 4, "spot")}
         ))
-        assert ledger.volumes == {"A": 0}
+        assert volumes == {"A": 0}
         assert delta == pytest.approx(38.0)
 
     def test_contract_volume_accrues(self):
-        ledger = ComplianceLedger(commitments={"C": 150}, volumes={"C": 0})
-        record_allocation(ledger, allocation(
+        volumes = {"C": 0}
+        record_allocation(volumes, allocation(
             {"P3": AllocatedItem("C", 12.0, 40, "contract")}
         ))
-        assert ledger.volumes["C"] == 40
+        assert volumes == {"C": 40}
 
     def test_split_charges_exactly_one_overhead(self):
-        ledger = ComplianceLedger(commitments={}, volumes={})
-        delta = record_allocation(ledger, allocation(
+        volumes = {}
+        delta = record_allocation(volumes, allocation(
             {
                 "P1": AllocatedItem("A", 5.0, 1, "spot"),
                 "P2": AllocatedItem("B", 5.0, 1, "spot"),
@@ -44,6 +43,7 @@ class TestRecordAllocation:
             overhead=10.0,
         ))
         assert delta == pytest.approx(20.0)
+        assert volumes == {}
 
 
 class TestUtilization:
