@@ -25,14 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .domain import POLICY_KINDS, Scenario, ScenarioValidationError, validate_scenario
-from .engine import (
-    PO_GENERATION,
-    PR_GENERATION,
-    PR_HANDLING,
-    RFQ_RESPONSE,
-    BatchResult,
-    run_batch,
-)
+from .engine import PO_GENERATION, PR_GENERATION, PR_HANDLING, RFQ_RESPONSE, RunOutput, run_batch
 from .hazards import ConstantBaseline, WeibullBaseline
 from .metrics import DistributionSummary, RunResult, summarize_batch
 
@@ -370,21 +363,23 @@ def _removed_on_failure() -> Iterator[list[Path]]:
         raise
 
 
-def _emit_cell(out_dir: Path, batch: BatchResult, config: Mapping[str, Any],
+def _emit_cell(out_dir: Path, outputs: Sequence[RunOutput], config: Mapping[str, Any],
                bins: int, created: list[Path]) -> dict[str, DistributionSummary]:
     _make_dirs(out_dir, created)
-    summaries = summarize_batch(batch.results, bins=bins)
+    results = [o.result for o in outputs]
+    summaries = summarize_batch(results, bins=bins)
 
     def write(writer, name: str, *data) -> None:
         created.append(out_dir / name)
         writer(out_dir / name, *data)
 
-    write(write_runs_csv, "runs.csv", batch.results)
+    write(write_runs_csv, "runs.csv", results)
     write(write_summary_json, "summary.json", config, summaries)
     for name in ["terminal_cost"] + sorted(n for n in summaries if n.startswith("utilization_")):
         write(write_histogram_csv, f"histogram_{name}.csv", summaries[name])
-    for run_index in sorted(batch.logs or ()):
-        write(write_events_csv, f"events_{run_index}.csv", batch.logs[run_index])
+    for o in outputs:
+        if o.log:  # a collected log ends with its termination record
+            write(write_events_csv, f"events_{o.result.run_index}.csv", o.log)
     return summaries
 
 
@@ -397,12 +392,12 @@ def _run_cells(sf: ScenarioFile, cells: Sequence[tuple[Scenario, Path]],
     cell's summaries once its files are written, so only one cell's are held.
     """
     runs, bins = sf.runs, sf.output.histogram_bins
-    for scenario, _ in cells:
-        validate_scenario(scenario)
+    # not re-validated: a cell changes only the file's policy and slope, the flags'
+    # argparse types check both, and no other check in validate_scenario reads them
     batches = run_batch([scenario for scenario, _ in cells], runs.count, runs.master_seed,
                         parallelism=runs.parallelism, collect_logs=sf.output.export_events)
-    for (scenario, out_dir), batch in zip(cells, batches):
-        yield _emit_cell(out_dir, batch, {
+    for (scenario, out_dir), outputs in zip(cells, batches):
+        yield _emit_cell(out_dir, outputs, {
             "policy": scenario.policy.kind,
             "competition_slope": scenario.spot.competition_slope,
             "runs": runs.count,

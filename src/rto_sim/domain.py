@@ -365,10 +365,10 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     _check(scenario.policy.kind in POLICY_KINDS, "policy kind must be naive or dynamic", "policy.kind")
     _check(_finite(scenario.policy.po_overhead) and scenario.policy.po_overhead >= 0,
            "order overhead must be finite and non-negative", "policy.po_overhead")
-    if spot.competition_basis == "per_supplier_total" and spot.competition_slope > 0:
-        # an item has at most one option per eligible supplier; dynamic adds
-        # a contract rate per supplier holding a contract on it
-        holders = Counter(p for p, _ in windows) if scenario.policy.kind == "dynamic" else Counter()
+    if spot.competition_basis == "per_supplier_total":
+        # the largest space any policy and slope can reach: one option per eligible
+        # supplier, plus dynamic's contract rate per supplier holding a contract on it
+        holders = Counter(p for p, _ in windows)
         for c, category in enumerate(scenario.catalog.categories):
             space = math.prod(len(category.eligible_suppliers) + holders[p.id] for p in category.products)
             _check(space <= ASSIGNMENT_ENUMERATION_LIMIT, f"per_supplier_total assignment space of {space} "

@@ -43,7 +43,6 @@ __all__ = [
     "RngPlan",
     "HandlingRecord",
     "RunOutput",
-    "BatchResult",
     "BatchRunError",
     "run_once",
     "run_batch",
@@ -88,12 +87,6 @@ class HandlingRecord:
 class RunOutput:
     result: RunResult
     log: tuple[EventRecord, ...]
-
-
-@dataclass(frozen=True)
-class BatchResult:
-    results: tuple[RunResult, ...]
-    logs: Mapping[int, tuple[EventRecord, ...]] | None = None
 
 
 class BatchRunError(RuntimeError):
@@ -309,15 +302,15 @@ def _run_span(args) -> list:
 
 
 def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
-              *, parallelism: int = 1, collect_logs: bool = False) -> tuple[BatchResult, ...]:
+              *, parallelism: int = 1, collect_logs: bool = False) -> tuple[tuple[RunOutput, ...], ...]:
     """Independent replications indexed 0..n_runs-1 of every cell of a grid.
 
-    Returns one BatchResult per scenario, in order; the grid rules are those
-    of run_once.  Results are bit-identical for a fixed (grid, master_seed)
-    whatever the parallelism degree: runs derive their randomness from their
-    index alone and are merged back in index order.  A worker process that
-    dies aborts the batch with a BatchRunError naming the first run of the
-    chunk it lost.
+    Returns, per scenario in order, its RunOutputs in run order; a log is
+    empty unless collect_logs, and the grid rules are those of run_once.
+    Results are bit-identical for a fixed (grid, master_seed) whatever the
+    parallelism degree: runs derive their randomness from their index alone
+    and are merged back in index order.  A worker process that dies aborts
+    the batch with a BatchRunError naming the first run of the chunk it lost.
     """
     _check_grid(scenarios)
     if n_runs < 1:
@@ -358,12 +351,7 @@ def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
                 except BrokenProcessPool as exc:
                     raise BatchRunError(span[0], f"a worker process died: {exc}") from exc
 
-    return tuple(
-        BatchResult(results=tuple(outputs[cell].result for outputs in runs),
-                    logs=({i: outputs[cell].log for i, outputs in enumerate(runs)}
-                          if collect_logs else None))
-        for cell in range(len(scenarios))
-    )
+    return tuple(zip(*runs))
 
 
 _LIFECYCLE_ORDER = {PR_GENERATION: 0, PR_HANDLING: 1, RFQ_RESPONSE: 2, PO_GENERATION: 3}

@@ -9,7 +9,6 @@ from .domain import Contract, Quote, Requisition, SpotModel, SpotRate
 
 __all__ = [
     "ContractBook",
-    "competition_adjust",
     "make_quote",
     "scope_quote",
 ]
@@ -54,13 +53,6 @@ def _seasonal_rate(params: SpotRate, period: float, t: float) -> float:
     return params.baseline + params.amplitude * math.cos(2.0 * math.pi * t / period + params.phase)
 
 
-def competition_adjust(rate: float, slope: float, quantity: int) -> float:
-    """Quantity-sensitive markup: spot rates rise linearly with the amount requested."""
-    if quantity < 1:
-        raise ValueError("quantity must be at least 1")
-    return rate + slope * quantity
-
-
 def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str,
                response_time: float, rng, *, category_product_ids: Iterable[str],
                lead_time: float) -> Quote:
@@ -87,13 +79,13 @@ def scope_quote(base: Quote, requisition: Requisition, items: Sequence[str],
                 model: SpotModel) -> Quote:
     """A base-rate quote cut to an RFQ item scope, with the per_item competition markup.
 
-    The per_supplier_total markup depends on the allocation; the solver adds it.
+    Under per_item a rate rises linearly with the quantity requested.  The
+    per_supplier_total markup depends on the allocation; the solver adds it,
+    so here the slope is 0.0, which leaves every rate (all >= 0.01) unchanged.
     """
     if not items:
         raise ValueError("RFQ issued with an empty item scope")
-    rates = base.unit_rates
-    slope = model.competition_slope if model.competition_basis == "per_item" else None
-    unit_rates = {item: rates[item] if slope is None
-                  else competition_adjust(rates[item], slope, requisition.items[item])
-                  for item in items}
+    rates, quantities = base.unit_rates, requisition.items
+    slope = model.competition_slope if model.competition_basis == "per_item" else 0.0
+    unit_rates = {item: rates[item] + slope * quantities[item] for item in items}
     return Quote(unit_rates=unit_rates, lead_time=base.lead_time)

@@ -218,17 +218,23 @@ class TestLoadScenario:
         assert str(err.value) == "catalog.categories[0]: unknown field 'typo'"
 
     def test_oversized_assignment_space_fails_at_validate(self, tmp_path, capsys):
-        # 12 eligible suppliers and 6 products under a coupled per_supplier_total markup
-        path = tmp_path / "wide.json"
-        sf = ScenarioFile(scenario=uniform_market_scenario(12, 6), runs=RunsConfig(), output=OutputConfig())
-        path.write_text(json.dumps(dump_scenario(sf)))
+        # 12 eligible suppliers and 6 products under a per_supplier_total markup;
+        # at slope 0 the file's own cell is uncoupled, but compare can reach a coupled one
         expected = ("error: catalog.categories[0]: per_supplier_total assignment space of 2985984 "
                     "exceeds the enumeration bound of 1048576")
-        assert main(["validate", str(path)]) == 1
-        assert expected in capsys.readouterr().err
-        assert main(["run", str(path), "--runs", "2", "--out", str(tmp_path / "o")]) == 1
-        assert expected in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        for slope in (0.0, 0.05):
+            path = tmp_path / f"wide_{slope}.json"
+            sf = ScenarioFile(scenario=uniform_market_scenario(12, 6, slope=slope), runs=RunsConfig(),
+                              output=OutputConfig())
+            path.write_text(json.dumps(dump_scenario(sf)))
+            assert main(["validate", str(path)]) == 1
+            assert expected in capsys.readouterr().err
+            out = tmp_path / f"o_{slope}"
+            assert main(["run", str(path), "--runs", "2", "--out", str(out)]) == 1
+            assert expected in capsys.readouterr().err
+            assert main(["compare", str(path), "--slopes", "0,0.05", "--runs", "2", "--out", str(out)]) == 1
+            assert expected in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioFormatError, match="not found"):
@@ -445,6 +451,18 @@ class TestCompareCommand:
                 cells.append([r for r in rows if r.split(",")[1] == "pr_generation"])
             assert cells[0] == cells[1]
             assert len(cells[0]) > 0
+
+    def test_event_logs_identical_across_parallelism(self, tmp_path):
+        # every file, event logs included, whether the runs come back from one
+        # process or from worker processes
+        outputs = []
+        for parallelism in (1, 2):
+            out = tmp_path / f"par{parallelism}"
+            assert run_cli("compare", "paper_s5.json", "--slopes", "0,0.1", "--runs", "12", "--seed", "4",
+                           "--export-events", "--parallelism", str(parallelism), "--out", str(out)) == 0
+            outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert sum(p.name.startswith("events_") for p in outputs[0]) == 48
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("source", ["paper_s5", "wide-market"])
     def test_shuffled_scenario_file_gives_identical_outputs(self, tmp_path, monkeypatch, source):

@@ -11,6 +11,7 @@ from rto_sim import policy
 from rto_sim.cli import parse_scenario
 from rto_sim.domain import (
     ASSIGNMENT_ENUMERATION_LIMIT,
+    POLICY_KINDS,
     Catalog,
     Category,
     Contract,
@@ -172,18 +173,29 @@ class TestAssignmentSpaceBound:
         assert err.value.path == "catalog.categories[0]"
         assert f"{space} exceeds" in str(err.value) and str(ASSIGNMENT_ENUMERATION_LIMIT) in str(err.value)
 
-    @pytest.mark.parametrize("changes", [{"slope": 0.0}, {"basis": "per_item"},
-                                         {"basis": "per_item", "kind": "dynamic"}],
-                             ids=["slope-0", "per-item", "per-item-dynamic"])
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    @pytest.mark.parametrize("slope", [0.0, 0.05])
+    def test_bound_holds_whatever_the_policy_and_slope(self, slope, kind):
+        # a run may apply any policy and slope to the file, so the file's own do not matter
+        with pytest.raises(ScenarioValidationError, match=f"{4 ** 11} exceeds") as err:
+            validate_scenario(uniform_market_scenario(4, 11, slope=slope, kind=kind))
+        assert err.value.path == "catalog.categories[0]"
+
+    @pytest.mark.parametrize("changes", [{"basis": "per_item"}, {"basis": "per_item", "kind": "dynamic"}],
+                             ids=["per-item", "per-item-dynamic"])
     def test_uncoupled_market_not_bounded(self, changes):
         validate_scenario(uniform_market_scenario(4, 11, **changes))
 
     def test_dynamic_adds_the_contract_holders(self):
-        # 2 eligible suppliers and 20 products: 2^20 under naive; one contract
-        # holder per product makes it 3^20 under dynamic
-        validate_scenario(uniform_market_scenario(2, 20, holders=1))
-        with pytest.raises(ScenarioValidationError, match=f"{3 ** 20} exceeds"):
-            validate_scenario(uniform_market_scenario(2, 20, holders=1, kind="dynamic"))
+        # 2 eligible suppliers and 20 products: 2^20 with no contract; one
+        # contract holder per product makes it 3^20, which dynamic can reach,
+        # so the file is rejected under either policy and at any slope
+        validate_scenario(uniform_market_scenario(2, 20))
+        for kind in POLICY_KINDS:
+            for slope in (0.0, 0.05):
+                with pytest.raises(ScenarioValidationError, match=f"{3 ** 20} exceeds") as err:
+                    validate_scenario(uniform_market_scenario(2, 20, holders=1, kind=kind, slope=slope))
+                assert err.value.path == "catalog.categories[0]"
 
     def test_generated_scenarios_stay_valid(self, paper_scenario, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))

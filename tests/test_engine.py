@@ -201,13 +201,16 @@ class TestEventWiring:
 
 class TestBatchDeterminism:
     def test_single_run_batch_equals_run_once(self, paper_scenario):
-        batch = run_batch((paper_scenario,), 1, 42)[0]
-        assert batch.results[0] == run_once((paper_scenario,), 0, 42)[0].result
+        once = run_once((paper_scenario,), 0, 42)[0]
+        assert run_batch((paper_scenario,), 1, 42, collect_logs=True)[0] == (once,)
+        [output] = run_batch((paper_scenario,), 1, 42)[0]
+        assert output.result == once.result and output.log == ()
 
     def test_parallelism_invariance(self, paper_scenario):
-        serial = run_batch((paper_scenario,), 8, 42, parallelism=1)[0]
-        parallel = run_batch((paper_scenario,), 8, 42, parallelism=2)[0]
-        assert serial.results == parallel.results
+        serial = run_batch((paper_scenario,), 8, 42, parallelism=1, collect_logs=True)[0]
+        parallel = run_batch((paper_scenario,), 8, 42, parallelism=2, collect_logs=True)[0]
+        assert [o.result.run_index for o in serial] == list(range(8))
+        assert serial == parallel
 
     def test_replay_determinism(self, paper_scenario):
         a = run_once((paper_scenario,), 5, 42)[0]
@@ -253,9 +256,9 @@ class TestBatchDeterminism:
 
         monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", InlineExecutor)
         InlineExecutor.sizes.clear()
-        batch = engine_mod.run_batch((paper_scenario,), 2, 42, parallelism=8)[0]
+        outputs = engine_mod.run_batch((paper_scenario,), 2, 42, parallelism=8)[0]
         assert InlineExecutor.sizes == [2]
-        assert batch.results == run_batch((paper_scenario,), 2, 42)[0].results
+        assert outputs == run_batch((paper_scenario,), 2, 42)[0]
 
     @pytest.mark.parametrize("failing, reported, n_started",
                              [((0,), 0, 2), ((3,), 3, 4), ((1, 0), 0, 2)])
@@ -339,8 +342,8 @@ class TestGrid:
         cells = grid(paper_scenario, (0.0, 0.1))
         batches = run_batch(cells, 3, 42)
         assert len(batches) == len(cells)
-        for cell, batch in zip(cells, batches):
-            assert batch.results == run_batch((cell,), 3, 42)[0].results
+        for cell, outputs in zip(cells, batches):
+            assert outputs == run_batch((cell,), 3, 42)[0]
 
     @pytest.mark.parametrize("change", [
         {"horizon": 100.0},

@@ -9,10 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import StubRng
-from rto_sim.domain import Requisition, SpotModel, SpotRate
+from rto_sim.domain import Quote, Requisition, SpotModel, SpotRate
 from rto_sim.market import (
     ContractBook,
-    competition_adjust,
     make_quote,
     scope_quote,
 )
@@ -96,27 +95,6 @@ class TestSpotRate:
         assert abs(np.mean(draws) - expected) <= 3.0 / math.sqrt(n)
 
 
-class TestCompetitionAdjust:
-    def test_zero_slope_unchanged(self):
-        assert competition_adjust(10.0, 0.0, 50) == 10.0
-
-    def test_mild_competition(self):
-        assert competition_adjust(10.0, 0.01, 50) == pytest.approx(10.5)
-
-    def test_high_competition(self):
-        assert competition_adjust(10.0, 0.10, 50) == pytest.approx(15.0)
-
-    def test_quantity_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            competition_adjust(10.0, 0.01, 0)
-
-    @given(q1=st.integers(min_value=1, max_value=1000),
-           extra=st.integers(min_value=1, max_value=1000),
-           slope=st.floats(min_value=1e-6, max_value=1.0))
-    def test_strictly_increasing_in_quantity(self, q1, extra, slope):
-        assert competition_adjust(10.0, slope, q1) < competition_adjust(10.0, slope, q1 + extra)
-
-
 class TestMakeQuote:
     def test_deterministic_reduction_to_seasonal_curve(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0)
@@ -170,15 +148,48 @@ class TestScopeQuote:
         with pytest.raises(ValueError, match="empty item scope"):
             scope_quote(self.base_quote(spot, req), req, (), spot)
 
+    def test_zero_slope_unchanged(self, paper_scenario):
+        spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0, competition_slope=0.0)
+        req = requisition({"P1": 50})
+        base = self.base_quote(spot, req)
+        quote = scope_quote(base, req, ("P1",), spot)
+        assert quote.unit_rates["P1"] == base.unit_rates["P1"] == pytest.approx(7.0)
+
+    def test_mild_competition(self, paper_scenario):
+        spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0, competition_slope=0.01)
+        req = requisition({"P1": 50})
+        quote = scope_quote(self.base_quote(spot, req), req, ("P1",), spot)
+        assert quote.unit_rates["P1"] == pytest.approx(7.5)  # 7.0 + 0.01*50
+
     def test_per_item_competition_applied(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0, competition_slope=0.10)
         req = requisition({"P1": 50})
         quote = scope_quote(self.base_quote(spot, req), req, ("P1",), spot)
         assert quote.unit_rates["P1"] == pytest.approx(12.0)  # 7.0 + 0.1*50
 
+    def test_high_competition(self):
+        spot = flat_model(competition_slope=0.10)
+        base = Quote(unit_rates={"P": 10.0, "Q": 10.0}, lead_time=0.0)
+        quote = scope_quote(base, requisition({"P": 50, "Q": 5}), ("P", "Q"), spot)
+        # each line is marked up by its own quantity
+        assert quote.unit_rates == pytest.approx({"P": 15.0, "Q": 10.5})
+
+    @given(q1=st.integers(min_value=1, max_value=1000),
+           extra=st.integers(min_value=1, max_value=1000),
+           slope=st.floats(min_value=1e-6, max_value=1.0))
+    def test_strictly_increasing_in_quantity(self, q1, extra, slope):
+        spot = flat_model(competition_slope=slope)
+        base = Quote(unit_rates={"P": 10.0}, lead_time=0.0)
+
+        def rate(q):
+            return scope_quote(base, requisition({"P": q}), ("P",), spot).unit_rates["P"]
+
+        assert rate(q1) < rate(q1 + extra)
+
     def test_supplier_total_basis_leaves_rates_unadjusted(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0, competition_slope=0.10,
                                    competition_basis="per_supplier_total")
         req = requisition({"P1": 50})
-        quote = scope_quote(self.base_quote(spot, req), req, ("P1",), spot)
-        assert quote.unit_rates["P1"] == pytest.approx(7.0)
+        base = self.base_quote(spot, req)
+        quote = scope_quote(base, req, ("P1",), spot)
+        assert quote.unit_rates["P1"] == base.unit_rates["P1"] == pytest.approx(7.0)
