@@ -290,6 +290,10 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 
     seen_products: dict[str, str] = {}
     category_of_product: dict[str, str] = {}
+    # a rate times this bounds the rate's share of any order total: an item's
+    # quantity is at most its baseline stock, and a requisition holds at most
+    # its category's products
+    order_scale: dict[str, int] = {}
     for c, category in enumerate(scenario.catalog.categories):
         cpath = f"catalog.categories[{c}]"
         _check(
@@ -310,6 +314,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
                    "baseline stock must be an integer >= 1", ppath)
             _check(_finite(product.depletion_rate) and product.depletion_rate > 0,
                    "depletion rate must be positive", ppath)
+            order_scale[product.id] = product.baseline_stock * len(category.products)
 
     eligible = {c.id: set(c.eligible_suppliers) for c in scenario.catalog.categories}
     for v, vessel in enumerate(scenario.vessels):
@@ -331,6 +336,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
             ipath = f"{path}.product_rates[{product_id}]"
             _check(product_id in seen_products, f"unknown product {product_id!r}", ipath)
             _check(_finite(rate) and rate > 0, "contract rate must be positive", ipath)
+            _check(_finite(rate * order_scale[product_id]), "contract rate overflows an order total", ipath)
             _check(
                 contract.supplier_id in eligible[category_of_product[product_id]],
                 f"supplier {contract.supplier_id!r} not eligible for category of {product_id!r}", ipath,
@@ -361,6 +367,8 @@ def validate_scenario(scenario: Scenario) -> Scenario:
                        f"spot.rates[{key}]")
                 _check(_finite(rate.amplitude) and _finite(rate.phase), "spot amplitude and phase must be finite",
                        f"spot.rates[{key}]")
+                _check(_finite((rate.baseline + abs(rate.amplitude)) * order_scale[product.id]),
+                       "spot rate overflows an order total", f"spot.rates[{key}]")
 
     _check(scenario.policy.kind in POLICY_KINDS, "policy kind must be naive or dynamic", "policy.kind")
     _check(_finite(scenario.policy.po_overhead) and scenario.policy.po_overhead >= 0,

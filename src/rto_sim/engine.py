@@ -201,8 +201,11 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     falls before the horizon, the quote's base rates, to which each cell
     applies its own per-item markup.  The order follows the last response in
     the scope, or handling when the scope is empty, by the handling-to-order
-    delay.  A cell's log, when collected, is its records in time order with
-    the termination marker last.
+    delay.  Cells with the same RFQ scope, the same slope where it matters
+    (per_item with a non-empty scope, or per_supplier_total) and the same
+    order overhead share one set of scoped quotes and, once one of them
+    orders before the horizon, one solved allocation.  A cell's log, when
+    collected, is its records in time order with the termination marker last.
     """
     world = _check_grid(scenarios)
     plan = rng_plan if rng_plan is not None else RngPlan(master_seed)
@@ -215,6 +218,7 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     commitments: dict[str, int] = {}  # in supplier order: the contracts are sorted by supplier
     for contract in world.contracts:
         commitments[contract.supplier_id] = commitments.get(contract.supplier_id, 0) + contract.volume_commitment
+    coupled_basis = world.spot.competition_basis == "per_supplier_total"
     n_pr = empty_draws = 0
 
     for category, requisition in _triggers(world, run_index, plan):
@@ -235,6 +239,7 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                                     category_id=category.id, payload=requisition)
         # supplier -> (response time, base-rate quote or None past the horizon)
         responses: dict[str, tuple[float, Quote | None]] = {}
+        decisions: dict[tuple, list] = {}  # decision key -> its cells' shared decision
 
         for cell in cells:
             if collect_log:
@@ -250,36 +255,46 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                                             payload=HandlingRecord(contract_terms=terms,
                                                                    rfq_items=scope_items,
                                                                    rfq_suppliers=scope_suppliers)))
-            last = handled_at
-            quotes: dict[str, Quote] = {}
-            for supplier_id in scope_suppliers:
-                if supplier_id not in responses:
-                    stream = plan.stream(run_index, "rfq", f"{requisition.id}|{supplier_id}")
-                    response_at = handled_at + sample_exponential_delay(delays.rfq_mean(supplier_id),
-                                                                        stream)
-                    base = None
-                    if response_at < horizon:
-                        base = make_quote(world.spot, requisition, supplier_id, response_at, stream,
-                                          category_product_ids=product_ids[category.id],
-                                          lead_time=lead_times[supplier_id])
-                    responses[supplier_id] = (response_at, base)
-                response_at, base = responses[supplier_id]
-                last = max(last, response_at)
-                if base is None:
-                    continue
+            # the matrix and the solver read only the scope, a per_item slope
+            # when something is quoted, a per_supplier_total slope, and the overhead
+            slope = cell.spot.competition_slope if scope_items or coupled_basis else None
+            key = (scope_items, slope, cell.policy.po_overhead)
+            decision = decisions.get(key)
+            if decision is None:
+                last = handled_at
+                quotes: dict[str, Quote] = {}
+                for supplier_id in scope_suppliers:
+                    if supplier_id not in responses:
+                        stream = plan.stream(run_index, "rfq", f"{requisition.id}|{supplier_id}")
+                        response_at = handled_at + sample_exponential_delay(delays.rfq_mean(supplier_id),
+                                                                            stream)
+                        base = None
+                        if response_at < horizon:
+                            base = make_quote(world.spot, requisition, supplier_id, response_at, stream,
+                                              category_product_ids=product_ids[category.id],
+                                              lead_time=lead_times[supplier_id])
+                        responses[supplier_id] = (response_at, base)
+                    response_at, base = responses[supplier_id]
+                    last = max(last, response_at)
+                    if base is not None:
+                        quotes[supplier_id] = scope_quote(base, requisition, scope_items, cell.spot)
+                # [quotes in scope order, order time, allocation once solved]
+                decision = decisions[key] = [quotes, last + to_po, None]
+            quotes, po_at, allocation = decision
+            for supplier_id, quote in quotes.items():
                 cell.n_rfq[supplier_id] += 1
-                quote = quotes[supplier_id] = scope_quote(base, requisition, scope_items, cell.spot)
                 if collect_log:
-                    cell.log.append(EventRecord(kind=RFQ_RESPONSE, time=response_at,
+                    cell.log.append(EventRecord(kind=RFQ_RESPONSE, time=responses[supplier_id][0],
                                                 pr_id=requisition.id, supplier_id=supplier_id,
                                                 payload=quote))
-            po_at = last + to_po
             if po_at >= horizon:
                 continue
-            matrix = build_cost_matrix(requisition, terms, quotes,
-                                       competition_slope=cell.spot.competition_slope,
-                                       competition_basis=cell.spot.competition_basis)
-            allocation = allocate_min_cost(matrix, requisition.items, cell.policy.po_overhead)
+            if allocation is None:
+                matrix = build_cost_matrix(requisition, terms, quotes,
+                                           competition_slope=cell.spot.competition_slope,
+                                           competition_basis=cell.spot.competition_basis)
+                allocation = decision[2] = allocate_min_cost(matrix, requisition.items,
+                                                             cell.policy.po_overhead)
             cell.orders.append((po_at, n_pr, allocation))
             if collect_log:
                 cell.log.append(EventRecord(kind=PO_GENERATION, time=po_at, pr_id=requisition.id,

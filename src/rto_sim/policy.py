@@ -219,14 +219,14 @@ def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
             raise ValueError(f"quantity for item {item!r} must be at least 1")
 
     items = sorted(matrix.entries)
-    option_lists = [sorted(matrix.entries[item], key=_entry_sort_key) for item in items]
     units = [quantities[item] for item in items]
     coupled = matrix.competition_basis == "per_supplier_total" and matrix.competition_slope > 0.0
-    pool = sorted({entry.supplier_id for options in option_lists for entry in options})
+    pool = sorted({entry.supplier_id for options in matrix.entries.values() for entry in options})
     if len(pool) > MAX_SUPPLIERS_PER_CATEGORY:
         raise InfeasibleAllocationError(f"supplier pool of {len(pool)} exceeds the exact-search bound "
                                         f"of {MAX_SUPPLIERS_PER_CATEGORY}")
-    firsts = [options[0] for options in option_lists]
+    # min takes the first minimum, so each is the head of its sorted option list
+    firsts = [min(matrix.entries[item], key=_entry_sort_key) for item in items]
     # every item at its cheapest rate with one order costs no more than any
     # other assignment and wins the tie-break, unless a spot markup depends
     # on the allocation
@@ -234,6 +234,7 @@ def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
             and not (coupled and any(entry.provenance == SPOT for entry in firsts))):
         priced = [(entry, entry.unit_cost) for entry in firsts]
     else:
+        option_lists = [sorted(matrix.entries[item], key=_entry_sort_key) for item in items]
         code = {supplier_id: index for index, supplier_id in enumerate(pool)}
         if coupled:
             priced = _allocate_by_assignment_enumeration(option_lists, units, po_overhead, code,

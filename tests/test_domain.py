@@ -136,12 +136,22 @@ class TestValidation:
         (lambda s: _with_contract(s, lead_time=-1.0), "contracts[0].lead_time"),
         (lambda s: _with_supplier(s, spot_lead_time=math.nan), "suppliers[0].spot_lead_time"),
         (lambda s: _with_supplier(s, spot_lead_time=-1.0), "suppliers[0].spot_lead_time"),
+        # finite rates whose order total overflows: rate x baseline stock (40) x category size (3)
+        (lambda s: _with_spot_rate(s, ("P1", "A"), baseline=1e308), "spot.rates[('P1', 'A')]"),
+        (lambda s: _with_spot_rate(s, ("P1", "A"), amplitude=-1e307), "spot.rates[('P1', 'A')]"),
+        (lambda s: _with_contract(s, product_rates={"P1": 1e308}), "contracts[0].product_rates[P1]"),
     ], ids=["overhead-inf", "amplitude-nan", "phase-inf", "covariate-phase-nan", "coefficient-inf",
-            "covariate-bound-overflow", "contract-lead-nan", "contract-lead-negative", "spot-lead-nan", "spot-lead-negative"])
+            "covariate-bound-overflow", "contract-lead-nan", "contract-lead-negative", "spot-lead-nan", "spot-lead-negative",
+            "spot-order-overflow", "spot-amplitude-order-overflow", "contract-order-overflow"])
     def test_non_finite_or_negative_parameter_rejected(self, paper_scenario, edit, path):
         with pytest.raises(ScenarioValidationError) as err:
             validate_scenario(edit(paper_scenario))
         assert err.value.path == path
+
+    def test_large_rates_with_finite_order_totals_are_valid(self, paper_scenario):
+        scenario = _with_contract(_with_spot_rate(paper_scenario, ("P1", "A"), baseline=1e305),
+                                  product_rates={"P1": 1e305})
+        assert validate_scenario(scenario) is scenario
 
     @pytest.mark.parametrize("suppliers", [(), ("S1", "S1")], ids=["empty", "duplicate"])
     def test_eligible_suppliers_empty_or_repeated(self, suppliers):

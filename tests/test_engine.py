@@ -20,6 +20,7 @@ from conftest import (
     u_for_delay,
 )
 from oracles import reference_run_once
+from rto_sim import engine
 from rto_sim.domain import DelayConfig, EventRecord
 from rto_sim.engine import (
     PO_GENERATION,
@@ -361,6 +362,42 @@ class TestGrid:
             paper_scenario.spot, competition_basis="per_supplier_total"))
         with pytest.raises(ValueError):
             run_once((paper_scenario, other), 0, 42)
+
+    def test_identical_cells_share_every_decision(self, paper_scenario, monkeypatch):
+        calls = []
+        solve = engine.allocate_min_cost
+        monkeypatch.setattr(engine, "allocate_min_cost", lambda *args: calls.append(args) or solve(*args))
+        cell = grid(paper_scenario, (0.1,), policies=("dynamic",))[0]
+        for run_index in range(3):
+            calls.clear()
+            (alone,) = run_once((cell,), run_index, 42)
+            solved_alone = len(calls)
+            calls.clear()
+            assert run_once((cell, cell), run_index, 42) == (alone, alone)
+            assert len(calls) == solved_alone > 0
+
+    def test_cells_differing_only_in_overhead_decide_apart(self, paper_scenario):
+        cells = tuple(dataclasses.replace(paper_scenario, policy=dataclasses.replace(
+            paper_scenario.policy, kind="dynamic", po_overhead=overhead)) for overhead in (0.0, 500.0))
+        differing = 0
+        for run_index in range(5):
+            outputs = run_once(cells, run_index, 42)
+            for cell, out in zip(cells, outputs):
+                assert out == reference_run_once(cell, run_index, 42)
+            cheap, dear = ({r.pr_id: r.payload for r in out.log if r.kind == PO_GENERATION} for out in outputs)
+            differing += sum(cheap[pr_id] != dear[pr_id] for pr_id in cheap)
+        # so a decision shared regardless of the overhead would fail above
+        assert differing > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_per_supplier_total_cells_equal_their_one_cell_runs(self, seed):
+        base = random_scenario(seed)
+        world = dataclasses.replace(base, spot=dataclasses.replace(base.spot,
+                                                                   competition_basis="per_supplier_total"))
+        cells = grid(world, (0.0, 0.05))
+        for run_index in range(2):
+            for cell, out in zip(cells, run_once(cells, run_index, seed)):
+                assert out == run_once((cell,), run_index, seed)[0]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
