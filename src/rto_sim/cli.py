@@ -24,6 +24,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .domain import POLICY_KINDS, Scenario, ScenarioValidationError, validate_scenario
 from .engine import PO_GENERATION, PR_GENERATION, PR_HANDLING, RFQ_RESPONSE, RunOutput, run_batch
 from .hazards import ConstantBaseline, WeibullBaseline
@@ -88,7 +90,10 @@ def _get(mapping: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError("expected a number", path)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioFormatError("number too large for a float", path) from None
 
 
 def _integer(value: Any, path: str) -> int:
@@ -284,11 +289,14 @@ def write_runs_csv(path: Path, results: Sequence[RunResult]) -> None:
     _write_text(path, lines)
 
 
-def write_histogram_csv(path: Path, summary: DistributionSummary) -> None:
-    lines = ["bin_left,bin_right,count"]
-    for left, right, count in summary.histogram:
-        lines.append(f"{_fmt(left)},{_fmt(right)},{count}")
-    _write_text(path, lines)
+def write_histogram_csv(path: Path, values: Sequence[float], bins: int) -> None:
+    lo, hi = min(values), max(values)
+    rows = [(lo, hi, len(values))]  # numpy would widen a zero-width range to +-0.5
+    if hi > lo:
+        counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+        rows = zip(edges.tolist(), edges[1:].tolist(), counts.tolist())
+    _write_text(path, ["bin_left,bin_right,count",
+                       *(f"{_fmt(left)},{_fmt(right)},{count}" for left, right, count in rows)])
 
 
 def write_summary_json(path: Path, config: Mapping[str, Any],
@@ -367,7 +375,7 @@ def _emit_cell(out_dir: Path, outputs: Sequence[RunOutput], config: Mapping[str,
                bins: int, created: list[Path]) -> dict[str, DistributionSummary]:
     _make_dirs(out_dir, created)
     results = [o.result for o in outputs]
-    summaries = summarize_batch(results, bins=bins)
+    summaries = summarize_batch(results)
 
     def write(writer, name: str, *data) -> None:
         created.append(out_dir / name)
@@ -375,8 +383,10 @@ def _emit_cell(out_dir: Path, outputs: Sequence[RunOutput], config: Mapping[str,
 
     write(write_runs_csv, "runs.csv", results)
     write(write_summary_json, "summary.json", config, summaries)
-    for name in ["terminal_cost"] + sorted(n for n in summaries if n.startswith("utilization_")):
-        write(write_histogram_csv, f"histogram_{name}.csv", summaries[name])
+    write(write_histogram_csv, "histogram_terminal_cost.csv", [r.terminal_cost for r in results], bins)
+    for supplier_id in sorted(results[0].utilizations):
+        write(write_histogram_csv, f"histogram_utilization_{supplier_id}.csv",
+              [r.utilizations[supplier_id] for r in results], bins)
     for o in outputs:
         if o.log:  # a collected log ends with its termination record
             write(write_events_csv, f"events_{o.result.run_index}.csv", o.log)

@@ -19,6 +19,7 @@ demand (common random numbers).
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -196,29 +197,27 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     The renewal clocks are walked once.  A material requisition draws its
     creation-to-approval, approval-to-handling and handling-to-order delays,
     in that order, and snapshots the contract terms at handling; then every
-    cell decides it at once.  A supplier's RFQ stream is created when some
-    cell's scope first needs it: it gives the response time and, if that
-    falls before the horizon, the quote's base rates, to which each cell
+    cell decides it at once.  A non-empty RFQ scope asks every eligible
+    supplier, so the RFQ round is drawn once, when a cell first quotes: each
+    eligible supplier's stream, in supplier order, gives its response time
+    and, before the horizon, the quote's base rates, to which each cell
     applies its own per-item markup.  The order follows the last response in
     the scope, or handling when the scope is empty, by the handling-to-order
-    delay.  Cells with the same RFQ scope, the same slope where it matters
-    (per_item with a non-empty scope, or per_supplier_total) and the same
-    order overhead share one set of scoped quotes and, once one of them
-    orders before the horizon, one solved allocation.  A cell's log, when
-    collected, is its records in time order with the termination marker last.
+    delay.  Cells with the same RFQ scope, the same slope when it is not
+    empty and the same order overhead share one set of scoped quotes and,
+    once one orders before the horizon, one solved allocation.  A cell's
+    log, when collected, is its records in time order, termination last.
     """
     world = _check_grid(scenarios)
     plan = rng_plan if rng_plan is not None else RngPlan(master_seed)
     horizon = world.horizon
     delays = world.delays
     book = ContractBook(world.contracts)
-    product_ids = {c.id: c.product_ids for c in world.catalog.categories}
     lead_times = {s.id: s.spot_lead_time for s in world.suppliers}
     cells = [_Cell(s.policy, s.spot, n_rfq=dict.fromkeys(lead_times, 0)) for s in scenarios]
     commitments: dict[str, int] = {}  # in supplier order: the contracts are sorted by supplier
     for contract in world.contracts:
         commitments[contract.supplier_id] = commitments.get(contract.supplier_id, 0) + contract.volume_commitment
-    coupled_basis = world.spot.competition_basis == "per_supplier_total"
     n_pr = empty_draws = 0
 
     for category, requisition in _triggers(world, run_index, plan):
@@ -237,6 +236,7 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
             generated = EventRecord(kind=PR_GENERATION, time=requisition.created_at,
                                     pr_id=requisition.id, vessel_id=requisition.vessel_id,
                                     category_id=category.id, payload=requisition)
+        # the requisition's one RFQ round, drawn when a cell first quotes: eligible
         # supplier -> (response time, base-rate quote or None past the horizon)
         responses: dict[str, tuple[float, Quote | None]] = {}
         decisions: dict[tuple, list] = {}  # decision key -> its cells' shared decision
@@ -255,29 +255,27 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                                             payload=HandlingRecord(contract_terms=terms,
                                                                    rfq_items=scope_items,
                                                                    rfq_suppliers=scope_suppliers)))
-            # the matrix and the solver read only the scope, a per_item slope
-            # when something is quoted, a per_supplier_total slope, and the overhead
-            slope = cell.spot.competition_slope if scope_items or coupled_basis else None
-            key = (scope_items, slope, cell.policy.po_overhead)
+            # the matrix and the solver read only the scope, the slope when
+            # something is quoted, and the overhead: a contract-only matrix
+            # solves alike under either basis at any slope
+            key = (scope_items, cell.spot.competition_slope if scope_items else None, cell.policy.po_overhead)
             decision = decisions.get(key)
             if decision is None:
-                last = handled_at
-                quotes: dict[str, Quote] = {}
-                for supplier_id in scope_suppliers:
-                    if supplier_id not in responses:
+                if scope_items and not responses:
+                    for supplier_id in category.eligible_suppliers:
                         stream = plan.stream(run_index, "rfq", f"{requisition.id}|{supplier_id}")
                         response_at = handled_at + sample_exponential_delay(delays.rfq_mean(supplier_id),
                                                                             stream)
                         base = None
                         if response_at < horizon:
                             base = make_quote(world.spot, requisition, supplier_id, response_at, stream,
-                                              category_product_ids=product_ids[category.id],
+                                              category_product_ids=category.product_ids,
                                               lead_time=lead_times[supplier_id])
                         responses[supplier_id] = (response_at, base)
-                    response_at, base = responses[supplier_id]
-                    last = max(last, response_at)
-                    if base is not None:
-                        quotes[supplier_id] = scope_quote(base, requisition, scope_items, cell.spot)
+                asked = responses if scope_items else {}
+                quotes = {supplier_id: scope_quote(base, requisition, scope_items, cell.spot)
+                          for supplier_id, (_, base) in asked.items() if base is not None}
+                last = max((response_at for response_at, _ in asked.values()), default=handled_at)
                 # [quotes in scope order, order time, allocation once solved]
                 decision = decisions[key] = [quotes, last + to_po, None]
             quotes, po_at, allocation = decision
@@ -337,7 +335,8 @@ def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
     spans = [list(range(start, min(start + chunk, n_runs))) for start in range(0, n_runs, chunk)]
     jobs = [(tuple(scenarios), master_seed, span, collect_logs) for span in spans]
 
-    workers = min(parallelism, len(jobs))  # a worker beyond the chunk count would sit idle
+    # a worker beyond the chunk or CPU count would only idle, yet cost a fork
+    workers = min(parallelism, len(jobs), os.cpu_count() or 1)
     runs: list[tuple[RunOutput, ...]] = []  # index order: spans are contiguous and merged in order
     if workers == 1:
         for job in jobs:

@@ -66,24 +66,16 @@ class DistributionSummary:
     minimum: float
     maximum: float
     quantiles: Mapping[int, float]  # percent level -> value
-    histogram: tuple[tuple[float, float, int], ...]  # (bin left, bin right, count)
 
 
-def summarize_values(values: Sequence[float], bins: int = 100) -> DistributionSummary:
-    """Moment, quantile, and fixed-bin histogram summary of one metric."""
+def summarize_values(values: Sequence[float]) -> DistributionSummary:
+    """Moment and quantile summary of one metric."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty batch")
     lo, hi = float(arr.min()), float(arr.max())
     levels = np.array(QUANTILE_LEVELS, dtype=float) / 100.0
     quantiles = {level: float(q) for level, q in zip(QUANTILE_LEVELS, np.quantile(arr, levels))}
-    if hi == lo:
-        histogram = ((lo, hi, int(arr.size)),)
-    else:
-        counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
-        histogram = tuple(
-            (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
-        )
     return DistributionSummary(
         count=int(arr.size),
         mean=float(arr.mean()),
@@ -91,11 +83,10 @@ def summarize_values(values: Sequence[float], bins: int = 100) -> DistributionSu
         minimum=lo,
         maximum=hi,
         quantiles=quantiles,
-        histogram=histogram,
     )
 
 
-def summarize_batch(results: Sequence[RunResult], bins: int = 100) -> dict[str, DistributionSummary]:
+def summarize_batch(results: Sequence[RunResult]) -> dict[str, DistributionSummary]:
     """Distribution summaries for every numeric per-run metric."""
     if not results:
         raise ValueError("cannot summarize an empty batch")
@@ -115,4 +106,4 @@ def summarize_batch(results: Sequence[RunResult], bins: int = 100) -> dict[str, 
         metrics[f"utilization_{supplier_id}"] = [r.utilizations[supplier_id] for r in results]
     for supplier_id in sorted(first.n_rfq):
         metrics[f"n_rfq_{supplier_id}"] = [r.n_rfq[supplier_id] for r in results]
-    return {name: summarize_values(values, bins=bins) for name, values in metrics.items()}
+    return {name: summarize_values(values) for name, values in metrics.items()}

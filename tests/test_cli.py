@@ -113,6 +113,8 @@ MALFORMED = [
     (("runs", "parallelism"), 0, "runs.parallelism: runs.parallelism must be at least 1"),
     (("output", "histogram_bins"), 0, "output.histogram_bins: output.histogram_bins must be at least 1"),
     (("schema_version",), 99, "schema_version: unsupported schema version 99"),
+    (("spot", "rates", 0, "baseline"), 10**400, "spot.rates[0].baseline: number too large for a float"),
+    (("horizon_days",), 10**400, "horizon_days: number too large for a float"),
 ]
 
 

@@ -201,6 +201,12 @@ class TestEventWiring:
 
 
 class TestBatchDeterminism:
+    @pytest.fixture(autouse=True)
+    def eight_cpus(self, monkeypatch):
+        # the pool is capped at the CPU count; pin it, so that on a 1-CPU host
+        # a parallel batch still goes to the (patched or forked) pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
     def test_single_run_batch_equals_run_once(self, paper_scenario):
         once = run_once((paper_scenario,), 0, 42)[0]
         assert run_batch((paper_scenario,), 1, 42, collect_logs=True)[0] == (once,)
@@ -260,6 +266,16 @@ class TestBatchDeterminism:
         outputs = engine_mod.run_batch((paper_scenario,), 2, 42, parallelism=8)[0]
         assert InlineExecutor.sizes == [2]
         assert outputs == run_batch((paper_scenario,), 2, 42)[0]
+
+    def test_pool_never_exceeds_the_cpu_count(self, paper_scenario, monkeypatch):
+        import rto_sim.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        InlineExecutor.sizes.clear()
+        outputs = engine_mod.run_batch((paper_scenario,), 40, 42, parallelism=1000)[0]
+        assert InlineExecutor.sizes == [3]
+        assert outputs == run_batch((paper_scenario,), 40, 42)[0]
 
     @pytest.mark.parametrize("failing, reported, n_started",
                              [((0,), 0, 2), ((3,), 3, 4), ((1, 0), 0, 2)])
@@ -375,6 +391,26 @@ class TestGrid:
             calls.clear()
             assert run_once((cell, cell), run_index, 42) == (alone, alone)
             assert len(calls) == solved_alone > 0
+
+    def test_contract_only_decisions_are_shared_across_slopes(self, monkeypatch):
+        # naive quotes nothing when every item is contracted, and a
+        # contract-only matrix solves alike at any slope, per_supplier_total
+        # basis included; so the cells share every decision
+        calls = []
+        solve = engine.allocate_min_cost
+        monkeypatch.setattr(engine, "allocate_min_cost", lambda *args: calls.append(args) or solve(*args))
+        base = single_product_scenario(contracted=True, horizon=1000.0)
+        world = dataclasses.replace(base, spot=dataclasses.replace(base.spot,
+                                                                   competition_basis="per_supplier_total"))
+        cells = grid(world, (0.0, 0.05), policies=("naive",))
+        for run_index in range(3):
+            calls.clear()
+            (alone,) = run_once(cells[:1], run_index, 42)
+            solved_alone = len(calls)
+            calls.clear()
+            outputs = run_once(cells, run_index, 42)
+            assert len(calls) == solved_alone > 0
+            assert outputs == (alone, run_once(cells[1:], run_index, 42)[0])
 
     def test_cells_differing_only_in_overhead_decide_apart(self, paper_scenario):
         cells = tuple(dataclasses.replace(paper_scenario, policy=dataclasses.replace(

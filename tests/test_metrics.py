@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rto_sim.domain import AllocatedItem, Allocation
 from conftest import count_local_maxima
+from rto_sim.cli import write_histogram_csv
 from rto_sim.metrics import (
     record_allocation,
     summarize_values,
@@ -62,22 +63,24 @@ class TestUtilization:
 
 
 class TestSummaries:
-    def test_single_run_degenerate(self):
+    def test_single_run_degenerate(self, tmp_path):
         s = summarize_values([42.0])
         assert all(q == 42.0 for q in s.quantiles.values())
         assert s.std == 0.0
-        assert s.histogram == ((42.0, 42.0, 1),)
+        write_histogram_csv(tmp_path / "h.csv", [42.0], bins=100)
+        assert (tmp_path / "h.csv").read_bytes() == b"bin_left,bin_right,count\n42,42,1\n"
 
     def test_two_runs(self):
         s = summarize_values([10.0, 20.0])
         assert s.mean == 15.0
         assert s.quantiles[50] == 15.0
 
-    def test_histogram_covers_all_values(self):
-        values = list(range(1000))
-        s = summarize_values(values, bins=50)
-        assert len(s.histogram) == 50
-        assert sum(c for _, _, c in s.histogram) == 1000
+    def test_histogram_covers_all_values(self, tmp_path):
+        write_histogram_csv(tmp_path / "h.csv", range(1000), bins=50)
+        header, *rows = (tmp_path / "h.csv").read_text().splitlines()
+        assert header == "bin_left,bin_right,count"
+        assert len(rows) == 50
+        assert sum(int(row.split(",")[2]) for row in rows) == 1000
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200))
     def test_quantile_monotonicity(self, values):

@@ -184,6 +184,26 @@ class TestAllocateMinCost:
                 alloc = allocate_min_cost(matrix, quantities, overhead)
                 assert {item: a.supplier_id for item, a in alloc.items.items()} == want
 
+    def test_contract_only_matrices_solve_alike_under_every_basis_and_slope(self):
+        # an empty RFQ scope leaves contract rates only, which carry no
+        # markup; so run_once shares such a decision across bases and slopes.
+        # Integer costs 1-3 make exact ties common
+        rng = random.Random(2024)
+        markups = [("per_item", 0.1), ("per_supplier_total", 0.0), ("per_supplier_total", 0.05),
+                   ("per_supplier_total", 1.0)]
+        for _ in range(4000):
+            suppliers = [f"S{i}" for i in range(rng.randint(1, 5))]
+            entries = {}
+            for k in range(rng.randint(1, 4)):
+                holders = [s for s in suppliers if rng.random() < 0.6] or [rng.choice(suppliers)]
+                entries[f"P{k}"] = tuple(MatrixEntry(s, float(rng.randint(1, 3)), CONTRACT) for s in holders)
+            quantities = {item: rng.randint(1, 10) for item in entries}
+            for overhead in (0.0, 1.0, 3.0):
+                want = allocate_min_cost(CostMatrix(entries=entries), quantities, overhead)
+                for basis, slope in markups:
+                    matrix = CostMatrix(entries=entries, competition_slope=slope, competition_basis=basis)
+                    assert allocate_min_cost(matrix, quantities, overhead) == want
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6),
            h1=st.sampled_from([0.0, 5.0, 10.0]), extra=st.sampled_from([5.0, 15.0, 40.0]))
