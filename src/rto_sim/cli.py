@@ -48,6 +48,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 ENV_SEED = "RTO_SIM_SEED"
+MAX_HISTOGRAM_BINS = 10**6  # about 8 MB of bin edges
 
 
 class ScenarioFormatError(ScenarioValidationError):
@@ -209,6 +210,9 @@ def parse_scenario(doc: Any) -> ScenarioFile:
                         ("output.histogram_bins", sf.output.histogram_bins)):
         if value < 1:
             raise ScenarioFormatError(f"{path} must be at least 1", path)
+    if sf.output.histogram_bins > MAX_HISTOGRAM_BINS:
+        raise ScenarioFormatError(f"output.histogram_bins must be at most {MAX_HISTOGRAM_BINS}",
+                                  "output.histogram_bins")
     return sf
 
 

@@ -57,22 +57,41 @@ PO_GENERATION = "po_generation"
 TERMINATION = "termination"
 
 
+class _DigestSeed(np.random.bit_generator.ISeedSequence):
+    """A 256-bit digest handed to a bit generator as its initial state words."""
+
+    __slots__ = ("digest",)
+
+    def __init__(self, digest: bytes):
+        self.digest = digest
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        if n_words * dtype.itemsize > len(self.digest):
+            raise ValueError(f"a {len(self.digest) * 8}-bit digest cannot fill "
+                             f"{n_words} words of {dtype.itemsize * 8} bits")
+        # little-endian words, so every host draws the same numbers
+        return np.frombuffer(self.digest, dtype.newbyteorder("<"), n_words).astype(dtype)
+
+
 @dataclass(frozen=True)
 class RngPlan:
     """Keyed derivation of independent random streams.
 
     Streams are addressed by (run index, purpose label, entity id); the key is
-    hashed into a 128-bit PCG64 seed, so stream identity never depends on how
-    many draws other streams consumed.
+    hashed to 256 bits that become the PCG64 state and increment (numpy forces
+    the increment odd), so stream identity never depends on how many draws
+    other streams consumed. No `SeedSequence` is built, so a stream cannot be
+    spawned (`seed_seq.spawn` does not exist); nothing here spawns.
     """
 
     master_seed: int
 
     def stream(self, run_index: int, purpose: str, entity: str = "") -> np.random.Generator:
         key = hashlib.blake2b(
-            f"{self.master_seed}|{run_index}|{purpose}|{entity}".encode(), digest_size=16
+            f"{self.master_seed}|{run_index}|{purpose}|{entity}".encode(), digest_size=32
         ).digest()
-        return np.random.Generator(np.random.PCG64(int.from_bytes(key, "little")))
+        return np.random.Generator(np.random.PCG64(_DigestSeed(key)))
 
 
 @dataclass(frozen=True)

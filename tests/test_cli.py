@@ -112,6 +112,9 @@ MALFORMED = [
     (("runs", "count"), 0, "runs.count: runs.count must be at least 1"),
     (("runs", "parallelism"), 0, "runs.parallelism: runs.parallelism must be at least 1"),
     (("output", "histogram_bins"), 0, "output.histogram_bins: output.histogram_bins must be at least 1"),
+    # the whole `output` object, so the row above keeps its test id
+    (("output",), {"directory": "out", "histogram_bins": 10**12},
+     "output.histogram_bins: output.histogram_bins must be at most 1000000"),
     (("schema_version",), 99, "schema_version: unsupported schema version 99"),
     (("spot", "rates", 0, "baseline"), 10**400, "spot.rates[0].baseline: number too large for a float"),
     (("horizon_days",), 10**400, "horizon_days: number too large for a float"),

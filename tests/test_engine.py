@@ -6,9 +6,11 @@ import os
 import pickle
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import (
     FakePlan,
@@ -92,6 +94,29 @@ class TestRngPlan:
             plan.stream(0, "pr-gap", "V2:cat").random(),
         }
         assert len(draws) == 4
+
+    def test_golden_draws(self):
+        # frozen: a change to the key or to how it seeds PCG64 must fail here
+        draws = RngPlan(42).stream(3, "pr-gap", "V:cat").random(3).tolist()
+        assert draws == [0.5831175327343329, 0.09355055866524398, 0.3302652931022254]
+
+    def test_digest_words_are_little_endian(self):
+        digest = bytes(range(32))
+        seed = engine._DigestSeed(digest)
+        as_u64 = seed.generate_state(4, np.uint64)
+        as_u32 = seed.generate_state(8, np.uint32)
+        assert as_u64.dtype == np.uint64 and as_u32.dtype == np.uint32
+        # the same bytes either way, read as little-endian words on any host
+        assert as_u64.astype("<u8").tobytes() == as_u32.astype("<u4").tobytes() == digest
+        assert as_u64.tolist() == [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8)]
+        with pytest.raises(ValueError):
+            seed.generate_state(5, np.uint64)
+
+    def test_adjacent_keys_look_independent(self):
+        plan = RngPlan(42)
+        first = np.array([plan.stream(run, "pr-gap", "V:cat").random() for run in range(2000)])
+        assert stats.kstest(first, "uniform").pvalue > 0.001
+        assert abs(np.corrcoef(first[:-1], first[1:])[0, 1]) < 0.1
 
 
 class TestEventWiring:
