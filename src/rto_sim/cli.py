@@ -26,7 +26,8 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Seque
 
 import numpy as np
 
-from .domain import POLICY_KINDS, Scenario, ScenarioValidationError, validate_scenario
+from .domain import (POLICY_KINDS, Scenario, ScenarioValidationError, check_spot_order_totals,
+                     validate_scenario)
 from .engine import PO_GENERATION, PR_GENERATION, PR_HANDLING, RFQ_RESPONSE, RunOutput, run_batch
 from .hazards import ConstantBaseline, WeibullBaseline
 from .metrics import DistributionSummary, RunResult, summarize_batch
@@ -305,6 +306,9 @@ def write_histogram_csv(path: Path, values: Sequence[float], bins: int) -> None:
 
 def write_summary_json(path: Path, config: Mapping[str, Any],
                        summaries: Mapping[str, DistributionSummary]) -> None:
+    for name, s in sorted(summaries.items()):
+        if not all(map(math.isfinite, (s.mean, s.std, s.minimum, s.maximum, *s.quantiles.values()))):
+            raise ValueError(f"{path}: metric {name!r} has a non-finite statistic, which JSON cannot hold")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "config": _round9(dict(config)),
@@ -320,7 +324,7 @@ def write_summary_json(path: Path, config: Mapping[str, Any],
             for name, s in sorted(summaries.items())
         },
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _event_detail(record) -> str:
@@ -407,7 +411,8 @@ def _run_cells(sf: ScenarioFile, cells: Sequence[tuple[Scenario, Path]],
     """
     runs, bins = sf.runs, sf.output.histogram_bins
     # not re-validated: a cell changes only the file's policy and slope, the flags'
-    # argparse types check both, and no other check in validate_scenario reads them
+    # argparse types check both, and of the checks in validate_scenario only
+    # check_spot_order_totals reads them, which the commands run on each flag slope
     batches = run_batch([scenario for scenario, _ in cells], runs.count, runs.master_seed,
                         parallelism=runs.parallelism, collect_logs=sf.output.export_events)
     for (scenario, out_dir), outputs in zip(cells, batches):
@@ -458,6 +463,8 @@ def _apply_overrides(scenario: Scenario, policy: str | None, slope: float | None
 
 def cmd_run(args: argparse.Namespace) -> int:
     sf = _load_with_flags(args)
+    if args.competition_slope is not None:
+        check_spot_order_totals(sf.scenario, args.competition_slope, "--competition-slope")
     scenario = _apply_overrides(sf.scenario, args.policy, args.competition_slope)
     out_dir = Path(sf.output.directory)
     started = time.perf_counter()
@@ -480,6 +487,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     sf = _load_with_flags(args)
     file_slope = sf.scenario.spot.competition_slope
     slopes = args.slopes if args.slopes is not None else [(_fmt(file_slope), file_slope)]
+    for _, slope in args.slopes or ():
+        check_spot_order_totals(sf.scenario, slope, "--slopes")
     grid = [(policy, token, _apply_overrides(sf.scenario, policy, slope))
             for policy, _ in args.policies for token, slope in slopes]
 

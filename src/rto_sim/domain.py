@@ -35,10 +35,12 @@ __all__ = [
     "DelayConfig",
     "Scenario",
     "validate_scenario",
+    "check_spot_order_totals",
 ]
 
 MAX_SUPPLIERS_PER_CATEGORY = 12  # exact allocation search enumerates supplier subsets
 ASSIGNMENT_ENUMERATION_LIMIT = 2 ** 20  # the coupled per_supplier_total search enumerates assignments
+SPOT_NOISE_SDS = 40  # a standard normal draw this far out has probability below 1e-300
 
 
 class ScenarioValidationError(ValueError):
@@ -273,6 +275,40 @@ def _validate_hazard(spec: HazardSpec, path: str) -> None:
                                       f"{path}.covariates") from None
 
 
+def _order_scale(product: Product, category: Category) -> int:
+    # a rate times this bounds the rate's share of any order total: an item's
+    # quantity is at most its baseline stock, and a requisition holds at most
+    # its category's products
+    return product.baseline_stock * len(category.products)
+
+
+def check_spot_order_totals(scenario: Scenario, slope: float, slope_path: str) -> None:
+    """Reject spot terms under which an order total can overflow a float, at competition slope `slope`.
+
+    A quoted rate is at most baseline + |amplitude| plus SPOT_NOISE_SDS noise
+    SDs; a competition markup adds at most `slope` times the category's
+    summed baseline stock, which bounds both an item's quantity and a
+    supplier's spot volume.  The error names the term that overflows: the
+    rate, `spot.noise_sd`, or `slope_path` (a field path or a command-line
+    flag).  Expects every eligible pair's spot rate and finite parameters.
+    """
+    spot = scenario.spot
+    for category in scenario.catalog.categories:
+        markup = slope * sum(product.baseline_stock for product in category.products)
+        for product in category.products:
+            scale = _order_scale(product, category)
+            for supplier_id in category.eligible_suppliers:
+                key = (product.id, supplier_id)
+                rate = spot.rates[key]
+                bound = rate.baseline + abs(rate.amplitude)
+                _check(_finite(bound * scale), "spot rate overflows an order total", f"spot.rates[{key}]")
+                bound += SPOT_NOISE_SDS * spot.noise_sd
+                _check(_finite(bound * scale), f"spot noise sd of {spot.noise_sd:g} overflows an order "
+                       f"total at {SPOT_NOISE_SDS} SDs", "spot.noise_sd")
+                _check(_finite((bound + markup) * scale),
+                       f"competition slope of {slope:g} overflows an order total", slope_path)
+
+
 def validate_scenario(scenario: Scenario) -> Scenario:
     """Check every structural invariant; returns the scenario unchanged or raises.
 
@@ -290,9 +326,6 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 
     seen_products: dict[str, str] = {}
     category_of_product: dict[str, str] = {}
-    # a rate times this bounds the rate's share of any order total: an item's
-    # quantity is at most its baseline stock, and a requisition holds at most
-    # its category's products
     order_scale: dict[str, int] = {}
     for c, category in enumerate(scenario.catalog.categories):
         cpath = f"catalog.categories[{c}]"
@@ -314,7 +347,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
                    "baseline stock must be an integer >= 1", ppath)
             _check(_finite(product.depletion_rate) and product.depletion_rate > 0,
                    "depletion rate must be positive", ppath)
-            order_scale[product.id] = product.baseline_stock * len(category.products)
+            order_scale[product.id] = _order_scale(product, category)
 
     eligible = {c.id: set(c.eligible_suppliers) for c in scenario.catalog.categories}
     for v, vessel in enumerate(scenario.vessels):
@@ -367,8 +400,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
                        f"spot.rates[{key}]")
                 _check(_finite(rate.amplitude) and _finite(rate.phase), "spot amplitude and phase must be finite",
                        f"spot.rates[{key}]")
-                _check(_finite((rate.baseline + abs(rate.amplitude)) * order_scale[product.id]),
-                       "spot rate overflows an order total", f"spot.rates[{key}]")
+    check_spot_order_totals(scenario, spot.competition_slope, "spot.competition_slope")
 
     _check(scenario.policy.kind in POLICY_KINDS, "policy kind must be naive or dynamic", "policy.kind")
     _check(_finite(scenario.policy.po_overhead) and scenario.policy.po_overhead >= 0,

@@ -350,12 +350,13 @@ def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
 
-    chunk = max(1, -(-n_runs // (parallelism * 4)))
+    # a worker beyond the CPU or chunk count would only idle, yet cost a fork;
+    # chunks are sized for the workers that can run, four each
+    workers = min(parallelism, os.cpu_count() or 1)
+    chunk = max(1, -(-n_runs // (workers * 4)))
     spans = [list(range(start, min(start + chunk, n_runs))) for start in range(0, n_runs, chunk)]
     jobs = [(tuple(scenarios), master_seed, span, collect_logs) for span in spans]
-
-    # a worker beyond the chunk or CPU count would only idle, yet cost a fork
-    workers = min(parallelism, len(jobs), os.cpu_count() or 1)
+    workers = min(workers, len(jobs))
     runs: list[tuple[RunOutput, ...]] = []  # index order: spans are contiguous and merged in order
     if workers == 1:
         for job in jobs:

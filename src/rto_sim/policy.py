@@ -7,7 +7,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -92,9 +92,10 @@ def _entry_sort_key(entry: MatrixEntry) -> tuple:
     return (entry.unit_cost, entry.supplier_id, _PROVENANCE_RANK[entry.provenance])
 
 
-# each search takes the items' options in _entry_sort_key order, their
-# quantities, the overhead and every supplier's index in the sorted pool, and
-# returns each item's (chosen option, final unit rate)
+# each search takes the items' options (the subset search in _entry_sort_key
+# order, the enumeration in any order), their quantities, the overhead and
+# every supplier's index in the sorted pool, and returns each item's (chosen
+# option, final unit rate)
 _Priced = list[tuple[MatrixEntry, float]]
 
 # assignments evaluated per array block: bounds the enumeration's working
@@ -138,13 +139,48 @@ def _allocate_by_supplier_subsets(option_lists: list[list[MatrixEntry]], units: 
     # argmin takes the first minimum: ties break toward fewer suppliers, then
     # the smallest supplier set
     best = int(np.argmin(total))
-    if total[best] == math.inf:
-        raise InfeasibleAllocationError("no feasible supplier subset")
+    if total[best] == math.inf:  # the full set offers every item, so only an overflow gets here
+        raise InfeasibleAllocationError("no feasible supplier subset: every order total overflows")
     chosen = [options[choice[best]] for options, choice in zip(option_lists, choices)]
     return [(entry, entry.unit_cost) for entry in chosen]
 
 
-def _allocate_by_assignment_enumeration(option_lists: list[list[MatrixEntry]], units: list[int],
+# the enumeration's price-free index arrays are cached per option structure
+# for a space of one block with at most _LAYOUT_CACHE_CELLS (item, row)
+# cells.  An entry holds two intp arrays per cell and two per row, and its
+# key one byte per option column and eight per item: with its bookkeeping,
+# under 34 bytes per cell at 2^14 cells, 544 KiB, so a full cache holds
+# under 34 MiB.  A larger space builds each block's arrays afresh and caches
+# none
+_LAYOUT_CACHE_CELLS = 1 << 14
+_LAYOUT_CACHE_ENTRIES = 64
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_ENTRIES)
+def _enumeration_layout(shape: tuple[int, ...], suppliers: bytes, n_pool: int, start: int,
+                        stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The index arrays of assignments start..stop-1, in itertools.product order.
+
+    `shape` holds each item's option count and `suppliers` each option
+    column's supplier index in a pool of `n_pool`, items in order.  Returns,
+    read-only: each (item, row)'s option column; its (row, supplier) volume
+    cell, flattened; each row's position in the supplier-set order; and the
+    row's orders beyond the first.
+    """
+    rows = np.arange(start, stop)
+    offsets = np.array([0, *itertools.accumulate(shape[:-1])])[:, None]
+    option = np.stack(np.unravel_index(rows, shape)) + offsets  # (item, row)
+    supplier = np.frombuffer(suppliers, dtype=np.uint8).astype(np.intp)[option]
+    cell = (supplier + np.arange(len(rows)) * n_pool).ravel()
+    _, sizes, rank = _supplier_sets(n_pool)
+    position = rank[np.bitwise_or.reduce(1 << supplier, axis=0)]
+    extra_orders = sizes[position] - 1
+    for array in (option, cell, position, extra_orders):
+        array.flags.writeable = False
+    return option, cell, position, extra_orders
+
+
+def _allocate_by_assignment_enumeration(option_lists: list[Sequence[MatrixEntry]], units: list[int],
                                         po_overhead: float, code: Mapping[str, int],
                                         slope: float) -> _Priced:
     # per_supplier_total markup couples the items, so the subset search does
@@ -158,32 +194,30 @@ def _allocate_by_assignment_enumeration(option_lists: list[list[MatrixEntry]], u
     if n_assignments > ASSIGNMENT_ENUMERATION_LIMIT:
         raise InfeasibleAllocationError("assignment space exceeds enumeration bound of "
                                         f"{ASSIGNMENT_ENUMERATION_LIMIT}")
-    # one column per option of every item, items in order: the supplier's
-    # index, the base rate, the markup per spot unit (exactly 0.0 on a
-    # contract rate) and the spot units the option adds to its supplier
+    # one column per option of every item, items in order: the base rate, the
+    # markup per spot unit (exactly 0.0 on a contract rate) and the spot units
+    # the option adds to its supplier
     flat = [entry for options in option_lists for entry in options]
-    columns = [(code[entry.supplier_id], entry.unit_cost) + ((slope, q) if entry.provenance == SPOT else (0.0, 0))
+    columns = [(entry.unit_cost,) + ((slope, q) if entry.provenance == SPOT else (0.0, 0))
                for options, q in zip(option_lists, units) for entry in options]
-    supplier, cost, markup, spot_units = np.array(columns).T
-    supplier = supplier.astype(np.intp)
-    bit = 1 << supplier
-    offsets = np.array([0, *itertools.accumulate(shape[:-1])])[:, None]
+    cost, markup, spot_units = np.array(columns).T
     quantity = np.array(units)[:, None]
-    n_pool = len(code)
-    _, sizes, rank = _supplier_sets(n_pool)
+    suppliers = bytes(code[entry.supplier_id] for entry in flat)  # a pool holds at most 12
+    cached = (n_assignments <= _ENUMERATION_BLOCK
+              and n_assignments * len(shape) <= _LAYOUT_CACHE_CELLS)
+    layout = _enumeration_layout if cached else _enumeration_layout.__wrapped__
 
     best_key = best_choice = None
     for start in range(0, n_assignments, _ENUMERATION_BLOCK):
-        rows = np.arange(start, min(start + _ENUMERATION_BLOCK, n_assignments))
-        option = np.stack(np.unravel_index(rows, shape)) + offsets  # (item, row)
+        option, cell, position, extra_orders = layout(shape, suppliers, len(code), start,
+                                                      min(start + _ENUMERATION_BLOCK, n_assignments))
         # each row's spot volume per (row, supplier) cell
-        cell = (supplier[option] + np.arange(len(rows)) * n_pool).ravel()
-        volume = np.bincount(cell, weights=spot_units[option].ravel(), minlength=len(rows) * n_pool)
+        volume = np.bincount(cell, weights=spot_units[option].ravel(),
+                             minlength=option.shape[1] * len(code))
         rate = cost[option] + markup[option] * volume[cell].reshape(option.shape)
-        position = rank[functools.reduce(operator.or_, bit[option])]  # the row's supplier set
         # bit-identical to a scalar loop: the overhead first, then each
         # item's rate * q in item order
-        total = po_overhead * (sizes[position] - 1)
+        total = po_overhead * extra_orders
         for item_total in rate * quantity:
             total = total + item_total
         # among rows at the minimum, argmin takes the first of the earliest set
@@ -234,12 +268,12 @@ def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
             and not (coupled and any(entry.provenance == SPOT for entry in firsts))):
         priced = [(entry, entry.unit_cost) for entry in firsts]
     else:
-        option_lists = [sorted(matrix.entries[item], key=_entry_sort_key) for item in items]
         code = {supplier_id: index for index, supplier_id in enumerate(pool)}
         if coupled:
-            priced = _allocate_by_assignment_enumeration(option_lists, units, po_overhead, code,
-                                                         matrix.competition_slope)
+            priced = _allocate_by_assignment_enumeration([matrix.entries[item] for item in items], units,
+                                                         po_overhead, code, matrix.competition_slope)
         else:
+            option_lists = [sorted(matrix.entries[item], key=_entry_sort_key) for item in items]
             priced = _allocate_by_supplier_subsets(option_lists, units, po_overhead, code)
     allocated = {item: AllocatedItem(supplier_id=entry.supplier_id, unit_cost=rate, quantity=q,
                                      provenance=entry.provenance)

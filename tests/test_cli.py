@@ -3,6 +3,7 @@
 import collections
 import copy
 import csv
+import dataclasses
 import gzip
 import json
 import math
@@ -290,6 +291,34 @@ class TestRunCommand:
         assert exit_info.value.code == 2
         assert f"argument --competition-slope: invalid slope '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("run", "paper_s5.json", "--policy", "dynamic", "--competition-slope", "1e306"),
+         "error: --competition-slope: competition slope of 1e+306 overflows an order total"),
+        (("compare", "paper_s5.json", "--slopes", "0,1e306"),
+         "error: --slopes: competition slope of 1e+306 overflows an order total"),
+    ], ids=["run", "compare"])
+    def test_overflowing_flag_slope_fails_before_the_batch(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        assert run_cli(*flags, "--runs", "2", "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_statistic_fails_with_its_metric(self, tmp_path, capsys, monkeypatch):
+        # a cost std past ~1e154 overflows to inf, which summary.json cannot hold
+        real = cli.summarize_batch
+
+        def overflowing(results):
+            summaries = real(results)
+            summaries["terminal_cost"] = dataclasses.replace(summaries["terminal_cost"], std=math.inf)
+            return summaries
+
+        monkeypatch.setattr(cli, "summarize_batch", overflowing)
+        out = tmp_path / "o"
+        assert run_cli("compare", "paper_s5.json", "--slopes", "0,0.1", "--runs", "2",
+                       "--out", str(out)) == 1
+        assert "metric 'terminal_cost' has a non-finite statistic" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pathological_hazard_fails_bounded(self, tmp_path, capsys, scenario_doc):
         # passes validate, but thinning would need ~1e10 proposals for one gap

@@ -148,6 +148,24 @@ class TestValidation:
             validate_scenario(edit(paper_scenario))
         assert err.value.path == path
 
+    @pytest.mark.parametrize("field, value, valid", [
+        # 40 SDs of noise times P3's order scale (stock 700 x 3 products): 8.4e307
+        ("noise_sd", 1e303, True),
+        ("noise_sd", 1e306, False),
+        # the slope times the summed stock (770) and P3's order scale: 1.6e306
+        ("competition_slope", 1e300, True),
+        ("competition_slope", 1e306, False),
+    ])
+    def test_noise_and_slope_bounded_by_order_totals(self, paper_scenario, field, value, valid):
+        scenario = dataclasses.replace(paper_scenario,
+                                       spot=dataclasses.replace(paper_scenario.spot, **{field: value}))
+        if valid:
+            assert validate_scenario(scenario) is scenario
+        else:
+            with pytest.raises(ScenarioValidationError, match="overflows an order total") as err:
+                validate_scenario(scenario)
+            assert err.value.path == f"spot.{field}"
+
     def test_large_rates_with_finite_order_totals_are_valid(self, paper_scenario):
         scenario = _with_contract(_with_spot_rate(paper_scenario, ("P1", "A"), baseline=1e305),
                                   product_rates={"P1": 1e305})

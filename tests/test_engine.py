@@ -302,6 +302,19 @@ class TestBatchDeterminism:
         assert InlineExecutor.sizes == [3]
         assert outputs == run_batch((paper_scenario,), 40, 42)[0]
 
+    def test_chunks_are_sized_for_the_workers_that_run(self, paper_scenario, monkeypatch):
+        # 2 CPUs run a parallelism of 64 on 2 workers: 8 chunks of 5 runs, not 40 of 1
+        import rto_sim.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        InlineExecutor.sizes.clear()
+        InlineExecutor.started.clear()
+        outputs = engine_mod.run_batch((paper_scenario,), 40, 42, parallelism=64)[0]
+        assert InlineExecutor.sizes == [2]
+        assert InlineExecutor.started == list(range(0, 40, 5))
+        assert outputs == run_batch((paper_scenario,), 40, 42)[0]
+
     @pytest.mark.parametrize("failing, reported, n_started",
                              [((0,), 0, 2), ((3,), 3, 4), ((1, 0), 0, 2)])
     def test_failure_stops_handing_out_chunks(self, paper_scenario, monkeypatch,

@@ -146,6 +146,17 @@ class TestAllocateMinCost:
         with pytest.raises(ValueError, match="po_overhead must be finite and non-negative"):
             allocate_min_cost(matrix, {"P1": 1, "P2": 1}, overhead)
 
+    def test_overflowing_order_totals_are_named(self):
+        # each item's cheapest option comes from another supplier, so the
+        # subset search runs, and every total overflows
+        matrix = CostMatrix(entries={
+            "P1": (MatrixEntry("A", 1e308, SPOT), MatrixEntry("B", 1.5e308, SPOT)),
+            "P2": (MatrixEntry("A", 1.5e308, SPOT), MatrixEntry("B", 1e308, SPOT)),
+        })
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(InfeasibleAllocationError, match="every order total overflows"):
+                allocate_min_cost(matrix, {"P1": 10, "P2": 10}, 0.0)
+
     def test_contract_preferred_on_equal_cost(self):
         matrix = CostMatrix(entries={
             "P1": (MatrixEntry("A", 5.0, SPOT), MatrixEntry("A", 5.0, CONTRACT)),
@@ -371,6 +382,71 @@ class TestArraySearches:
         assert len(alloc.items) == 6
 
 
+class TestLayoutCache:
+    """The enumeration's cached index arrays: read-only, bounded, and never a change in the result."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        policy._enumeration_layout.cache_clear()
+        yield
+        policy._enumeration_layout.cache_clear()
+
+    def test_layout_arrays_are_read_only(self):
+        arrays = policy._enumeration_layout((2, 3), bytes([0, 1, 0, 1, 2]), 3, 0, 6)
+        assert not any(array.flags.writeable for array in arrays)
+
+    def test_cold_and_warm_solves_are_bit_identical(self):
+        rng = random.Random(15)
+        warm_solves = 0
+        for _ in range(300):
+            matrix, quantities = _sparse_coupled_instance(rng)
+            overhead = rng.choice((0.0, 1.0, 3.0))
+            allocate_min_cost(matrix, quantities, overhead)
+            warm = allocate_min_cost(matrix, quantities, overhead)
+            warm_solves += policy._enumeration_layout.cache_info().hits
+            policy._enumeration_layout.cache_clear()
+            cold = allocate_min_cost(matrix, quantities, overhead)
+            assert _bits(cold) == _bits(warm)
+        assert warm_solves > 100
+
+    def test_warm_cache_at_a_smaller_block_matches_the_reference(self, monkeypatch):
+        rng = random.Random(16)
+        instances = [(*_sparse_coupled_instance(rng), rng.choice((0.0, 1.0, 3.0))) for _ in range(300)]
+        for matrix, quantities, overhead in instances:
+            allocate_min_cost(matrix, quantities, overhead)
+        assert policy._enumeration_layout.cache_info().currsize > 0
+        monkeypatch.setattr(policy, "_ENUMERATION_BLOCK", 2)
+        for matrix, quantities, overhead in instances:
+            _assert_matches_reference(matrix, quantities, overhead)
+
+    @pytest.mark.parametrize("bound, value", [("_ENUMERATION_BLOCK", 4), ("_LAYOUT_CACHE_CELLS", 8)])
+    def test_only_a_space_within_the_bounds_is_cached(self, monkeypatch, bound, value):
+        # 2 items of 2 options: 4 rows of 8 cells; 2 items of 3 options: 9 rows of 18 cells
+        monkeypatch.setattr(policy, bound, value)
+        cached = policy._enumeration_layout.cache_info
+        for n_options, currsize in ((3, 0), (2, 1)):
+            options = tuple(MatrixEntry(f"S{i}", 5.0 + i, SPOT) for i in range(n_options))
+            matrix = CostMatrix(entries={"P1": options, "P2": options[::-1]}, competition_slope=0.1,
+                                competition_basis="per_supplier_total")
+            _assert_matches_reference(matrix, {"P1": 3, "P2": 4}, 1.0)
+            assert cached().currsize == currsize
+
+    def test_a_full_cache_of_the_largest_entries_stays_under_34_mb(self):
+        # one item of 2**14 options: 2**14 rows and 2**14 cells, the most an
+        # entry may hold; a rotated supplier column makes each key distinct
+        n = policy._LAYOUT_CACHE_CELLS
+        columns = bytes(i % 12 for i in range(n))
+        tracemalloc.start()
+        try:
+            for k in range(policy._LAYOUT_CACHE_ENTRIES + 1):
+                policy._enumeration_layout((n,), columns[k:] + columns[:k], 12, 0, n)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert policy._enumeration_layout.cache_info().currsize == policy._LAYOUT_CACHE_ENTRIES
+        assert current < 34 * 2 ** 20
+
+
 class TestDecideRfqScope:
     def test_all_contracted_naive_skips_rfq(self):
         req = requisition({"P1": 1, "P2": 1})
@@ -411,6 +487,28 @@ def _random_instance(rng: random.Random, basis: str = "per_item", slope: float =
         entries[item] = tuple(options)
         quantities[item] = rng.randint(1, 10)
     return CostMatrix(entries=entries, competition_slope=slope, competition_basis=basis), quantities
+
+
+def _sparse_coupled_instance(rng: random.Random):
+    """1-5 items of 1-4 options each from a pool of up to 12 suppliers, under a coupled markup.
+
+    Integer costs 1-3 make exact ties common; a supplier may offer an item
+    under contract, on spot, or both.
+    """
+    suppliers = [f"S{i:02d}" for i in range(rng.randint(1, 12))]
+    pairs = [(s, kind) for s in suppliers for kind in (CONTRACT, SPOT)]
+    entries = {f"P{k}": tuple(MatrixEntry(s, float(rng.randint(1, 3)), kind)
+                              for s, kind in rng.sample(pairs, min(len(pairs), rng.randint(1, 4))))
+               for k in range(rng.randint(1, 5))}
+    quantities = {item: rng.randint(1, 10) for item in entries}
+    matrix = CostMatrix(entries=entries, competition_slope=rng.choice((0.05, 0.1, 1.0)),
+                        competition_basis="per_supplier_total")
+    return matrix, quantities
+
+
+def _bits(alloc):
+    return ({item: (a.supplier_id, a.provenance, a.unit_cost.hex(), a.quantity)
+             for item, a in alloc.items.items()}, alloc.overhead_cost.hex())
 
 
 def _assert_matches_reference(matrix, quantities, overhead):
