@@ -20,7 +20,6 @@ import time
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields, replace
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -219,7 +218,7 @@ def parse_scenario(doc: Any) -> ScenarioFile:
 
 def bundled_scenario_path(name: str) -> Path:
     """Filesystem path of a scenario shipped with the package."""
-    return Path(str(resources.files("rto_sim").joinpath("scenarios", name)))
+    return Path(__file__).with_name("scenarios") / name
 
 
 def _resolve_scenario_path(path: str) -> Path:
@@ -327,7 +326,7 @@ def write_summary_json(path: Path, config: Mapping[str, Any],
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
-def _event_detail(record) -> str:
+def _event_detail(record, lead_times: Mapping[str, float]) -> str:
     payload = record.payload
     if record.kind == PR_GENERATION:
         return "items=" + "|".join(f"{pid}:{q}" for pid, q in payload.items.items())
@@ -336,8 +335,8 @@ def _event_detail(record) -> str:
         return (f"contracted={contracted};rfq_items=" + "|".join(payload.rfq_items)
                 + ";rfq_suppliers=" + "|".join(payload.rfq_suppliers))
     if record.kind == RFQ_RESPONSE:
-        rates = "|".join(f"{pid}:{_fmt(rate)}" for pid, rate in sorted(payload.unit_rates.items()))
-        return f"rates={rates};lead_time={_fmt(payload.lead_time)}"
+        rates = "|".join(f"{pid}:{_fmt(rate)}" for pid, rate in sorted(payload.items()))
+        return f"rates={rates};lead_time={_fmt(lead_times[record.supplier_id])}"
     if record.kind == PO_GENERATION:
         assign = "|".join(f"{pid}:{a.supplier_id}:{a.provenance}:{_fmt(a.unit_cost)}"
                           for pid, a in sorted(payload.items.items()))
@@ -345,13 +344,13 @@ def _event_detail(record) -> str:
     return ""
 
 
-def write_events_csv(path: Path, log: Sequence) -> None:
+def write_events_csv(path: Path, log: Sequence, lead_times: Mapping[str, float]) -> None:
     lines = ["time,kind,pr_id,vessel_id,category_id,supplier_id,detail"]
     for record in log:
         lines.append(",".join([
             _fmt(record.time), record.kind,
             record.pr_id or "", record.vessel_id or "", record.category_id or "",
-            record.supplier_id or "", _event_detail(record),
+            record.supplier_id or "", _event_detail(record, lead_times),
         ]))
     _write_text(path, lines)
 
@@ -379,8 +378,8 @@ def _removed_on_failure() -> Iterator[list[Path]]:
         raise
 
 
-def _emit_cell(out_dir: Path, outputs: Sequence[RunOutput], config: Mapping[str, Any],
-               bins: int, created: list[Path]) -> dict[str, DistributionSummary]:
+def _emit_cell(out_dir: Path, outputs: Sequence[RunOutput], config: Mapping[str, Any], bins: int,
+               lead_times: Mapping[str, float], created: list[Path]) -> dict[str, DistributionSummary]:
     _make_dirs(out_dir, created)
     results = [o.result for o in outputs]
     summaries = summarize_batch(results)
@@ -397,7 +396,7 @@ def _emit_cell(out_dir: Path, outputs: Sequence[RunOutput], config: Mapping[str,
               [r.utilizations[supplier_id] for r in results], bins)
     for o in outputs:
         if o.log:  # a collected log ends with its termination record
-            write(write_events_csv, f"events_{o.result.run_index}.csv", o.log)
+            write(write_events_csv, f"events_{o.result.run_index}.csv", o.log, lead_times)
     return summaries
 
 
@@ -423,7 +422,7 @@ def _run_cells(sf: ScenarioFile, cells: Sequence[tuple[Scenario, Path]],
             "master_seed": runs.master_seed,
             "horizon_days": scenario.horizon,
             "histogram_bins": bins,
-        }, bins, created)
+        }, bins, {s.id: s.spot_lead_time for s in scenario.suppliers}, created)
 
 
 def _resolve_seed(flag_seed: int | None, file_seed: int | None) -> int:

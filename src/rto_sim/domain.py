@@ -9,6 +9,7 @@ order.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -24,7 +25,6 @@ __all__ = [
     "Vessel",
     "Contract",
     "Requisition",
-    "Quote",
     "AllocatedItem",
     "Allocation",
     "EventRecord",
@@ -41,6 +41,9 @@ __all__ = [
 MAX_SUPPLIERS_PER_CATEGORY = 12  # exact allocation search enumerates supplier subsets
 ASSIGNMENT_ENUMERATION_LIMIT = 2 ** 20  # the coupled per_supplier_total search enumerates assignments
 SPOT_NOISE_SDS = 40  # a standard normal draw this far out has probability below 1e-300
+# stream keys, requisition ids, CSV fields and file names join ids with these
+# unescaped, so no vessel, category, product or supplier id may hold one
+_ID_RESERVED = re.compile(r"[:|,;=/\\\x00-\x1f\x7f-\x9f]")
 
 
 class ScenarioValidationError(ValueError):
@@ -107,9 +110,6 @@ class Contract:
     valid_until: float
     volume_commitment: int = 0  # units owed over the window
 
-    def active_at(self, t: float) -> bool:
-        return self.valid_from <= t < self.valid_until
-
 
 @dataclass(frozen=True)
 class Requisition:
@@ -128,14 +128,6 @@ class Requisition:
                 raise ScenarioValidationError(
                     "zero quantity for included item", f"requisition[{self.id}].items[{product_id}]"
                 )
-
-
-@dataclass(frozen=True)
-class Quote:
-    """One supplier's RFQ response: spot unit rates for the quoted items; the lead time is only recorded."""
-
-    unit_rates: Mapping[str, float]
-    lead_time: float
 
 
 @dataclass(frozen=True)
@@ -254,6 +246,12 @@ def _finite(x: float) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+def _check_id(value: str, path: str) -> None:
+    reserved = _ID_RESERVED.search(value)
+    if reserved is not None:
+        raise ScenarioValidationError(f"id {value!r} holds the reserved character {reserved.group()!r}", path)
+
+
 def _validate_hazard(spec: HazardSpec, path: str) -> None:
     base = spec.baseline
     if isinstance(base, ConstantBaseline):
@@ -283,14 +281,15 @@ def _order_scale(product: Product, category: Category) -> int:
 
 
 def check_spot_order_totals(scenario: Scenario, slope: float, slope_path: str) -> None:
-    """Reject spot terms under which an order total can overflow a float, at competition slope `slope`.
+    """Reject a bad spot rate, or spot terms under which an order total can overflow at slope `slope`.
 
-    A quoted rate is at most baseline + |amplitude| plus SPOT_NOISE_SDS noise
-    SDs; a competition markup adds at most `slope` times the category's
-    summed baseline stock, which bounds both an item's quantity and a
-    supplier's spot volume.  The error names the term that overflows: the
-    rate, `spot.noise_sd`, or `slope_path` (a field path or a command-line
-    flag).  Expects every eligible pair's spot rate and finite parameters.
+    Every eligible (product, supplier) pair needs a spot rate with a positive
+    finite baseline and a finite amplitude and phase.  A quoted rate is at
+    most baseline + |amplitude| plus SPOT_NOISE_SDS noise SDs; a competition
+    markup adds at most `slope` times the category's summed baseline stock,
+    which bounds both an item's quantity and a supplier's spot volume.  The
+    error names the term at fault: the rate, `spot.noise_sd`, or
+    `slope_path` (a field path or a command-line flag).
     """
     spot = scenario.spot
     for category in scenario.catalog.categories:
@@ -299,9 +298,14 @@ def check_spot_order_totals(scenario: Scenario, slope: float, slope_path: str) -
             scale = _order_scale(product, category)
             for supplier_id in category.eligible_suppliers:
                 key = (product.id, supplier_id)
-                rate = spot.rates[key]
+                rate = spot.rates.get(key)
+                path = f"spot.rates[{key}]"
+                _check(rate is not None, f"missing spot rate for {key}", "spot.rates")
+                _check(_finite(rate.baseline) and rate.baseline > 0, "spot baseline must be positive", path)
+                _check(_finite(rate.amplitude) and _finite(rate.phase), "spot amplitude and phase must be finite",
+                       path)
                 bound = rate.baseline + abs(rate.amplitude)
-                _check(_finite(bound * scale), "spot rate overflows an order total", f"spot.rates[{key}]")
+                _check(_finite(bound * scale), "spot rate overflows an order total", path)
                 bound += SPOT_NOISE_SDS * spot.noise_sd
                 _check(_finite(bound * scale), f"spot noise sd of {spot.noise_sd:g} overflows an order "
                        f"total at {SPOT_NOISE_SDS} SDs", "spot.noise_sd")
@@ -320,6 +324,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     supplier_ids = [s.id for s in scenario.suppliers]
     _check(len(set(supplier_ids)) == len(supplier_ids), "duplicate supplier id", "suppliers")
     for i, supplier in enumerate(scenario.suppliers):
+        _check_id(supplier.id, f"suppliers[{i}].id")
         _check(_finite(supplier.spot_lead_time) and supplier.spot_lead_time >= 0,
                "spot lead time must be finite and non-negative", f"suppliers[{i}].spot_lead_time")
     known_suppliers = set(supplier_ids)
@@ -329,6 +334,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     order_scale: dict[str, int] = {}
     for c, category in enumerate(scenario.catalog.categories):
         cpath = f"catalog.categories[{c}]"
+        _check_id(category.id, f"{cpath}.id")
         _check(
             len(category.eligible_suppliers) <= MAX_SUPPLIERS_PER_CATEGORY,
             f"more than {MAX_SUPPLIERS_PER_CATEGORY} eligible suppliers", cpath,
@@ -340,6 +346,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
             _check(s in known_suppliers, f"unknown supplier {s!r}", f"{cpath}.eligible_suppliers")
         for p, product in enumerate(category.products):
             ppath = f"{cpath}.products[{p}]"
+            _check_id(product.id, f"{ppath}.id")
             _check(product.id not in seen_products, f"product {product.id!r} appears in two categories", ppath)
             seen_products[product.id] = ppath
             category_of_product[product.id] = category.id
@@ -352,6 +359,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     eligible = {c.id: set(c.eligible_suppliers) for c in scenario.catalog.categories}
     for v, vessel in enumerate(scenario.vessels):
         vpath = f"vessels[{v}]"
+        _check_id(vessel.id, f"{vpath}.id")
         for category_id, spec in vessel.hazards.items():
             _check(category_id in eligible, f"unknown category {category_id!r}", f"{vpath}.hazards")
             _validate_hazard(spec, f"{vpath}.hazards[{category_id}]")
@@ -390,16 +398,6 @@ def validate_scenario(scenario: Scenario) -> Scenario:
            "competition slope must be non-negative", "spot.competition_slope")
     _check(spot.competition_basis in ("per_item", "per_supplier_total"),
            "competition basis must be per_item or per_supplier_total", "spot.competition_basis")
-    for category in scenario.catalog.categories:
-        for product in category.products:
-            for supplier_id in category.eligible_suppliers:
-                key = (product.id, supplier_id)
-                _check(key in spot.rates, f"missing spot rate for {key}", "spot.rates")
-                rate = spot.rates[key]
-                _check(_finite(rate.baseline) and rate.baseline > 0, "spot baseline must be positive",
-                       f"spot.rates[{key}]")
-                _check(_finite(rate.amplitude) and _finite(rate.phase), "spot amplitude and phase must be finite",
-                       f"spot.rates[{key}]")
     check_spot_order_totals(scenario, spot.competition_slope, "spot.competition_slope")
 
     _check(scenario.policy.kind in POLICY_KINDS, "policy kind must be naive or dynamic", "policy.kind")

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import demand, hazards
-from .domain import Allocation, Category, EventRecord, PolicyKind, Quote, Requisition, Scenario, SpotModel
+from .domain import Allocation, Category, EventRecord, PolicyKind, Requisition, Scenario, SpotModel
 from .hazards import sample_exponential_delay
 from .market import ContractBook, make_quote, scope_quote
 from .metrics import RunResult, record_allocation, utilization
@@ -232,8 +232,8 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     horizon = world.horizon
     delays = world.delays
     book = ContractBook(world.contracts)
-    lead_times = {s.id: s.spot_lead_time for s in world.suppliers}
-    cells = [_Cell(s.policy, s.spot, n_rfq=dict.fromkeys(lead_times, 0)) for s in scenarios]
+    suppliers = [s.id for s in world.suppliers]
+    cells = [_Cell(s.policy, s.spot, n_rfq=dict.fromkeys(suppliers, 0)) for s in scenarios]
     commitments: dict[str, int] = {}  # in supplier order: the contracts are sorted by supplier
     for contract in world.contracts:
         commitments[contract.supplier_id] = commitments.get(contract.supplier_id, 0) + contract.volume_commitment
@@ -256,8 +256,8 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                                     pr_id=requisition.id, vessel_id=requisition.vessel_id,
                                     category_id=category.id, payload=requisition)
         # the requisition's one RFQ round, drawn when a cell first quotes: eligible
-        # supplier -> (response time, base-rate quote or None past the horizon)
-        responses: dict[str, tuple[float, Quote | None]] = {}
+        # supplier -> (response time, its base rates or None past the horizon)
+        responses: dict[str, tuple[float, dict[str, float] | None]] = {}
         decisions: dict[tuple, list] = {}  # decision key -> its cells' shared decision
 
         for cell in cells:
@@ -288,8 +288,7 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                         base = None
                         if response_at < horizon:
                             base = make_quote(world.spot, requisition, supplier_id, response_at, stream,
-                                              category_product_ids=category.product_ids,
-                                              lead_time=lead_times[supplier_id])
+                                              category_product_ids=category.product_ids)
                         responses[supplier_id] = (response_at, base)
                 asked = responses if scope_items else {}
                 quotes = {supplier_id: scope_quote(base, requisition, scope_items, cell.spot)

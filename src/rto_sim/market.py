@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .domain import Contract, Quote, Requisition, SpotModel, SpotRate
+from .domain import Contract, Requisition, SpotModel, SpotRate
 
 __all__ = [
     "ContractBook",
@@ -27,23 +27,20 @@ class ContractBook:
         for spans in self._by_pair.values():
             spans.sort(key=lambda c: c.valid_from)
 
-    def lookup(self, product_id: str, supplier_id: str, t: float) -> float | None:
-        """Contracted unit rate if a contract covering the product is active at t."""
-        for contract in self._by_pair.get((product_id, supplier_id), ()):
-            if contract.active_at(t):
-                return contract.product_rates[product_id]
-        return None
-
     def terms_snapshot(self, product_ids: Iterable[str], supplier_ids: Iterable[str],
                        t: float) -> dict[str, dict[str, float]]:
-        """Active contract terms at time t: product -> supplier -> unit rate."""
+        """Active contract terms at time t: product -> supplier -> unit rate.
+
+        A contract is active over its half-open window valid_from <= t < valid_until.
+        """
         snapshot: dict[str, dict[str, float]] = {}
         for product_id in product_ids:
             terms = {}
             for supplier_id in supplier_ids:
-                hit = self.lookup(product_id, supplier_id, t)
-                if hit is not None:
-                    terms[supplier_id] = hit
+                for contract in self._by_pair.get((product_id, supplier_id), ()):
+                    if contract.valid_from <= t < contract.valid_until:
+                        terms[supplier_id] = contract.product_rates[product_id]
+                        break
             if terms:
                 snapshot[product_id] = terms
         return snapshot
@@ -54,9 +51,8 @@ def _seasonal_rate(params: SpotRate, period: float, t: float) -> float:
 
 
 def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str,
-               response_time: float, rng, *, category_product_ids: Iterable[str],
-               lead_time: float) -> Quote:
-    """One supplier's RFQ response at base rates for every requested item.
+               response_time: float, rng, *, category_product_ids: Iterable[str]) -> dict[str, float]:
+    """One supplier's RFQ response: the base unit rate of every requested item.
 
     A rate is the seasonal curve plus Gaussian noise, floored at 0.01.  Noise
     is drawn once per product of `category_product_ids` in that order, so a
@@ -72,12 +68,12 @@ def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str,
         rate = _seasonal_rate(model.rates[(product_id, supplier_id)], model.period, response_time)
         rate += model.noise_sd * noise.get(product_id, 0.0)
         unit_rates[product_id] = max(rate, MIN_SPOT_RATE)
-    return Quote(unit_rates=unit_rates, lead_time=lead_time)
+    return unit_rates
 
 
-def scope_quote(base: Quote, requisition: Requisition, items: Sequence[str],
-                model: SpotModel) -> Quote:
-    """A base-rate quote cut to an RFQ item scope, with the per_item competition markup.
+def scope_quote(base: Mapping[str, float], requisition: Requisition, items: Sequence[str],
+                model: SpotModel) -> dict[str, float]:
+    """Base rates cut to an RFQ item scope, with the per_item competition markup.
 
     Under per_item a rate rises linearly with the quantity requested.  The
     per_supplier_total markup depends on the allocation; the solver adds it,
@@ -85,7 +81,6 @@ def scope_quote(base: Quote, requisition: Requisition, items: Sequence[str],
     """
     if not items:
         raise ValueError("RFQ issued with an empty item scope")
-    rates, quantities = base.unit_rates, requisition.items
+    quantities = requisition.items
     slope = model.competition_slope if model.competition_basis == "per_item" else 0.0
-    unit_rates = {item: rates[item] + slope * quantities[item] for item in items}
-    return Quote(unit_rates=unit_rates, lead_time=base.lead_time)
+    return {item: base[item] + slope * quantities[item] for item in items}

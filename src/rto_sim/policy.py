@@ -17,7 +17,6 @@ from .domain import (
     AllocatedItem,
     Allocation,
     PolicyKind,
-    Quote,
     Requisition,
 )
 
@@ -64,23 +63,23 @@ class CostMatrix:
 
 def build_cost_matrix(requisition: Requisition,
                       contract_terms: Mapping[str, Mapping[str, float]],
-                      quotes: Mapping[str, Quote],
+                      quotes: Mapping[str, Mapping[str, float]],
                       *, competition_slope: float = 0.0,
                       competition_basis: str = "per_item") -> CostMatrix:
     """Admissible supplier options per included item.
 
-    An item admits its active contract rates and every collected quote that
-    prices it.  Quotes cover exactly the RFQ scope, so the policy acts only
-    through `decide_rfq_scope`: under naive a contracted item admits only its
-    contract holders, under dynamic the same supplier may appear with both
-    provenances.
+    An item admits its active contract rates and every collected quote
+    (supplier -> item -> unit rate) that prices it.  Quotes cover exactly
+    the RFQ scope, so the policy acts only through `decide_rfq_scope`: under
+    naive a contracted item admits only its contract holders, under dynamic
+    the same supplier may appear with both provenances.
     """
     entries: dict[str, tuple[MatrixEntry, ...]] = {}
     for item in requisition.items:
         terms = contract_terms.get(item, {})
         options = [MatrixEntry(supplier_id, terms[supplier_id], CONTRACT) for supplier_id in sorted(terms)]
         for supplier_id in sorted(quotes):
-            rate = quotes[supplier_id].unit_rates.get(item)
+            rate = quotes[supplier_id].get(item)
             if rate is not None:
                 options.append(MatrixEntry(supplier_id, rate, SPOT))
         entries[item] = tuple(options)

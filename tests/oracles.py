@@ -27,7 +27,6 @@ from rto_sim.domain import (
     AllocatedItem,
     Allocation,
     EventRecord,
-    Quote,
     Requisition,
     Scenario,
 )
@@ -251,7 +250,7 @@ class _PendingPR:
     requisition: Requisition
     contract_terms: Mapping[str, Mapping[str, float]] | None = None
     scope_items: tuple[str, ...] = ()
-    quotes: dict[str, Quote] = field(default_factory=dict)
+    quotes: dict[str, dict[str, float]] = field(default_factory=dict)
     quote_streams: dict[str, np.random.Generator] = field(default_factory=dict)
     awaiting: int = 0
 
@@ -279,7 +278,6 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
     book = ContractBook(scenario.contracts)
 
     categories = {c.id: c for c in scenario.catalog.categories}
-    lead_times = {s.id: s.spot_lead_time for s in scenario.suppliers}
 
     queue: list[tuple[float, int, _SimEvent]] = []
     seq = 0
@@ -402,8 +400,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             n_rfq[event.supplier_id] += 1
             base = make_quote(spot, requisition, event.supplier_id, time,
                               state.quote_streams.pop(event.supplier_id),
-                              category_product_ids=category.product_ids,
-                              lead_time=lead_times[event.supplier_id])
+                              category_product_ids=category.product_ids)
             quote = scope_quote(base, requisition, state.scope_items, spot)
             state.quotes[event.supplier_id] = quote
             state.awaiting -= 1

@@ -5,10 +5,12 @@ import copy
 import csv
 import dataclasses
 import gzip
+import importlib
 import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -250,6 +252,19 @@ class TestLoadScenario:
         sf = load_scenario("paper_s5.json")
         assert sf.scenario.horizon == 365.0
 
+    def test_bundled_path_is_found_from_the_package_copy_that_asks(self, tmp_path, monkeypatch):
+        # a second copy imported under another name reads its own scenarios, not rto_sim's
+        copy = tmp_path / "rto_sim_copy"
+        shutil.copytree(Path(cli.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            path = importlib.import_module("rto_sim_copy.cli").bundled_scenario_path("paper_s5.json")
+        finally:
+            for name in [n for n in sys.modules if n.partition(".")[0] == "rto_sim_copy"]:
+                del sys.modules[name]
+        assert path.resolve() == (copy / "scenarios" / "paper_s5.json").resolve()
+        assert path.is_file()
+
     def test_defaults_applied(self, scenario_doc):
         del scenario_doc["delays"]
         del scenario_doc["policy"]["po_overhead"]
@@ -352,6 +367,25 @@ class TestRunCommand:
             lines = (out / f"events_{i}.csv").read_text().splitlines()
             assert lines[0] == "time,kind,pr_id,vessel_id,category_id,supplier_id,detail"
             assert len(lines) > 1
+
+    def test_rfq_lines_carry_their_suppliers_lead_time(self, tmp_path):
+        doc = json.loads(bundled_scenario_path("paper_s5.json").read_text())
+        lead_times = {"A": "1.5", "B": "4.25", "C": "3"}
+        for supplier in doc["suppliers"]:
+            supplier["spot_lead_time"] = float(lead_times[supplier["id"]])
+        path = tmp_path / "lead_times.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--runs", "3", "--seed", "1", "--policy", "dynamic",
+                       "--export-events", "--out", str(out)) == 0
+        responses = collections.Counter()
+        for i in range(3):
+            with open(out / f"events_{i}.csv", newline="", encoding="utf-8") as fh:
+                for row in csv.DictReader(fh):
+                    if row["kind"] == "rfq_response":
+                        assert row["detail"].endswith(f";lead_time={lead_times[row['supplier_id']]}"), row
+                        responses[row["supplier_id"]] += 1
+        assert sorted(responses) == ["A", "B", "C"]
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         doc = json.loads(bundled_scenario_path("paper_s5.json").read_text())
@@ -538,6 +572,41 @@ class TestValidateCommand:
         path.write_text(json.dumps(doc))
         assert run_cli("validate", str(path)) == 1
         assert "empty validity window" in capsys.readouterr().err
+
+
+    def test_ids_that_would_share_a_stream_key_fail(self, tmp_path, capsys):
+        # vessel V stocking category a:b and vessel V:a stocking category b would
+        # both key their clocks V:a:b and draw the same triggers
+        hazard = HazardSpec(WeibullBaseline(shape=1.5, scale=12.0))
+        categories = tuple(Category(id=c, eligible_suppliers=("S1",), products=(
+            Product(id=f"P{i}", family_id="F", baseline_stock=10, depletion_rate=0.5),))
+            for i, c in enumerate(("a:b", "b")))
+        scenario = Scenario(
+            horizon=100.0, catalog=Catalog(categories=categories),
+            vessels=(Vessel(id="V", hazards={"a:b": hazard}), Vessel(id="V:a", hazards={"b": hazard})),
+            suppliers=(Supplier(id="S1"),),
+            spot=SpotModel(rates={("P0", "S1"): SpotRate(5.0), ("P1", "S1"): SpotRate(5.0)}),
+        )
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(dump_scenario(ScenarioFile(scenario=scenario))))
+        expected = "error: catalog.categories[0].id: id 'a:b' holds the reserved character ':'"
+        assert run_cli("validate", str(path)) == 1
+        assert expected in capsys.readouterr().err
+        assert run_cli("run", str(path), "--runs", "2", "--out", str(tmp_path / "o")) == 1
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_supplier_id_that_would_split_a_csv_field_fails(self, tmp_path, capsys):
+        # A,x would add header fields to runs.csv and a comma to a histogram's file name
+        text = bundled_scenario_path("paper_s5.json").read_text()
+        path = tmp_path / "comma.json"
+        path.write_text(text.replace('"A"', '"A,x"'))
+        expected = "error: suppliers[0].id: id 'A,x' holds the reserved character ','"
+        assert run_cli("validate", str(path)) == 1
+        assert expected in capsys.readouterr().err
+        assert run_cli("run", str(path), "--runs", "2", "--out", str(tmp_path / "o")) == 1
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestBenchmarkTrace:

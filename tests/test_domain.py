@@ -19,6 +19,7 @@ from rto_sim.domain import (
     Requisition,
     ScenarioValidationError,
     Supplier,
+    check_spot_order_totals,
     validate_scenario,
 )
 
@@ -45,6 +46,37 @@ def _with_contract(scenario, **changes):
 def _with_supplier(scenario, **changes):
     supplier = dataclasses.replace(scenario.suppliers[0], **changes)
     return dataclasses.replace(scenario, suppliers=(supplier,) + scenario.suppliers[1:])
+
+
+def _with_first_id_extended(scenario, kind, suffix):
+    """The first vessel, category, product or supplier's id with `suffix` appended.
+
+    References to the id are left as they are; the new id sorts where the old
+    one did, so the element keeps its index.
+    """
+    if kind == "supplier":
+        return _with_supplier(scenario, id=scenario.suppliers[0].id + suffix)
+    if kind == "vessel":
+        vessel = scenario.vessels[0]
+        vessel = dataclasses.replace(vessel, id=vessel.id + suffix)
+        return dataclasses.replace(scenario, vessels=(vessel,) + scenario.vessels[1:])
+    category = scenario.catalog.categories[0]
+    if kind == "category":
+        category = dataclasses.replace(category, id=category.id + suffix)
+    else:
+        product = category.products[0]
+        product = dataclasses.replace(product, id=product.id + suffix)
+        category = dataclasses.replace(category, products=(product,) + category.products[1:])
+    categories = (category,) + scenario.catalog.categories[1:]
+    return dataclasses.replace(scenario, catalog=Catalog(categories=categories))
+
+
+_FIRST_ID_PATHS = {
+    "vessel": "vessels[0].id",
+    "category": "catalog.categories[0].id",
+    "product": "catalog.categories[0].products[0].id",
+    "supplier": "suppliers[0].id",
+}
 
 
 class TestValidation:
@@ -118,6 +150,20 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError, match="missing spot rate"):
             validate_scenario(scenario)
 
+    @pytest.mark.parametrize("edit, message, path", [
+        (lambda s: dataclasses.replace(s, spot=dataclasses.replace(s.spot, rates={})),
+         "missing spot rate", "spot.rates"),
+        (lambda s: _with_spot_rate(s, ("P1", "A"), baseline=0.0), "baseline must be positive",
+         "spot.rates[('P1', 'A')]"),
+        (lambda s: _with_spot_rate(s, ("P1", "A"), amplitude=math.nan), "amplitude and phase must be finite",
+         "spot.rates[('P1', 'A')]"),
+    ], ids=["missing", "zero-baseline", "amplitude-nan"])
+    def test_spot_order_total_check_needs_no_prior_validation(self, paper_scenario, edit, message, path):
+        # the flag-slope check of run and compare sees the spot rates as they are
+        with pytest.raises(ScenarioValidationError, match=message) as err:
+            check_spot_order_totals(edit(paper_scenario), 0.01, "--competition-slope")
+        assert err.value.path == path
+
     def test_zero_vessels_is_valid(self):
         scenario = dataclasses.replace(single_product_scenario(contracted=True), vessels=())
         validate_scenario(scenario)
@@ -178,6 +224,19 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError) as err:
             validate_scenario(dataclasses.replace(scenario, catalog=Catalog(categories=(category,))))
         assert err.value.path == "catalog.categories[0].eligible_suppliers"
+
+    @pytest.mark.parametrize("char", [":", "|", ",", ";", "=", "/", "\\", "\x00", "\t", "\n", "\x7f", "\x9f"])
+    @pytest.mark.parametrize("kind", sorted(_FIRST_ID_PATHS))
+    def test_reserved_character_in_an_id_rejected(self, paper_scenario, kind, char):
+        scenario = _with_first_id_extended(paper_scenario, kind, f"{char}x")
+        with pytest.raises(ScenarioValidationError, match="reserved character") as err:
+            validate_scenario(scenario)
+        assert err.value.path == _FIRST_ID_PATHS[kind]
+
+    @pytest.mark.parametrize("suffix", ["-x", ".x", "_x", " x", "\u00e9", "\u00a0x"])
+    def test_other_characters_in_an_id_are_valid(self, paper_scenario, suffix):
+        scenario = _with_first_id_extended(paper_scenario, "vessel", suffix)
+        assert validate_scenario(scenario) is scenario
 
     def test_error_carries_path(self, paper_scenario):
         bad = dataclasses.replace(paper_scenario.contracts[0], valid_from=9.0, valid_until=9.0)
@@ -292,13 +351,9 @@ class TestRoundTrip:
 
 class TestQuoteSet:
     def test_aggregates_per_supplier_responses(self):
-        from rto_sim.domain import Quote
         from rto_sim.policy import build_cost_matrix
 
-        quotes = {
-            "A": Quote(unit_rates={"P1": 10.0}, lead_time=3.0),
-            "B": Quote(unit_rates={"P1": 9.0}, lead_time=4.0),
-        }
+        quotes = {"A": {"P1": 10.0}, "B": {"P1": 9.0}}
         req = Requisition(id="r", vessel_id="V", category_id="c", created_at=1.0, items={"P1": 2})
         matrix = build_cost_matrix(req, {}, quotes)
         assert sorted(e.supplier_id for e in matrix.entries["P1"]) == ["A", "B"]

@@ -533,7 +533,7 @@ class TestMetamorphic:
             base_outs = run_once(cells, run_index, 7)
             # the dynamic slope-0 cell quotes every item at its base rate
             rates = [rate for out in base_outs for record in out.log if record.kind == RFQ_RESPONSE
-                     for rate in record.payload.unit_rates.values()]
+                     for rate in record.payload.values()]
             assert min(rates) > MIN_SPOT_RATE
             for base, scaled in zip(base_outs, run_once(doubled, run_index, 7, collect_log=False)):
                 base, scaled = base.result, scaled.result

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import StubRng
-from rto_sim.domain import Quote, Requisition, SpotModel, SpotRate
+from rto_sim.domain import Contract, Requisition, SpotModel, SpotRate
 from rto_sim.market import (
     ContractBook,
     make_quote,
@@ -22,21 +22,40 @@ def book(paper_scenario):
     return ContractBook(paper_scenario.contracts)
 
 
+def contract(rate, valid_from, valid_until):
+    return Contract(supplier_id="A", product_rates={"P1": rate}, valid_from=valid_from,
+                    valid_until=valid_until)
+
+
 class TestContractLookup:
     def test_active_six_month_contract(self, book):
-        assert book.lookup("P1", "A", 30.0) == 11.0
+        assert book.terms_snapshot(["P1"], ["A"], 30.0) == {"P1": {"A": 11.0}}
 
     def test_expired_after_half_year(self, book):
-        assert book.lookup("P1", "A", 200.0) is None
+        assert book.terms_snapshot(["P1"], ["A"], 200.0) == {}
 
     def test_uncovered_pair(self, book):
-        assert book.lookup("P1", "B", 30.0) is None
+        assert book.terms_snapshot(["P1"], ["B"], 30.0) == {}
 
     def test_empty_book(self):
-        assert ContractBook([]).lookup("P1", "A", 1.0) is None
+        assert ContractBook([]).terms_snapshot(["P1"], ["A"], 1.0) == {}
 
     def test_full_year_contract(self, book):
-        assert book.lookup("P3", "C", 360.0) == 12.0
+        assert book.terms_snapshot(["P3"], ["C"], 360.0) == {"P3": {"C": 12.0}}
+
+    def test_window_is_half_open(self):
+        book = ContractBook([contract(5.0, 10.0, 20.0)])
+        assert book.terms_snapshot(["P1"], ["A"], math.nextafter(10.0, 0.0)) == {}
+        assert book.terms_snapshot(["P1"], ["A"], 10.0) == {"P1": {"A": 5.0}}
+        assert book.terms_snapshot(["P1"], ["A"], math.nextafter(20.0, 0.0)) == {"P1": {"A": 5.0}}
+        assert book.terms_snapshot(["P1"], ["A"], 20.0) == {}
+
+    def test_back_to_back_contracts_hand_over_at_the_boundary(self):
+        # listed out of order: the book finds the active one whatever the input order
+        book = ContractBook([contract(7.0, 10.0, 20.0), contract(5.0, 0.0, 10.0)])
+        assert book.terms_snapshot(["P1"], ["A"], math.nextafter(10.0, 0.0)) == {"P1": {"A": 5.0}}
+        assert book.terms_snapshot(["P1"], ["A"], 10.0) == {"P1": {"A": 7.0}}
+        assert book.terms_snapshot(["P1"], ["A"], 20.0) == {}
 
     def test_snapshot_contains_only_active_terms(self, book):
         snap = book.terms_snapshot(["P1", "P2", "P3"], ["A", "B", "C"], 200.0)
@@ -54,9 +73,7 @@ def requisition(items):
 
 def spot_rate(model, t, rng):
     """One spot unit-rate draw: supplier S's quote for a one-item requisition of product P."""
-    quote = make_quote(model, requisition({"P": 1}), "S", t, rng,
-                       category_product_ids=("P",), lead_time=0.0)
-    return quote.unit_rates["P"]
+    return make_quote(model, requisition({"P": 1}), "S", t, rng, category_product_ids=("P",))["P"]
 
 
 class TestSpotRate:
@@ -100,9 +117,8 @@ class TestMakeQuote:
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0)
         req = requisition({"P1": 4})
         quote = make_quote(spot, req, "B", 365.0 / 4, StubRng(),
-                           category_product_ids=("P1", "P2", "P3"), lead_time=3.0)
-        assert quote.unit_rates == {"P1": pytest.approx(7.0)}
-        assert quote.lead_time == 3.0
+                           category_product_ids=("P1", "P2", "P3"))
+        assert quote == {"P1": pytest.approx(7.0)}
 
     def test_golden_quote_vector(self, paper_scenario):
         # frozen from a hand-verified run: seasonal curve at t=20 plus the
@@ -110,21 +126,21 @@ class TestMakeQuote:
         req = requisition({"P1": 10, "P2": 5, "P3": 50})
         rng = np.random.Generator(np.random.PCG64(77))
         quote = make_quote(paper_scenario.spot, req, "A", 20.0, rng,
-                           category_product_ids=("P1", "P2", "P3"), lead_time=3.0)
-        assert quote.unit_rates["P1"] == pytest.approx(11.102815763392954, abs=1e-12)
-        assert quote.unit_rates["P2"] == pytest.approx(7.546527808087861, abs=1e-12)
-        assert quote.unit_rates["P3"] == pytest.approx(10.845907510589281, abs=1e-12)
+                           category_product_ids=("P1", "P2", "P3"))
+        assert quote["P1"] == pytest.approx(11.102815763392954, abs=1e-12)
+        assert quote["P2"] == pytest.approx(7.546527808087861, abs=1e-12)
+        assert quote["P3"] == pytest.approx(10.845907510589281, abs=1e-12)
 
     def test_noise_alignment_across_scopes(self, paper_scenario):
         # the same stream gives an item the same rate no matter which other
         # items the requisition holds
         full = make_quote(paper_scenario.spot, requisition({"P1": 10, "P2": 5, "P3": 50}), "A", 20.0,
                           np.random.Generator(np.random.PCG64(123)),
-                          category_product_ids=("P1", "P2", "P3"), lead_time=3.0)
+                          category_product_ids=("P1", "P2", "P3"))
         partial = make_quote(paper_scenario.spot, requisition({"P3": 50}), "A", 20.0,
                              np.random.Generator(np.random.PCG64(123)),
-                             category_product_ids=("P1", "P2", "P3"), lead_time=3.0)
-        assert partial.unit_rates == {"P3": full.unit_rates["P3"]}
+                             category_product_ids=("P1", "P2", "P3"))
+        assert partial == {"P3": full["P3"]}
 
 
 class TestScopeQuote:
@@ -132,15 +148,14 @@ class TestScopeQuote:
     def base_quote(spot, req):
         # noise-free: a quarter period in, supplier B's P1 rate is 7.0
         return make_quote(spot, req, "B", 365.0 / 4, StubRng(),
-                          category_product_ids=("P1", "P2", "P3"), lead_time=3.0)
+                          category_product_ids=("P1", "P2", "P3"))
 
     def test_cut_to_scope(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0)
         req = requisition({"P1": 10, "P2": 5, "P3": 50})
         base = self.base_quote(spot, req)
         quote = scope_quote(base, req, ("P3",), spot)
-        assert quote.unit_rates == {"P3": base.unit_rates["P3"]}
-        assert quote.lead_time == 3.0
+        assert quote == {"P3": base["P3"]}
 
     def test_empty_scope_rejected(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0)
@@ -153,36 +168,36 @@ class TestScopeQuote:
         req = requisition({"P1": 50})
         base = self.base_quote(spot, req)
         quote = scope_quote(base, req, ("P1",), spot)
-        assert quote.unit_rates["P1"] == base.unit_rates["P1"] == pytest.approx(7.0)
+        assert quote["P1"] == base["P1"] == pytest.approx(7.0)
 
     def test_mild_competition(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0, competition_slope=0.01)
         req = requisition({"P1": 50})
         quote = scope_quote(self.base_quote(spot, req), req, ("P1",), spot)
-        assert quote.unit_rates["P1"] == pytest.approx(7.5)  # 7.0 + 0.01*50
+        assert quote["P1"] == pytest.approx(7.5)  # 7.0 + 0.01*50
 
     def test_per_item_competition_applied(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0, competition_slope=0.10)
         req = requisition({"P1": 50})
         quote = scope_quote(self.base_quote(spot, req), req, ("P1",), spot)
-        assert quote.unit_rates["P1"] == pytest.approx(12.0)  # 7.0 + 0.1*50
+        assert quote["P1"] == pytest.approx(12.0)  # 7.0 + 0.1*50
 
     def test_high_competition(self):
         spot = flat_model(competition_slope=0.10)
-        base = Quote(unit_rates={"P": 10.0, "Q": 10.0}, lead_time=0.0)
+        base = {"P": 10.0, "Q": 10.0}
         quote = scope_quote(base, requisition({"P": 50, "Q": 5}), ("P", "Q"), spot)
         # each line is marked up by its own quantity
-        assert quote.unit_rates == pytest.approx({"P": 15.0, "Q": 10.5})
+        assert quote == pytest.approx({"P": 15.0, "Q": 10.5})
 
     @given(q1=st.integers(min_value=1, max_value=1000),
            extra=st.integers(min_value=1, max_value=1000),
            slope=st.floats(min_value=1e-6, max_value=1.0))
     def test_strictly_increasing_in_quantity(self, q1, extra, slope):
         spot = flat_model(competition_slope=slope)
-        base = Quote(unit_rates={"P": 10.0}, lead_time=0.0)
+        base = {"P": 10.0}
 
         def rate(q):
-            return scope_quote(base, requisition({"P": q}), ("P",), spot).unit_rates["P"]
+            return scope_quote(base, requisition({"P": q}), ("P",), spot)["P"]
 
         assert rate(q1) < rate(q1 + extra)
 
@@ -192,4 +207,4 @@ class TestScopeQuote:
         req = requisition({"P1": 50})
         base = self.base_quote(spot, req)
         quote = scope_quote(base, req, ("P1",), spot)
-        assert quote.unit_rates["P1"] == base.unit_rates["P1"] == pytest.approx(7.0)
+        assert quote["P1"] == base["P1"] == pytest.approx(7.0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import OracleInstance, exhaustive_allocation, reference_allocate_min_cost
 from rto_sim import policy
-from rto_sim.domain import PolicyKind, Quote, Requisition
+from rto_sim.domain import PolicyKind, Requisition
 from rto_sim.policy import (
     CONTRACT,
     SPOT,
@@ -32,10 +32,6 @@ def requisition(items):
     return Requisition(id="r", vessel_id="V", category_id="cat", created_at=1.0, items=items)
 
 
-def quote(rates):
-    return Quote(unit_rates=rates, lead_time=3.0)
-
-
 class TestBuildCostMatrix:
     def test_naive_contract_only(self):
         req = requisition({"P1": 2, "P2": 3})
@@ -47,7 +43,7 @@ class TestBuildCostMatrix:
     def test_dynamic_union_of_contract_and_quotes(self):
         req = requisition({"P1": 2})
         terms = {"P1": {"A": 11.0}}
-        quotes = {"A": quote({"P1": 9.5}), "B": quote({"P1": 10.2}), "C": quote({"P1": 12.8})}
+        quotes = {"A": {"P1": 9.5}, "B": {"P1": 10.2}, "C": {"P1": 12.8}}
         matrix = build_cost_matrix(req, terms, quotes)
         assert len(matrix.entries["P1"]) == 4
         costs = sorted(e.unit_cost for e in matrix.entries["P1"])
@@ -58,7 +54,7 @@ class TestBuildCostMatrix:
         # expired items, a contract column for the covered one
         req = requisition({"P1": 2, "P3": 4})
         terms = {"P3": {"C": 12.0}}
-        quotes = {s: quote({"P1": 10.0 + i}) for i, s in enumerate(("A", "B", "C"))}
+        quotes = {s: {"P1": 10.0 + i} for i, s in enumerate(("A", "B", "C"))}
         matrix = build_cost_matrix(req, terms, quotes)
         assert sorted(e.supplier_id for e in matrix.entries["P1"]) == ["A", "B", "C"]
         assert all(e.provenance == SPOT for e in matrix.entries["P1"])
@@ -66,7 +62,7 @@ class TestBuildCostMatrix:
 
     def test_unquoted_uncovered_item_has_no_admissible_supplier(self):
         req = requisition({"P1": 2, "P2": 1})
-        quotes = {"A": quote({"P1": 10.0})}  # no contract and no rate for P2
+        quotes = {"A": {"P1": 10.0}}  # no contract and no rate for P2
         matrix = build_cost_matrix(req, {}, quotes)
         assert matrix.entries["P2"] == ()
         with pytest.raises(InfeasibleAllocationError, match="no admissible supplier for item 'P2'"):
@@ -78,7 +74,7 @@ class TestBuildCostMatrix:
         req = requisition({"P1": 2, "P3": 4})
         terms = {"P3": {"C": 12.0}}
         scope = decide_rfq_scope(req, terms, policy)
-        quotes = {s: quote({item: 10.0 + i for item in scope}) for i, s in enumerate(("A", "B", "C"))}
+        quotes = {s: {item: 10.0 + i for item in scope} for i, s in enumerate(("A", "B", "C"))}
         matrix = build_cost_matrix(req, terms, quotes)
         for item in req.items:
             spot = sorted(e.supplier_id for e in matrix.entries[item] if e.provenance == SPOT)
