@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 import types
@@ -49,6 +50,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 ENV_SEED = "RTO_SIM_SEED"
 MAX_HISTOGRAM_BINS = 10**6  # about 8 MB of bin edges
+_EVENTS_FILE = re.compile(r"events_(\d+)\.csv")  # a per-run event log, by run index
 
 
 class ScenarioFormatError(ScenarioValidationError):
@@ -400,6 +402,24 @@ def _emit_cell(out_dir: Path, outputs: Sequence[RunOutput], config: Mapping[str,
     return summaries
 
 
+def _check_no_stale_events(out_dirs: Iterable[Path], runs: int, export_events: bool) -> None:
+    """Refuse a cell directory holding an `events_<i>.csv` that the command will not overwrite.
+
+    Such a file would sit beside the new outputs as if this command had
+    written it.  Nothing is deleted; the error names the first stale file,
+    cells in order, then by run index.
+    """
+    for out_dir in out_dirs:
+        if not out_dir.is_dir():
+            continue
+        logs = sorted((int(match[1]), name) for name in os.listdir(out_dir)
+                      if (match := _EVENTS_FILE.fullmatch(name)))
+        for index, name in logs:
+            if not (export_events and index < runs and name == f"events_{index}.csv"):
+                raise FileExistsError(f"{out_dir / name}: a stale event log that this command would not "
+                                      "overwrite; remove it or choose another --out")
+
+
 def _run_cells(sf: ScenarioFile, cells: Sequence[tuple[Scenario, Path]],
                created: list[Path]) -> Iterator[dict[str, DistributionSummary]]:
     """Simulate every (scenario, output directory) cell in one batch; write each cell's files.
@@ -409,6 +429,7 @@ def _run_cells(sf: ScenarioFile, cells: Sequence[tuple[Scenario, Path]],
     cell's summaries once its files are written, so only one cell's are held.
     """
     runs, bins = sf.runs, sf.output.histogram_bins
+    _check_no_stale_events([out_dir for _, out_dir in cells], runs.count, sf.output.export_events)
     # not re-validated: a cell changes only the file's policy and slope, the flags'
     # argparse types check both, and of the checks in validate_scenario only
     # check_spot_order_totals reads them, which the commands run on each flag slope

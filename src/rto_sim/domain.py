@@ -332,9 +332,12 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     seen_products: dict[str, str] = {}
     category_of_product: dict[str, str] = {}
     order_scale: dict[str, int] = {}
+    category_ids: set[str] = set()
     for c, category in enumerate(scenario.catalog.categories):
         cpath = f"catalog.categories[{c}]"
         _check_id(category.id, f"{cpath}.id")
+        _check(category.id not in category_ids, f"duplicate category id {category.id!r}", f"{cpath}.id")
+        category_ids.add(category.id)
         _check(
             len(category.eligible_suppliers) <= MAX_SUPPLIERS_PER_CATEGORY,
             f"more than {MAX_SUPPLIERS_PER_CATEGORY} eligible suppliers", cpath,
@@ -357,9 +360,13 @@ def validate_scenario(scenario: Scenario) -> Scenario:
             order_scale[product.id] = _order_scale(product, category)
 
     eligible = {c.id: set(c.eligible_suppliers) for c in scenario.catalog.categories}
+    vessel_ids: set[str] = set()
     for v, vessel in enumerate(scenario.vessels):
         vpath = f"vessels[{v}]"
         _check_id(vessel.id, f"{vpath}.id")
+        # a second vessel of an id would walk the same keyed streams as the first
+        _check(vessel.id not in vessel_ids, f"duplicate vessel id {vessel.id!r}", f"{vpath}.id")
+        vessel_ids.add(vessel.id)
         for category_id, spec in vessel.hazards.items():
             _check(category_id in eligible, f"unknown category {category_id!r}", f"{vpath}.hazards")
             _validate_hazard(spec, f"{vpath}.hazards[{category_id}]")

@@ -7,9 +7,13 @@ contract book is immutable, contract volumes only add, inventories are per
 (run, purpose, entity).  So the policy-independent part of a requisition --
 its trigger, content, processing delays, contract snapshot and supplier
 responses -- is drawn once, and every cell decides the requisition as soon
-as it is drawn: its RFQ scope, the order time, and the allocation.  An event
-counts iff it falls strictly before the horizon; requests whose lifecycle is
-incomplete by then count as in-flight and stay out of the totals.
+as it is drawn: its RFQ scope and the order time.  Only the allocations wait:
+each distinct decision that orders before the horizon is kept as plain option
+rows, and all of a replication's are solved together once its clocks are
+walked, since a cell needs its orders only to total them at the end.  An
+event counts iff it falls strictly before the horizon; requests whose
+lifecycle is incomplete by then count as in-flight and stay out of the
+totals.
 
 Randomness comes from a keyed splittable plan, so results are reproducible
 regardless of execution order or parallelism, and every cell faces identical
@@ -33,7 +37,11 @@ from .domain import Allocation, Category, EventRecord, PolicyKind, Requisition, 
 from .hazards import sample_exponential_delay
 from .market import ContractBook, make_quote, scope_quote
 from .metrics import RunResult, record_allocation, utilization
-from .policy import allocate_min_cost, build_cost_matrix, decide_rfq_scope
+from .policy import Decision, admissible_options, allocate_batch, decide_rfq_scope
+# not called here since decisions are solved in batches, but bound, as they
+# always were, for perfbench/child.py, which patches each layer's functions
+# on the modules that import them
+from .policy import allocate_min_cost, build_cost_matrix  # noqa: F401
 
 __all__ = [
     "PR_GENERATION",
@@ -145,19 +153,23 @@ class _Cell:
     spot: SpotModel
     n_rfq: dict[str, int]
     n_hl: int = 0
-    # (order time, requisition index, order)
-    orders: list[tuple[float, int, Allocation]] = field(default_factory=list)
+    # (order time, requisition index, decision index)
+    orders: list[tuple[float, int, int]] = field(default_factory=list)
+    # a po_generation record's payload is its decision index until the output
     log: list[EventRecord] = field(default_factory=list)
 
     def output(self, world: Scenario, commitments: Mapping[str, int], run_index: int, n_pr: int,
-               empty_draws: int, collect_log: bool) -> RunOutput:
+               empty_draws: int, allocations: Sequence[Allocation], collect_log: bool) -> RunOutput:
         """The cell's result; orders accrue in order time, so the cost sum adds as an event clock would."""
         volumes = dict.fromkeys(commitments, 0)
         terminal_cost = 0.0
         self.orders.sort(key=itemgetter(0, 1))
-        for _, _, allocation in self.orders:
-            terminal_cost += record_allocation(volumes, allocation)
+        for _, _, decision in self.orders:
+            terminal_cost += record_allocation(volumes, allocations[decision])
         if collect_log:
+            self.log = [EventRecord(kind=PO_GENERATION, time=r.time, pr_id=r.pr_id,
+                                    payload=allocations[r.payload]) if r.kind == PO_GENERATION else r
+                        for r in self.log]
             # records were appended per requisition in walk order; the stable
             # sort keeps that order among equal times
             self.log.sort(key=attrgetter("time"))
@@ -224,7 +236,9 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     the scope, or handling when the scope is empty, by the handling-to-order
     delay.  Cells with the same RFQ scope, the same slope when it is not
     empty and the same order overhead share one set of scoped quotes and,
-    once one orders before the horizon, one solved allocation.  A cell's
+    once one orders before the horizon, one decision.  The decisions are
+    solved in one `allocate_batch` call after the walk, and each cell's
+    orders and log records point at theirs by index until then.  A cell's
     log, when collected, is its records in time order, termination last.
     """
     world = _check_grid(scenarios)
@@ -233,11 +247,13 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     delays = world.delays
     book = ContractBook(world.contracts)
     suppliers = [s.id for s in world.suppliers]
+    product_ids = {c.id: c.product_ids for c in world.catalog.categories}  # a property builds its tuple
     cells = [_Cell(s.policy, s.spot, n_rfq=dict.fromkeys(suppliers, 0)) for s in scenarios]
     commitments: dict[str, int] = {}  # in supplier order: the contracts are sorted by supplier
     for contract in world.contracts:
         commitments[contract.supplier_id] = commitments.get(contract.supplier_id, 0) + contract.volume_commitment
     n_pr = empty_draws = 0
+    pending: list[Decision] = []  # the decisions that order before the horizon, in walk order
 
     for category, requisition in _triggers(world, run_index, plan):
         if requisition is None:
@@ -288,15 +304,15 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                         base = None
                         if response_at < horizon:
                             base = make_quote(world.spot, requisition, supplier_id, response_at, stream,
-                                              category_product_ids=category.product_ids)
+                                              category_product_ids=product_ids[category.id])
                         responses[supplier_id] = (response_at, base)
                 asked = responses if scope_items else {}
                 quotes = {supplier_id: scope_quote(base, requisition, scope_items, cell.spot)
                           for supplier_id, (_, base) in asked.items() if base is not None}
                 last = max((response_at for response_at, _ in asked.values()), default=handled_at)
-                # [quotes in scope order, order time, allocation once solved]
+                # [quotes in scope order, order time, index in pending once it orders]
                 decision = decisions[key] = [quotes, last + to_po, None]
-            quotes, po_at, allocation = decision
+            quotes, po_at, index = decision
             for supplier_id, quote in quotes.items():
                 cell.n_rfq[supplier_id] += 1
                 if collect_log:
@@ -305,18 +321,20 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                                                 payload=quote))
             if po_at >= horizon:
                 continue
-            if allocation is None:
-                matrix = build_cost_matrix(requisition, terms, quotes,
-                                           competition_slope=cell.spot.competition_slope,
-                                           competition_basis=cell.spot.competition_basis)
-                allocation = decision[2] = allocate_min_cost(matrix, requisition.items,
-                                                             cell.policy.po_overhead)
-            cell.orders.append((po_at, n_pr, allocation))
+            if index is None:
+                items, spot = requisition.items, cell.spot
+                index = decision[2] = len(pending)
+                pending.append(Decision(tuple(items), tuple(items.values()),
+                                        admissible_options(items, terms, quotes), cell.policy.po_overhead,
+                                        spot.competition_slope if spot.competition_basis == "per_supplier_total"
+                                        else 0.0))
+            cell.orders.append((po_at, n_pr, index))
             if collect_log:
                 cell.log.append(EventRecord(kind=PO_GENERATION, time=po_at, pr_id=requisition.id,
-                                            payload=allocation))
+                                            payload=index))
 
-    return tuple(cell.output(world, commitments, run_index, n_pr, empty_draws, collect_log)
+    allocations = allocate_batch(pending)
+    return tuple(cell.output(world, commitments, run_index, n_pr, empty_draws, allocations, collect_log)
                  for cell in cells)
 
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,14 +26,18 @@ __all__ = [
     "InfeasibleAllocationError",
     "MatrixEntry",
     "CostMatrix",
+    "admissible_options",
     "build_cost_matrix",
+    "Decision",
+    "allocate_batch",
     "allocate_min_cost",
     "decide_rfq_scope",
 ]
 
 CONTRACT = "contract"
 SPOT = "spot"
-_PROVENANCE_RANK = {CONTRACT: 0, SPOT: 1}
+_PROVENANCES = (CONTRACT, SPOT)  # by an option's rank
+_BY_SUPPLIER = itemgetter(1, 2)  # an option's (supplier, rank)
 
 
 class InfeasibleAllocationError(RuntimeError):
@@ -61,45 +65,76 @@ class CostMatrix:
     competition_basis: str = "per_item"
 
 
+def admissible_options(items: Iterable[str], contract_terms: Mapping[str, Mapping[str, float]],
+                       quotes: Mapping[str, Mapping[str, float]]) -> list[list[tuple[float, str, int]]]:
+    """Each item's admissible options as (unit rate, supplier id, rank), as a `Decision` holds them.
+
+    An item admits its active contract rates (rank 0) and every collected
+    quote (supplier -> item -> unit rate) that prices it (rank 1), each kind
+    in supplier order.  Quotes cover exactly the RFQ scope, so the policy
+    acts only through `decide_rfq_scope`: under naive a contracted item admits
+    only its contract holders, under dynamic the same supplier may appear
+    with both provenances.
+    """
+    quoted = sorted(quotes.items())
+    return [[(rate, supplier_id, 0) for supplier_id, rate in sorted(contract_terms.get(item, {}).items())]
+            + [(quote[item], supplier_id, 1) for supplier_id, quote in quoted if item in quote]
+            for item in items]
+
+
 def build_cost_matrix(requisition: Requisition,
                       contract_terms: Mapping[str, Mapping[str, float]],
                       quotes: Mapping[str, Mapping[str, float]],
                       *, competition_slope: float = 0.0,
                       competition_basis: str = "per_item") -> CostMatrix:
-    """Admissible supplier options per included item.
-
-    An item admits its active contract rates and every collected quote
-    (supplier -> item -> unit rate) that prices it.  Quotes cover exactly
-    the RFQ scope, so the policy acts only through `decide_rfq_scope`: under
-    naive a contracted item admits only its contract holders, under dynamic
-    the same supplier may appear with both provenances.
-    """
-    entries: dict[str, tuple[MatrixEntry, ...]] = {}
-    for item in requisition.items:
-        terms = contract_terms.get(item, {})
-        options = [MatrixEntry(supplier_id, terms[supplier_id], CONTRACT) for supplier_id in sorted(terms)]
-        for supplier_id in sorted(quotes):
-            rate = quotes[supplier_id].get(item)
-            if rate is not None:
-                options.append(MatrixEntry(supplier_id, rate, SPOT))
-        entries[item] = tuple(options)
+    """The admissible options of each included item (`admissible_options`) as a cost matrix."""
+    options = admissible_options(requisition.items, contract_terms, quotes)
+    entries = {item: tuple(MatrixEntry(supplier_id, rate, _PROVENANCES[rank]) for rate, supplier_id, rank in row)
+               for item, row in zip(requisition.items, options)}
     return CostMatrix(entries=entries, competition_slope=competition_slope,
                       competition_basis=competition_basis)
 
 
-def _entry_sort_key(entry: MatrixEntry) -> tuple:
-    return (entry.unit_cost, entry.supplier_id, _PROVENANCE_RANK[entry.provenance])
+class Decision(NamedTuple):
+    """One requisition's allocation problem as plain option rows.
+
+    `options` holds, per item of `items` (the order the allocation totals
+    them in), each admissible option as (unit rate, supplier id, rank), rank
+    0 for a contract rate and 1 for a spot quote, in any order.  `slope` is
+    the per_supplier_total markup per spot unit, 0.0 unless it couples the
+    items.
+    """
+
+    items: tuple[str, ...]
+    units: tuple[int, ...]
+    options: Sequence[Sequence[tuple[float, str, int]]]
+    po_overhead: float
+    slope: float = 0.0
 
 
-# each search takes the items' options (the subset search in _entry_sort_key
-# order, the enumeration in any order), their quantities, the overhead and
-# every supplier's index in the sorted pool, and returns each item's (chosen
-# option, final unit rate)
-_Priced = list[tuple[MatrixEntry, float]]
+# each search returns, per decision, each item's (chosen option, final unit rate)
+_Priced = list[tuple[tuple[float, str, int], float]]
 
-# assignments evaluated per array block: bounds the enumeration's working
-# memory at a few MB whatever the size of the assignment space
+# assignments per block of one decision's enumeration: the unit a search
+# stacks, and the granularity of the layout cache
 _ENUMERATION_BLOCK = 1 << 14
+
+# (row, item) cells per stacked chunk, where a row is one supplier set of a
+# subset search or one assignment of an enumeration.  A chunk takes whole
+# decisions (subset search) or blocks (enumeration) until the next would take
+# it past this count, so it holds at most 2^14 rows; a lone decision or block
+# of more cells is evaluated alone, as a one-decision solve always was.  A
+# cell's working arrays take at most ~180 bytes: the enumeration's six of 8
+# bytes, plus per row 8 bytes per supplier of the pool (at most 12) for the
+# spot volumes and four more of 8 bytes, all on one cell at one item; the
+# subset search's offer flag per option column (at most 25), a choice and a
+# price.  So a chunk's working arrays stay under 3 MB (1.5 MB measured at
+# one item, 2.4 MB at two, from a pool of 12)
+_STACK_CELLS = 1 << 14
+# a block or decision of this many cells is evaluated alone, an enumeration
+# block on its cached arrays as they are: stacking would save one call's fixed
+# cost of some 25 us, but copy and offset each of its cells
+_ALONE_CELLS = _STACK_CELLS // 4
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,27 +156,70 @@ def _supplier_sets(n_suppliers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return member, sizes, rank
 
 
-def _allocate_by_supplier_subsets(option_lists: list[list[MatrixEntry]], units: list[int],
-                                  po_overhead: float, code: Mapping[str, int]) -> _Priced:
-    # given the supplier subset, each item independently takes its first
-    # option from a supplier in the subset; every subset is one array row,
-    # and an item no supplier of the subset offers falls to the last column,
-    # priced at inf
-    member, sizes, _ = _supplier_sets(len(code))
-    total = po_overhead * (sizes - 1)
-    choices = []
-    for options, q in zip(option_lists, units):
-        offers = member[:, [code[entry.supplier_id] for entry in options] + [-1]]
-        choice = offers.argmax(axis=1)  # the first offering option
-        total = total + np.array([entry.unit_cost for entry in options] + [math.inf])[choice] * q
-        choices.append(choice)
-    # argmin takes the first minimum: ties break toward fewer suppliers, then
-    # the smallest supplier set
-    best = int(np.argmin(total))
-    if total[best] == math.inf:  # the full set offers every item, so only an overflow gets here
-        raise InfeasibleAllocationError("no feasible supplier subset: every order total overflows")
-    chosen = [options[choice[best]] for options, choice in zip(option_lists, choices)]
-    return [(entry, entry.unit_cost) for entry in chosen]
+def _chunks(cells: Sequence[int]) -> Iterator[slice]:
+    """Runs of consecutive pieces, given each piece's cells, of at most _STACK_CELLS cells.
+
+    A piece of _ALONE_CELLS or more, or of more than _STACK_CELLS, forms a run of its own.
+    """
+    start = total = 0
+    for index, size in enumerate(cells):
+        weight = size if size < _ALONE_CELLS else _STACK_CELLS + 1
+        if total and total + weight > _STACK_CELLS:
+            yield slice(start, index)
+            start, total = index, 0
+        total += weight
+    if total:
+        yield slice(start, len(cells))
+
+
+def _search_supplier_subsets(decisions: Sequence[Decision], n_pool: int) -> list[_Priced]:
+    """The subset search of decisions with one pool size and one item count.
+
+    Given the supplier subset, each item independently takes its first option
+    (in (rate, supplier, rank) order) from a supplier in the subset.  Each
+    (subset, decision) is one array row, and an item no supplier of the
+    subset offers falls to a column every subset offers, priced at inf.
+    """
+    member, sizes, _ = _supplier_sets(n_pool)
+    n_items = len(decisions[0].items)
+    option_lists = [[sorted(options) for options in decision.options] for decision in decisions]
+    width = 1 + max(len(options) for lists in option_lists for options in lists)
+    pad_codes, pad_rates = [n_pool] * width, [math.inf] * width
+    found: list[_Priced] = []
+    for part in _chunks([len(sizes) * n_items] * len(decisions)):
+        # (decision, item, option column): the offering supplier's code in the
+        # decision's pool and the rate, then padding every subset offers
+        codes: list[int] = []
+        rates: list[float] = []
+        for lists in option_lists[part]:
+            code = {supplier: index for index, supplier in
+                    enumerate(sorted({option[1] for options in lists for option in options}))}
+            for options in lists:
+                codes += [code[option[1]] for option in options]
+                codes += pad_codes[len(options):]
+                rates += [option[0] for option in options]
+                rates += pad_rates[len(options):]
+        n = part.stop - part.start
+        codes = np.array(codes).reshape(n, n_items, width)
+        rates = np.array(rates).reshape(n, n_items, width)
+        units = np.array([decision.units for decision in decisions[part]])
+        overhead = np.array([decision.po_overhead for decision in decisions[part]])
+        choice = member[:, codes].argmax(axis=3)  # (set, decision, item): the first offering option
+        price = rates[np.arange(n)[:, None], np.arange(n_items), choice]
+        # bit-identical to a scalar loop: the overhead first, then each item's
+        # rate * q in item order
+        total = overhead * (sizes - 1)[:, None]
+        for item in range(n_items):
+            total = total + price[:, :, item] * units[:, item]
+        # argmin takes the first minimum: ties break toward fewer suppliers,
+        # then the smallest supplier set
+        best = total.argmin(axis=0)
+        if (total[best, np.arange(n)] == math.inf).any():
+            # the full set offers every item, so only an overflow gets here
+            raise InfeasibleAllocationError("no feasible supplier subset: every order total overflows")
+        for lists, picks in zip(option_lists[part], choice[best, np.arange(n)].tolist()):
+            found.append([(options[pick], options[pick][0]) for options, pick in zip(lists, picks)])
+    return found
 
 
 # the enumeration's price-free index arrays are cached per option structure
@@ -153,6 +231,7 @@ def _allocate_by_supplier_subsets(option_lists: list[list[MatrixEntry]], units: 
 # none
 _LAYOUT_CACHE_CELLS = 1 << 14
 _LAYOUT_CACHE_ENTRIES = 64
+_MAX_POSITION = 1 << MAX_SUPPLIERS_PER_CATEGORY  # beyond every supplier set's position
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_ENTRIES)
@@ -179,54 +258,152 @@ def _enumeration_layout(shape: tuple[int, ...], suppliers: bytes, n_pool: int, s
     return option, cell, position, extra_orders
 
 
-def _allocate_by_assignment_enumeration(option_lists: list[Sequence[MatrixEntry]], units: list[int],
-                                        po_overhead: float, code: Mapping[str, int],
-                                        slope: float) -> _Priced:
-    # per_supplier_total markup couples the items, so the subset search does
-    # not apply; evaluate every full assignment, in itertools.product order,
-    # one block of rows at a time.  With each item's options in (supplier,
-    # provenance) order ("contract" < "spot"), that is the per-item tie-break
-    option_lists = [sorted(options, key=operator.attrgetter("supplier_id", "provenance"))
-                    for options in option_lists]
-    shape = tuple(len(options) for options in option_lists)
-    n_assignments = math.prod(shape)
-    if n_assignments > ASSIGNMENT_ENUMERATION_LIMIT:
-        raise InfeasibleAllocationError("assignment space exceeds enumeration bound of "
-                                        f"{ASSIGNMENT_ENUMERATION_LIMIT}")
-    # one column per option of every item, items in order: the base rate, the
-    # markup per spot unit (exactly 0.0 on a contract rate) and the spot units
-    # the option adds to its supplier
-    flat = [entry for options in option_lists for entry in options]
-    columns = [(entry.unit_cost,) + ((slope, q) if entry.provenance == SPOT else (0.0, 0))
-               for options, q in zip(option_lists, units) for entry in options]
-    cost, markup, spot_units = np.array(columns).T
-    quantity = np.array(units)[:, None]
-    suppliers = bytes(code[entry.supplier_id] for entry in flat)  # a pool holds at most 12
-    cached = (n_assignments <= _ENUMERATION_BLOCK
-              and n_assignments * len(shape) <= _LAYOUT_CACHE_CELLS)
-    layout = _enumeration_layout if cached else _enumeration_layout.__wrapped__
+def _enumerate_assignments(decisions: Sequence[Decision]) -> list[_Priced]:
+    """The coupled enumeration of decisions with one item count.
 
-    best_key = best_choice = None
-    for start in range(0, n_assignments, _ENUMERATION_BLOCK):
-        option, cell, position, extra_orders = layout(shape, suppliers, len(code), start,
-                                                      min(start + _ENUMERATION_BLOCK, n_assignments))
-        # each row's spot volume per (row, supplier) cell
-        volume = np.bincount(cell, weights=spot_units[option].ravel(),
-                             minlength=option.shape[1] * len(code))
-        rate = cost[option] + markup[option] * volume[cell].reshape(option.shape)
+    The per_supplier_total markup couples the items, so the subset search
+    does not apply: every full assignment is evaluated, in itertools.product
+    order over each item's options in (supplier, rank) order, which is the
+    per-item tie-break.  Each decision's assignments are cut into blocks of
+    _ENUMERATION_BLOCK rows, and the blocks of all decisions are stacked.
+    """
+    n_items = len(decisions[0].items)
+    flat: list[tuple[float, str, int]] = []  # every decision's option columns, items in order
+    slopes: list[float] = []  # per column: its decision's slope
+    quantities: list[int] = []  # per column: its item's quantity
+    blocks = []  # (decision, first column, pool size, overhead, units, cached, layout arguments)
+    for d, (_, units, options, po_overhead, slope) in enumerate(decisions):
+        first = len(flat)
+        for item_options, q in zip(options, units):
+            flat += sorted(item_options, key=_BY_SUPPLIER)
+            slopes += [slope] * len(item_options)
+            quantities += [q] * len(item_options)
+        columns = flat[first:]
+        code = {supplier: index for index, supplier in enumerate(sorted({option[1] for option in columns}))}
+        suppliers = bytes([code[option[1]] for option in columns])  # a pool holds at most 12
+        shape = tuple(map(len, options))
+        n_rows = math.prod(shape)
+        cached = n_rows <= _ENUMERATION_BLOCK and n_rows * n_items <= _LAYOUT_CACHE_CELLS
+        for start in range(0, n_rows, _ENUMERATION_BLOCK):
+            blocks.append((d, first, len(code), po_overhead, units, cached,
+                           (shape, suppliers, len(code), start, min(start + _ENUMERATION_BLOCK, n_rows))))
+    # per column: the base rate, the markup per spot unit (exactly 0.0 on a
+    # contract rate) and the spot units the option adds to its supplier
+    cost = np.array([option[0] for option in flat])
+    spot = np.array([option[2] for option in flat], dtype=bool)
+    markup = np.where(spot, slopes, 0.0)
+    spot_units = np.where(spot, quantities, 0)
+
+    best: list = [None] * len(decisions)  # per decision: ((total, set position), columns, rates)
+    for part in _chunks([(args[4] - args[3]) * n_items for *_, args in blocks]):
+        chunk = blocks[part]
+        layouts = [(_enumeration_layout if cached else _enumeration_layout.__wrapped__)(*args)
+                   for *_, cached, args in chunk]
+        owner, first, n_pool, overhead, units, _, _ = zip(*chunk)
+        rows = np.array([len(layout[2]) for layout in layouts])
+        block_of_row = np.repeat(np.arange(len(chunk)), rows)
+        starts = np.cumsum(rows) - rows
+        n_cells = rows * n_pool
+        if len(chunk) == 1:
+            # a lone block reads its cached arrays as they are, and its decision's columns
+            (option, cell, position, extra_orders), = layouts
+            cell = cell.reshape(n_items, -1)
+            base = first[0]
+        else:
+            # each block's option columns, moved to its decision's, and its (row,
+            # supplier) volume cells, moved past those of the blocks before it
+            option = np.concatenate([layout[0] for layout in layouts], axis=1)
+            option += np.array(first)[block_of_row]
+            cell = np.concatenate([layout[1].reshape(n_items, -1) for layout in layouts], axis=1)
+            cell += (np.cumsum(n_cells) - n_cells)[block_of_row]
+            position = np.concatenate([layout[2] for layout in layouts])
+            extra_orders = np.concatenate([layout[3] for layout in layouts])
+            base = 0
+        volume = np.bincount(cell.ravel(), weights=spot_units[base:][option].ravel(), minlength=n_cells.sum())
+        rate = cost[base:][option] + markup[base:][option] * volume[cell]
         # bit-identical to a scalar loop: the overhead first, then each
         # item's rate * q in item order
-        total = po_overhead * extra_orders
-        for item_total in rate * quantity:
+        total = np.array(overhead)[block_of_row] * extra_orders
+        for item_total in rate * np.array(units)[block_of_row].T:
             total = total + item_total
-        # among rows at the minimum, argmin takes the first of the earliest set
-        tied = np.flatnonzero(total == total.min())
-        row = tied[np.argmin(position[tied])]
-        key = (float(total[row]), int(position[row]))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_choice = [(flat[column], float(r)) for column, r in zip(option[:, row], rate[:, row])]
-    return best_choice
+        # per block, the first row of the earliest supplier set among the rows
+        # at the minimum total
+        least = np.minimum.reduceat(total, starts)
+        if np.isnan(least).any():
+            raise ValueError("an order total is NaN")
+        tied = total == least[block_of_row]
+        winners = np.flatnonzero(tied)
+        if len(winners) > len(chunk):  # some block has tied rows
+            earliest = np.minimum.reduceat(np.where(tied, position, _MAX_POSITION), starts)
+            winners = np.flatnonzero(tied & (position == earliest[block_of_row]))
+            winners = winners[np.searchsorted(winners, starts)]
+        for d, key, picks, prices in zip(owner, zip(least.tolist(), position[winners].tolist()),
+                                         (option[:, winners].T + base).tolist(), rate[:, winners].T.tolist()):
+            # a later block wins only on a smaller key, so a full tie keeps the earlier row
+            if best[d] is None or key < best[d][0]:
+                best[d] = (key, picks, prices)
+    return [[(flat[column], price) for column, price in zip(picks, prices)] for _, picks, prices in best]
+
+
+def allocate_batch(decisions: Sequence[Decision]) -> list[Allocation]:
+    """The exact minimum-cost allocation of each decision, in order.
+
+    Each decision is solved as `allocate_min_cost` describes, with the same
+    result bit for bit as solving it alone.  Decisions that take the fast
+    path are done one by one; the rest are searched together, the subset
+    search stacked per (pool size, item count) and the enumeration per item
+    count, in chunks of at most _STACK_CELLS cells.  Raises for the first
+    malformed decision, else for a search with no finite order total.
+    """
+    priced: list[_Priced | None] = [None] * len(decisions)
+    by_structure: dict[tuple[int, int], list[int]] = {}  # (pool size, item count) -> subset searches
+    by_items: dict[int, list[int]] = {}  # item count -> enumerations
+    for index, (items, units, options, po_overhead, slope) in enumerate(decisions):
+        if not items:
+            raise ValueError("empty cost matrix")
+        if not (math.isfinite(po_overhead) and po_overhead >= 0):
+            raise ValueError(f"po_overhead must be finite and non-negative, got {po_overhead!r}")
+        if not all(options) or min(units) < 1:
+            for item, item_options, q in zip(items, options, units):
+                if not item_options:
+                    raise InfeasibleAllocationError(f"no admissible supplier for item {item!r}")
+                if q < 1:
+                    raise ValueError(f"quantity for item {item!r} must be at least 1")
+        pool = {option[1] for item_options in options for option in item_options}
+        if len(pool) > MAX_SUPPLIERS_PER_CATEGORY:
+            raise InfeasibleAllocationError(f"supplier pool of {len(pool)} exceeds the exact-search bound "
+                                            f"of {MAX_SUPPLIERS_PER_CATEGORY}")
+        # min takes the first minimum of the (rate, supplier, rank) order
+        firsts = [min(item_options) for item_options in options]
+        # every item at its cheapest rate with one order costs no more than any
+        # other assignment and wins the tie-break, unless a spot markup depends
+        # on the allocation
+        supplier = firsts[0][1]
+        if (all(first[1] == supplier for first in firsts)
+                and not (slope > 0.0 and any(first[2] for first in firsts))):
+            priced[index] = [(first, first[0]) for first in firsts]
+        elif slope > 0.0:
+            if math.prod(map(len, options)) > ASSIGNMENT_ENUMERATION_LIMIT:
+                raise InfeasibleAllocationError("assignment space exceeds enumeration bound of "
+                                                f"{ASSIGNMENT_ENUMERATION_LIMIT}")
+            by_items.setdefault(len(items), []).append(index)
+        else:
+            by_structure.setdefault((len(pool), len(items)), []).append(index)
+    for (n_pool, _), indices in by_structure.items():
+        for index, found in zip(indices, _search_supplier_subsets([decisions[i] for i in indices], n_pool)):
+            priced[index] = found
+    for indices in by_items.values():
+        for index, found in zip(indices, _enumerate_assignments([decisions[i] for i in indices])):
+            priced[index] = found
+
+    allocations = []
+    for (items, units, _, po_overhead, _), chosen in zip(decisions, priced):
+        allocated = {item: AllocatedItem(supplier_id=option[1], unit_cost=rate, quantity=q,
+                                         provenance=_PROVENANCES[option[2]])
+                     for item, (option, rate), q in zip(items, chosen, units)}
+        n_orders = len({option[1] for option, _ in chosen})
+        allocations.append(Allocation(items=allocated, overhead_cost=po_overhead * (n_orders - 1)))
+    return allocations
 
 
 def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
@@ -240,45 +417,15 @@ def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
     from one supplier, that assignment is returned directly; otherwise the
     search evaluates supplier subsets (items decouple given the subset), and
     the per_supplier_total competition basis evaluates full assignments.
+    A one-decision call of `allocate_batch`.
     """
-    if not matrix.entries:
-        raise ValueError("empty cost matrix")
-    if not (math.isfinite(po_overhead) and po_overhead >= 0):
-        raise ValueError(f"po_overhead must be finite and non-negative, got {po_overhead!r}")
-    for item, options in matrix.entries.items():
-        if not options:
-            raise InfeasibleAllocationError(f"no admissible supplier for item {item!r}")
-        if quantities[item] < 1:
-            raise ValueError(f"quantity for item {item!r} must be at least 1")
-
-    items = sorted(matrix.entries)
-    units = [quantities[item] for item in items]
-    coupled = matrix.competition_basis == "per_supplier_total" and matrix.competition_slope > 0.0
-    pool = sorted({entry.supplier_id for options in matrix.entries.values() for entry in options})
-    if len(pool) > MAX_SUPPLIERS_PER_CATEGORY:
-        raise InfeasibleAllocationError(f"supplier pool of {len(pool)} exceeds the exact-search bound "
-                                        f"of {MAX_SUPPLIERS_PER_CATEGORY}")
-    # min takes the first minimum, so each is the head of its sorted option list
-    firsts = [min(matrix.entries[item], key=_entry_sort_key) for item in items]
-    # every item at its cheapest rate with one order costs no more than any
-    # other assignment and wins the tie-break, unless a spot markup depends
-    # on the allocation
-    if (len({entry.supplier_id for entry in firsts}) == 1
-            and not (coupled and any(entry.provenance == SPOT for entry in firsts))):
-        priced = [(entry, entry.unit_cost) for entry in firsts]
-    else:
-        code = {supplier_id: index for index, supplier_id in enumerate(pool)}
-        if coupled:
-            priced = _allocate_by_assignment_enumeration([matrix.entries[item] for item in items], units,
-                                                         po_overhead, code, matrix.competition_slope)
-        else:
-            option_lists = [sorted(matrix.entries[item], key=_entry_sort_key) for item in items]
-            priced = _allocate_by_supplier_subsets(option_lists, units, po_overhead, code)
-    allocated = {item: AllocatedItem(supplier_id=entry.supplier_id, unit_cost=rate, quantity=q,
-                                     provenance=entry.provenance)
-                 for item, (entry, rate), q in zip(items, priced, units)}
-    n_orders = len({entry.supplier_id for entry, _ in priced})
-    return Allocation(items=allocated, overhead_cost=po_overhead * (n_orders - 1))
+    items = tuple(sorted(matrix.entries))
+    coupled = matrix.competition_basis == "per_supplier_total"
+    decision = Decision(items, tuple(quantities[item] for item in items),
+                        [[(entry.unit_cost, entry.supplier_id, _PROVENANCES.index(entry.provenance))
+                          for entry in matrix.entries[item]] for item in items],
+                        po_overhead, matrix.competition_slope if coupled else 0.0)
+    return allocate_batch([decision])[0]
 
 
 def decide_rfq_scope(requisition: Requisition,

@@ -5,7 +5,7 @@ import copy
 import csv
 import dataclasses
 import gzip
-import importlib
+import importlib.util
 import json
 import math
 import os
@@ -368,6 +368,24 @@ class TestRunCommand:
             assert lines[0] == "time,kind,pr_id,vessel_id,category_id,supplier_id,detail"
             assert len(lines) > 1
 
+    def test_stale_event_logs_fail_before_the_batch(self, tmp_path, capsys):
+        # a second run into the same --out would leave events_2.csv and
+        # events_3.csv beside outputs of two runs
+        out = tmp_path / "o"
+        assert run_cli("run", "paper_s5.json", "--runs", "4", "--seed", "1",
+                       "--export-events", "--out", str(out)) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert {f"events_{i}.csv" for i in range(4)} <= set(before)
+        capsys.readouterr()
+        assert run_cli("run", "paper_s5.json", "--runs", "2", "--seed", "1", "--out", str(out)) == 1
+        assert f"{out / 'events_0.csv'}: a stale event log" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        # with logs, only the runs beyond the new count are stale
+        assert run_cli("run", "paper_s5.json", "--runs", "2", "--seed", "1",
+                       "--export-events", "--out", str(out)) == 1
+        assert f"{out / 'events_2.csv'}: a stale event log" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_rfq_lines_carry_their_suppliers_lead_time(self, tmp_path):
         doc = json.loads(bundled_scenario_path("paper_s5.json").read_text())
         lead_times = {"A": "1.5", "B": "4.25", "C": "3"}
@@ -444,6 +462,17 @@ class TestCompareCommand:
             assert (out / cell / "runs.csv").exists()
         printed = capsys.readouterr().out
         assert "mean_cost" in printed
+
+    def test_stale_event_logs_in_a_cell_fail_before_the_batch(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        grid = ("compare", "paper_s5.json", "--policies", "naive,dynamic", "--slopes", "0", "--seed", "1",
+                "--out", str(out))
+        assert run_cli(*grid, "--runs", "2", "--export-events") == 0
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        capsys.readouterr()
+        assert run_cli(*grid, "--runs", "1", "--export-events") == 1
+        assert f"{out / 'naive_slope0' / 'events_1.csv'}: a stale event log" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
     def test_bad_slope_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -623,15 +652,52 @@ class TestBenchmarkTrace:
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout.splitlines()[-1])
         assert out["rc"] == 0
-        for layer in ("hazards.sample_gap", "demand.build_requisition", "market.make_quote",
-                      "policy.allocate_min_cost"):
+        for layer in ("hazards.sample_gap", "demand.build_requisition", "market.make_quote"):
             assert out["layers"][f"{layer}.calls"][0] > 0, layer
+        # the engine solves each replication's decisions in one policy.allocate_batch
+        # call, which no span covers, so the single-decision solver spans stay empty
+        assert out["layers"]["policy.allocate_min_cost.calls"][0] == 0
         with gzip.open(tmp_path / "s.csv.gz", "rt", encoding="utf-8") as fh:
             spans = collections.Counter(row["name"] for row in csv.DictReader(fh))  # one row per span
         for name in ("cli.main", "cli.load_scenario", "engine.run_batch", "engine.run_once",
                      "engine.stream", "hazards.sample_gap", "demand.build_requisition",
                      "market.terms_snapshot", "market.make_quote", "policy.decide_rfq_scope",
-                     "policy.build_cost_matrix", "policy.allocate_min_cost.subset",
                      "metrics.record_allocation", "metrics.summarize_batch", "cli.write_runs_csv",
                      "cli.write_summary_json", "cli.write_histogram_csv", "cli.write_events_csv"):
             assert spans[name] >= 1, name
+        assert not any(name.startswith(("policy.allocate_min_cost", "policy.build_cost_matrix"))
+                       for name in spans)
+
+    def test_every_patched_name_resolves(self, monkeypatch):
+        # install_spans rebinds each traced function on every module that looks
+        # it up; on a module that lacks the name, setattr would add it unseen
+        # instead of tracing a call.  With a tracer that wraps nothing, every
+        # namespace must therefore come out exactly as it went in
+        from rto_sim import demand, engine, hazards, market, metrics, policy
+
+        class PassThrough:
+            def __init__(self):
+                self.names = []
+
+            def wrap(self, name, fn, **options):
+                self.names.append(name)
+                return fn
+
+            def count(self, key, amount=1):
+                pass
+
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+        spec = importlib.util.spec_from_file_location("perfbench_child", path)
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        owners = (cli, demand, engine, hazards, market, metrics, policy, engine.RngPlan, market.ContractBook)
+
+        def bindings():
+            return [{name: id(value) for name, value in vars(owner).items()} for owner in owners]
+
+        before = bindings()
+        tracer = PassThrough()
+        assert child.install_spans(tracer) is cli.main
+        assert bindings() == before
+        assert {"policy.allocate_min_cost", "policy.build_cost_matrix", "engine.run_once"} <= set(tracer.names)

@@ -108,6 +108,26 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError, match="appears in two categories"):
             validate_scenario(scenario)
 
+    def test_duplicate_vessel_id_rejected(self, paper_scenario):
+        # a second V1 would draw the first one's requisitions again, under the same ids
+        twin = paper_scenario.vessels[0]
+        scenario = dataclasses.replace(paper_scenario, vessels=paper_scenario.vessels + (twin,))
+        with pytest.raises(ScenarioValidationError, match="duplicate vessel id 'V1'") as info:
+            validate_scenario(scenario)
+        assert info.value.path == "vessels[1].id"
+
+    def test_duplicate_category_id_rejected(self, paper_scenario):
+        # even one with no products: a vessel's hazards name a category by
+        # id, so two of one id could not be told apart
+        cat = paper_scenario.catalog.categories[0]
+        twin = Category(id=cat.id, products=(), eligible_suppliers=cat.eligible_suppliers)
+        scenario = dataclasses.replace(
+            paper_scenario, catalog=Catalog(categories=paper_scenario.catalog.categories + (twin,))
+        )
+        with pytest.raises(ScenarioValidationError, match="duplicate category id 'consumables'") as info:
+            validate_scenario(scenario)
+        assert info.value.path == "catalog.categories[1].id"
+
     def test_unknown_supplier_in_category(self, paper_scenario):
         cat = paper_scenario.catalog.categories[0]
         bad = Category(id=cat.id, products=cat.products,

@@ -419,8 +419,8 @@ class TestGrid:
 
     def test_identical_cells_share_every_decision(self, paper_scenario, monkeypatch):
         calls = []
-        solve = engine.allocate_min_cost
-        monkeypatch.setattr(engine, "allocate_min_cost", lambda *args: calls.append(args) or solve(*args))
+        solve = engine.allocate_batch
+        monkeypatch.setattr(engine, "allocate_batch", lambda decisions: calls.extend(decisions) or solve(decisions))
         cell = grid(paper_scenario, (0.1,), policies=("dynamic",))[0]
         for run_index in range(3):
             calls.clear()
@@ -435,8 +435,8 @@ class TestGrid:
         # contract-only matrix solves alike at any slope, per_supplier_total
         # basis included; so the cells share every decision
         calls = []
-        solve = engine.allocate_min_cost
-        monkeypatch.setattr(engine, "allocate_min_cost", lambda *args: calls.append(args) or solve(*args))
+        solve = engine.allocate_batch
+        monkeypatch.setattr(engine, "allocate_batch", lambda decisions: calls.extend(decisions) or solve(decisions))
         base = single_product_scenario(contracted=True, horizon=1000.0)
         world = dataclasses.replace(base, spot=dataclasses.replace(base.spot,
                                                                    competition_basis="per_supplier_total"))

@@ -292,8 +292,8 @@ class TestArraySearches:
         assert {item: a.supplier_id for item, a in alloc.items.items()} == {"P1": "A", "P2": "B"}
 
     @pytest.mark.parametrize("basis, slope, search", [
-        ("per_supplier_total", 0.1, "_allocate_by_assignment_enumeration"),
-        ("per_item", 0.0, "_allocate_by_supplier_subsets"),
+        ("per_supplier_total", 0.1, "_enumerate_assignments"),
+        ("per_item", 0.0, "_search_supplier_subsets"),
     ])
     def test_first_options_from_one_supplier_skip_the_search(self, monkeypatch, basis, slope, search):
         # every item's cheapest option is A's contract rate, so no search runs
@@ -441,6 +441,141 @@ class TestLayoutCache:
             tracemalloc.stop()
         assert policy._enumeration_layout.cache_info().currsize == policy._LAYOUT_CACHE_ENTRIES
         assert current < 34 * 2 ** 20
+
+
+def _decision(matrix, quantities, overhead):
+    """The matrix's allocation problem as the batch solver takes it."""
+    items = tuple(sorted(matrix.entries))
+    coupled = matrix.competition_basis == "per_supplier_total"
+    options = [[(e.unit_cost, e.supplier_id, int(e.provenance == SPOT)) for e in matrix.entries[item]]
+               for item in items]
+    return policy.Decision(items, tuple(quantities[item] for item in items), options, overhead,
+                           matrix.competition_slope if coupled else 0.0)
+
+
+class TestAllocateBatch:
+    """Many decisions in one call, each against the scalar reference and the one-decision solve."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        # the (search, pool size or None, item count, decisions) of every stacked search run
+        calls = []
+        subsets, enumerate_ = policy._search_supplier_subsets, policy._enumerate_assignments
+
+        def search_supplier_subsets(decisions, n_pool):
+            calls.append(("subset", n_pool, len(decisions[0].items), len(decisions)))
+            return subsets(decisions, n_pool)
+
+        def enumerate_assignments(decisions):
+            calls.append(("enumeration", None, len(decisions[0].items), len(decisions)))
+            return enumerate_(decisions)
+
+        monkeypatch.setattr(policy, "_search_supplier_subsets", search_supplier_subsets)
+        monkeypatch.setattr(policy, "_enumerate_assignments", enumerate_assignments)
+        return calls
+
+    def test_mixed_batch_matches_the_reference(self, searched):
+        # integer costs 1-3 make exact price ties common, and a zero overhead
+        # ties supplier sets of different sizes
+        rng = random.Random(17)
+        instances = []
+        for _ in range(1500):
+            basis = rng.choice(("per_item", "per_supplier_total"))
+            slope = rng.choice((0.0, 0.05, 0.1))
+            matrix, quantities = _random_instance(rng, basis, slope, cost_range=(1, 3), max_items=4,
+                                                  max_suppliers=6, mixed=True)
+            instances.append((matrix, quantities, rng.choice((0.0, 1.0, 3.0))))
+        got = policy.allocate_batch([_decision(*instance) for instance in instances])
+        for allocation, instance in zip(got, instances):
+            assert _bits(allocation) == _bits(reference_allocate_min_cost(*instance))
+        # every path ran: the fast path for the rest, one stacked search per structure
+        assert {(pool, items) for search, pool, items, _ in searched if search == "subset"} == {
+            (pool, items) for pool in range(2, 7) for items in range(2, 5)}
+        assert {items for search, _, items, _ in searched if search == "enumeration"} == {1, 2, 3, 4}
+        assert sum(n for *_, n in searched) < len(instances)
+
+    @pytest.mark.parametrize("n_pool", range(1, 7))
+    def test_subset_search_at_each_pool_size(self, n_pool):
+        # a pool of one never leaves the fast path in a solve, so the search is
+        # called directly, once per item count, on every supplier of the pool
+        rng = random.Random(n_pool)
+        suppliers = [f"S{i}" for i in range(n_pool)]
+        for n_items in range(1, 5):
+            instances = []
+            for _ in range(20):
+                entries = {f"P{k}": tuple(MatrixEntry(s, float(rng.randint(1, 3)), kind) for s in suppliers
+                                          for kind in rng.choice(((CONTRACT,), (SPOT,), (CONTRACT, SPOT))))
+                           for k in range(n_items)}
+                instances.append((CostMatrix(entries=entries), {item: rng.randint(1, 10) for item in entries},
+                                  rng.choice((0.0, 1.0, 3.0))))
+            found = policy._search_supplier_subsets([_decision(*instance) for instance in instances], n_pool)
+            for priced, instance in zip(found, instances):
+                want = reference_allocate_min_cost(*instance)
+                assert [(option[1], option[2], rate) for option, rate in priced] == [
+                    (a.supplier_id, int(a.provenance == SPOT), a.unit_cost) for a in want.items.values()]
+
+    def test_an_overflowing_decision_fails_the_batch(self):
+        matrix = CostMatrix(entries={
+            "P1": (MatrixEntry("A", 1e308, SPOT), MatrixEntry("B", 1.5e308, SPOT)),
+            "P2": (MatrixEntry("A", 1.5e308, SPOT), MatrixEntry("B", 1e308, SPOT)),
+        })
+        rng = random.Random(4)
+        decisions = [_decision(*_random_instance(rng, mixed=True), 1.0) for _ in range(20)]
+        decisions.insert(7, _decision(matrix, {"P1": 10, "P2": 10}, 0.0))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(InfeasibleAllocationError, match="every order total overflows"):
+                policy.allocate_batch(decisions)
+
+    def test_stacked_cells_beyond_the_chunk_bound_match_single_solves(self, searched):
+        # 4-item decisions: 80 coupled over 3 suppliers and 40 subset searches
+        # over 8 fill several chunks each; 5 coupled over 6 suppliers and 5
+        # subset searches over 12 are each large enough to be evaluated alone
+        rng = random.Random(23)
+
+        def decision(n_suppliers, coupled):
+            suppliers = [f"S{i:02d}" for i in range(n_suppliers)]
+            entries = {f"P{j}": tuple(MatrixEntry(s, float(rng.randint(1, 3)), kind)
+                                      for s in suppliers for kind in (CONTRACT, SPOT) if rng.random() < 0.6)
+                       or (MatrixEntry(suppliers[0], 2.0, SPOT),) for j in range(4)}
+            matrix = CostMatrix(entries=entries, competition_slope=0.05 if coupled else 0.0,
+                                competition_basis="per_supplier_total")
+            return _decision(matrix, {item: rng.randint(1, 10) for item in entries}, rng.choice((0.0, 1.0)))
+
+        groups = ((80, 3, True), (40, 8, False), (5, 6, True), (5, 12, False))
+        decisions = [decision(n_suppliers, coupled) for count, n_suppliers, coupled in groups
+                     for _ in range(count)]
+        batch = policy.allocate_batch(decisions)
+        searched_decisions = sum(n for *_, n in searched)
+        alone = [policy.allocate_batch([decision])[0] for decision in decisions]
+        assert [_bits(a) for a in batch] == [_bits(a) for a in alone]
+        # a decision's cells: its rows (assignments or supplier sets) times its 4 items
+        cells = [4 * (math.prod(map(len, d.options)) if d.slope
+                      else 2 ** len({option[1] for options in d.options for option in options}) - 1)
+                 for d in decisions]
+        for group in (slice(0, 80), slice(80, 120)):
+            assert sum(c for c in cells[group] if c < policy._ALONE_CELLS) > policy._STACK_CELLS
+        assert min(cells[120:]) >= policy._ALONE_CELLS
+        assert searched_decisions > 100  # the rest took the fast path
+
+    @pytest.mark.parametrize("n_items, n_decisions", [(1, 682), (2, 14)])
+    def test_a_full_chunk_stays_under_3_mb(self, n_items, n_decisions):
+        # every option of 12 suppliers, under contract and on spot: 24 columns
+        # an item, 24 ** n_items rows a decision, filling one chunk of at
+        # most _STACK_CELLS cells with the largest pool
+        rng = random.Random(n_items)
+        options = [(float(rng.randint(1, 3)), f"S{i:02d}", rank) for i in range(12) for rank in (0, 1)]
+        decisions = [policy.Decision(tuple(f"P{j}" for j in range(n_items)), (3,) * n_items,
+                                     [rng.sample(options, len(options)) for _ in range(n_items)], 1.0, 0.05)
+                     for _ in range(n_decisions)]
+        assert n_decisions * 24 ** n_items * n_items <= policy._STACK_CELLS
+        policy.allocate_batch(decisions[:1])  # the layout is cached, as in a warm run
+        tracemalloc.start()
+        try:
+            policy.allocate_batch(decisions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
 
 
 class TestDecideRfqScope:
