@@ -26,7 +26,7 @@ import hashlib
 import os
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -37,11 +37,11 @@ from .domain import Allocation, Category, EventRecord, PolicyKind, Requisition, 
 from .hazards import sample_exponential_delay
 from .market import ContractBook, make_quote, scope_quote
 from .metrics import RunResult, record_allocation, utilization
-from .policy import Decision, admissible_options, allocate_batch, decide_rfq_scope
-# not called here since decisions are solved in batches, but bound, as they
-# always were, for perfbench/child.py, which patches each layer's functions
+from .policy import Decision, allocate_batch, build_cost_matrix, decide_rfq_scope
+# not called here since decisions are solved in batches, but bound, as it
+# always was, for perfbench/child.py, which patches each layer's functions
 # on the modules that import them
-from .policy import allocate_min_cost, build_cost_matrix  # noqa: F401
+from .policy import allocate_min_cost  # noqa: F401
 
 __all__ = [
     "PR_GENERATION",
@@ -129,17 +129,22 @@ class BatchRunError(RuntimeError):
         return (BatchRunError, (self.run_index, self.message))
 
 
+# what the cells of a grid share: every scenario field but the policy and the
+# spot model, and every spot field but the slope
+_SHARED_FIELDS = attrgetter(*(f.name for f in fields(Scenario) if f.name not in ("policy", "spot")))
+_SHARED_SPOT_FIELDS = attrgetter(*(f.name for f in fields(SpotModel) if f.name != "competition_slope"))
+
+
 def _check_grid(scenarios: Sequence[Scenario]) -> Scenario:
     """The world every cell shares; raises unless the cells differ only in policy and slope."""
     if not scenarios:
         raise ValueError("a grid needs at least one scenario")
     world = scenarios[0]
+    shared, shared_spot = _SHARED_FIELDS(world), _SHARED_SPOT_FIELDS(world.spot)
     for i, scenario in enumerate(scenarios):
         if scenario is world:
             continue
-        aligned = replace(scenario, policy=world.policy,
-                          spot=replace(scenario.spot, competition_slope=world.spot.competition_slope))
-        if aligned != world:
+        if _SHARED_FIELDS(scenario) != shared or _SHARED_SPOT_FIELDS(scenario.spot) != shared_spot:
             raise ValueError(f"grid scenario {i} differs from scenario 0 in more than "
                              "policy and spot.competition_slope")
     return world
@@ -290,8 +295,8 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                                             payload=HandlingRecord(contract_terms=terms,
                                                                    rfq_items=scope_items,
                                                                    rfq_suppliers=scope_suppliers)))
-            # the matrix and the solver read only the scope, the slope when
-            # something is quoted, and the overhead: a contract-only matrix
+            # the decision and the solver read only the scope, the slope when
+            # something is quoted, and the overhead: a contract-only decision
             # solves alike under either basis at any slope
             key = (scope_items, cell.spot.competition_slope if scope_items else None, cell.policy.po_overhead)
             decision = decisions.get(key)
@@ -322,12 +327,10 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
             if po_at >= horizon:
                 continue
             if index is None:
-                items, spot = requisition.items, cell.spot
                 index = decision[2] = len(pending)
-                pending.append(Decision(tuple(items), tuple(items.values()),
-                                        admissible_options(items, terms, quotes), cell.policy.po_overhead,
-                                        spot.competition_slope if spot.competition_basis == "per_supplier_total"
-                                        else 0.0))
+                pending.append(build_cost_matrix(requisition, terms, quotes, cell.policy.po_overhead,
+                                                 competition_slope=cell.spot.competition_slope,
+                                                 competition_basis=cell.spot.competition_basis))
             cell.orders.append((po_at, n_pr, index))
             if collect_log:
                 cell.log.append(EventRecord(kind=PO_GENERATION, time=po_at, pr_id=requisition.id,

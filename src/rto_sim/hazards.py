@@ -9,6 +9,7 @@ the covariate modulation, against its provable bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 PROPOSAL_BUDGET = 1_000_000  # thinning proposals per gap before sample_gap gives up
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,17 @@ def sample_exponential_delay(mean: float, rng) -> float:
 
 
 def _inverse_cumulative(baseline: ConstantBaseline | WeibullBaseline, cum: float) -> float:
-    """Elapsed time at which the baseline's cumulative hazard reaches `cum`."""
+    """Elapsed time at which the baseline's cumulative hazard reaches `cum`; inf beyond every float."""
     if isinstance(baseline, ConstantBaseline):
         return (1.0 / baseline.rate) * cum
-    return baseline.scale * cum ** (1.0 / baseline.shape)
+    try:
+        return baseline.scale * cum ** (1.0 / baseline.shape)
+    except OverflowError:
+        # a float ** raises where it should give inf, as a tiny shape makes it
+        # do at cum > 1; in log space the time either lies beyond every float,
+        # so past any horizon, or is the product of a tiny scale and the power
+        log_time = math.log(baseline.scale) + math.log(cum) / baseline.shape
+        return math.exp(log_time) if log_time < _LOG_FLOAT_MAX else math.inf
 
 
 def _check_dominated(modulation: float, bound: float) -> None:

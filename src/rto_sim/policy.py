@@ -5,9 +5,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,11 +23,8 @@ __all__ = [
     "CONTRACT",
     "SPOT",
     "InfeasibleAllocationError",
-    "MatrixEntry",
-    "CostMatrix",
-    "admissible_options",
-    "build_cost_matrix",
     "Decision",
+    "build_cost_matrix",
     "allocate_batch",
     "allocate_min_cost",
     "decide_rfq_scope",
@@ -44,65 +40,14 @@ class InfeasibleAllocationError(RuntimeError):
     """No admissible supplier for some item; signals a misconfigured scenario."""
 
 
-@dataclass(frozen=True)
-class MatrixEntry:
-    """One admissible (supplier, provenance) option for an item.
-
-    Under the per_item competition basis unit_cost is the effective price;
-    under per_supplier_total it is the base spot rate and the solver adds the
-    allocation-dependent markup.
-    """
-
-    supplier_id: str
-    unit_cost: float
-    provenance: str
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    entries: Mapping[str, tuple[MatrixEntry, ...]]  # item -> admissible options
-    competition_slope: float = 0.0
-    competition_basis: str = "per_item"
-
-
-def admissible_options(items: Iterable[str], contract_terms: Mapping[str, Mapping[str, float]],
-                       quotes: Mapping[str, Mapping[str, float]]) -> list[list[tuple[float, str, int]]]:
-    """Each item's admissible options as (unit rate, supplier id, rank), as a `Decision` holds them.
-
-    An item admits its active contract rates (rank 0) and every collected
-    quote (supplier -> item -> unit rate) that prices it (rank 1), each kind
-    in supplier order.  Quotes cover exactly the RFQ scope, so the policy
-    acts only through `decide_rfq_scope`: under naive a contracted item admits
-    only its contract holders, under dynamic the same supplier may appear
-    with both provenances.
-    """
-    quoted = sorted(quotes.items())
-    return [[(rate, supplier_id, 0) for supplier_id, rate in sorted(contract_terms.get(item, {}).items())]
-            + [(quote[item], supplier_id, 1) for supplier_id, quote in quoted if item in quote]
-            for item in items]
-
-
-def build_cost_matrix(requisition: Requisition,
-                      contract_terms: Mapping[str, Mapping[str, float]],
-                      quotes: Mapping[str, Mapping[str, float]],
-                      *, competition_slope: float = 0.0,
-                      competition_basis: str = "per_item") -> CostMatrix:
-    """The admissible options of each included item (`admissible_options`) as a cost matrix."""
-    options = admissible_options(requisition.items, contract_terms, quotes)
-    entries = {item: tuple(MatrixEntry(supplier_id, rate, _PROVENANCES[rank]) for rate, supplier_id, rank in row)
-               for item, row in zip(requisition.items, options)}
-    return CostMatrix(entries=entries, competition_slope=competition_slope,
-                      competition_basis=competition_basis)
-
-
 class Decision(NamedTuple):
     """One requisition's allocation problem as plain option rows.
 
     `options` holds, per item of `items` (the order the allocation totals
     them in), each admissible option as (unit rate, supplier id, rank), rank
     0 for a contract rate and 1 for a spot quote, in any order.  `slope` is
-    the per_supplier_total markup per spot unit, 0.0 unless it couples the
-    items.
+    the markup per unit a supplier sells on spot across the decision's items,
+    added to each of its spot rates; 0.0 leaves the items decoupled.
     """
 
     items: tuple[str, ...]
@@ -110,6 +55,30 @@ class Decision(NamedTuple):
     options: Sequence[Sequence[tuple[float, str, int]]]
     po_overhead: float
     slope: float = 0.0
+
+
+def build_cost_matrix(requisition: Requisition,
+                      contract_terms: Mapping[str, Mapping[str, float]],
+                      quotes: Mapping[str, Mapping[str, float]], po_overhead: float,
+                      *, competition_slope: float = 0.0,
+                      competition_basis: str = "per_item") -> Decision:
+    """The requisition's allocation problem at the given order overhead and spot markup.
+
+    An item admits its active contract rates (rank 0) and every collected
+    quote (supplier -> item -> unit rate) that prices it (rank 1), each kind
+    in supplier order.  Quotes cover exactly the RFQ scope, so the policy
+    acts only through `decide_rfq_scope`: under naive a contracted item admits
+    only its contract holders, under dynamic the same supplier may appear
+    with both provenances.  The spot slope couples the items only under the
+    per_supplier_total basis; under per_item the quotes already carry it.
+    """
+    items = requisition.items
+    quoted = sorted(quotes.items())
+    options = [[(rate, supplier_id, 0) for supplier_id, rate in sorted(contract_terms.get(item, {}).items())]
+               + [(quote[item], supplier_id, 1) for supplier_id, quote in quoted if item in quote]
+               for item in items]
+    slope = competition_slope if competition_basis == "per_supplier_total" else 0.0
+    return Decision(tuple(items), tuple(items.values()), options, po_overhead, slope)
 
 
 # each search returns, per decision, each item's (chosen option, final unit rate)
@@ -346,14 +315,21 @@ def _enumerate_assignments(decisions: Sequence[Decision]) -> list[_Priced]:
 
 
 def allocate_batch(decisions: Sequence[Decision]) -> list[Allocation]:
-    """The exact minimum-cost allocation of each decision, in order.
+    """The exact minimum-cost single-supplier-per-item allocation of each decision, in order.
 
-    Each decision is solved as `allocate_min_cost` describes, with the same
-    result bit for bit as solving it alone.  Decisions that take the fast
-    path are done one by one; the rest are searched together, the subset
-    search stacked per (pool size, item count) and the enumeration per item
-    count, in chunks of at most _STACK_CELLS cells.  Raises for the first
-    malformed decision, else for a search with no finite order total.
+    Minimizes sum(unit rate * quantity) plus `po_overhead` for every distinct
+    supplier beyond the first.  Ties break toward fewer suppliers, then the
+    lexicographically smallest supplier set, then the smallest per-item
+    (supplier, rank) tuple.  A decision whose items' cheapest options all
+    come from one supplier takes that assignment directly, unless a spot
+    markup depends on the allocation; otherwise a decision without a slope
+    searches supplier subsets (items decouple given the subset) and one with
+    a slope evaluates full assignments.  The fast path runs decision by
+    decision; the rest are searched together, the subset search stacked per
+    (pool size, item count) and the enumeration per item count, in chunks of
+    at most _STACK_CELLS cells, each decision's result bit for bit that of
+    solving it alone.  Raises for the first malformed decision, else for a
+    search with no finite order total.
     """
     priced: list[_Priced | None] = [None] * len(decisions)
     by_structure: dict[tuple[int, int], list[int]] = {}  # (pool size, item count) -> subset searches
@@ -406,25 +382,8 @@ def allocate_batch(decisions: Sequence[Decision]) -> list[Allocation]:
     return allocations
 
 
-def allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
-                      po_overhead: float) -> Allocation:
-    """Exact minimum-cost single-supplier-per-item assignment.
-
-    Minimizes sum(unit cost * quantity) plus `po_overhead` for every distinct
-    supplier beyond the first.  Ties break toward fewer suppliers, then the
-    lexicographically smallest supplier set, then the smallest per-item
-    (supplier, provenance) tuple.  When every item's cheapest option comes
-    from one supplier, that assignment is returned directly; otherwise the
-    search evaluates supplier subsets (items decouple given the subset), and
-    the per_supplier_total competition basis evaluates full assignments.
-    A one-decision call of `allocate_batch`.
-    """
-    items = tuple(sorted(matrix.entries))
-    coupled = matrix.competition_basis == "per_supplier_total"
-    decision = Decision(items, tuple(quantities[item] for item in items),
-                        [[(entry.unit_cost, entry.supplier_id, _PROVENANCES.index(entry.provenance))
-                          for entry in matrix.entries[item]] for item in items],
-                        po_overhead, matrix.competition_slope if coupled else 0.0)
+def allocate_min_cost(decision: Decision) -> Allocation:
+    """One decision's allocation: a one-decision call of `allocate_batch`."""
     return allocate_batch([decision])[0]
 
 

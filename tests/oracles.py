@@ -51,10 +51,10 @@ from rto_sim.market import ContractBook, make_quote, scope_quote
 from rto_sim.metrics import RunResult, record_allocation, utilization
 from rto_sim.policy import (
     ASSIGNMENT_ENUMERATION_LIMIT,
+    CONTRACT,
     SPOT,
-    CostMatrix,
+    Decision,
     InfeasibleAllocationError,
-    MatrixEntry,
     allocate_min_cost,
     build_cost_matrix,
     decide_rfq_scope,
@@ -99,21 +99,19 @@ def exhaustive_allocation(instance: OracleInstance) -> tuple[float, list[dict]]:
     return best, minimizers
 
 
-# each search takes the items' options in _option_key order and their
-# quantities, and returns each item's (chosen option, final unit rate)
-_Priced = list[tuple[MatrixEntry, float]]
+# each search takes the items' options, each sorted as (unit rate, supplier
+# id, rank) tuples: cheapest first, then by supplier, a contract rate (rank 0)
+# before a spot quote (rank 1); and their quantities.  It returns each item's
+# (chosen option, final unit rate)
+_Option = tuple[float, str, int]
+_Priced = list[tuple[_Option, float]]
 
 
-def _option_key(entry: MatrixEntry) -> tuple:
-    """Cheapest first, then by supplier, a contract rate before a spot quote."""
-    return (entry.unit_cost, entry.supplier_id, entry.provenance != "contract")
-
-
-def _allocate_by_supplier_subsets(option_lists: list[list[MatrixEntry]], units: list[int],
+def _allocate_by_supplier_subsets(option_lists: list[list[_Option]], units: tuple[int, ...],
                                   po_overhead: float) -> _Priced:
     # given the supplier subset, each item independently takes its first
     # option from a supplier in the subset
-    pool = sorted({entry.supplier_id for options in option_lists for entry in options})
+    pool = sorted({supplier for options in option_lists for _, supplier, _ in options})
     if len(pool) > MAX_SUPPLIERS_PER_CATEGORY:
         raise InfeasibleAllocationError(
             f"supplier pool of {len(pool)} exceeds the exact-search bound of {MAX_SUPPLIERS_PER_CATEGORY}"
@@ -122,29 +120,29 @@ def _allocate_by_supplier_subsets(option_lists: list[list[MatrixEntry]], units: 
     # accepting only a strictly smaller total breaks ties toward fewer
     # suppliers, then the smallest supplier set
     best_total: float | None = None
-    best_choice: list[MatrixEntry] | None = None
+    best_choice: list[_Option] | None = None
     for size in range(1, len(pool) + 1):
         for subset in itertools.combinations(pool, size):
             total = po_overhead * (size - 1)
             choice = []
             for options, q in zip(option_lists, units):
-                entry = next((e for e in options if e.supplier_id in subset), None)
-                if entry is None:
+                option = next((o for o in options if o[1] in subset), None)
+                if option is None:
                     break
-                choice.append(entry)
-                total += entry.unit_cost * q
+                choice.append(option)
+                total += option[0] * q
             else:
                 if best_total is None or total < best_total:
                     best_total, best_choice = total, choice
     if best_choice is None:
         raise InfeasibleAllocationError("no feasible supplier subset")
-    return [(entry, entry.unit_cost) for entry in best_choice]
+    return [(option, option[0]) for option in best_choice]
 
 
-def _allocate_by_assignment_enumeration(option_lists: list[list[MatrixEntry]], units: list[int],
+def _allocate_by_assignment_enumeration(option_lists: list[list[_Option]], units: tuple[int, ...],
                                         po_overhead: float, slope: float) -> _Priced:
-    # per_supplier_total markup couples the items, so the subset search does
-    # not apply; enumerate full assignments instead
+    # a spot slope couples the items, so the subset search does not apply;
+    # enumerate full assignments instead
     if math.prod(len(options) for options in option_lists) > ASSIGNMENT_ENUMERATION_LIMIT:
         raise InfeasibleAllocationError(
             f"assignment space exceeds enumeration bound of {ASSIGNMENT_ENUMERATION_LIMIT}"
@@ -153,19 +151,17 @@ def _allocate_by_assignment_enumeration(option_lists: list[list[MatrixEntry]], u
     best_choice: _Priced | None = None
     for combo in itertools.product(*option_lists):
         spot_units: dict[str, int] = {}
-        for entry, q in zip(combo, units):
-            if entry.provenance == SPOT:
-                spot_units[entry.supplier_id] = spot_units.get(entry.supplier_id, 0) + q
-        rates = [e.unit_cost + slope * spot_units[e.supplier_id] if e.provenance == SPOT else e.unit_cost
-                 for e in combo]
-        used = sorted({entry.supplier_id for entry in combo})
+        for (_, supplier, rank), q in zip(combo, units):
+            if rank == 1:
+                spot_units[supplier] = spot_units.get(supplier, 0) + q
+        rates = [rate + slope * spot_units[supplier] if rank == 1 else rate for rate, supplier, rank in combo]
+        used = sorted({supplier for _, supplier, _ in combo})
         total = po_overhead * (len(used) - 1)
         for rate, q in zip(rates, units):
             total += rate * q
         if best_key is not None and total > best_key[0]:
             continue  # the key leads with the total, so it cannot win
-        key = (total, len(used), tuple(used),
-               tuple((e.supplier_id, e.provenance) for e in combo))
+        key = (total, len(used), tuple(used), tuple((supplier, rank) for _, supplier, rank in combo))
         if best_key is None or key < best_key:
             best_key = key
             best_choice = list(zip(combo, rates))
@@ -174,36 +170,33 @@ def _allocate_by_assignment_enumeration(option_lists: list[list[MatrixEntry]], u
     return best_choice
 
 
-def reference_allocate_min_cost(matrix: CostMatrix, quantities: Mapping[str, int],
-                                po_overhead: float) -> Allocation:
+def reference_allocate_min_cost(decision: Decision) -> Allocation:
     """The scalar exact solver: `policy.allocate_min_cost` without the fast path, in Python loops.
 
-    Minimizes sum(unit cost * quantity) plus `po_overhead` for every distinct
-    supplier beyond the first.  Ties break toward fewer suppliers, then the
-    lexicographically smallest supplier set.  The search enumerates supplier
-    subsets (items decouple given the subset); the per_supplier_total
-    competition basis falls back to full assignment enumeration.
+    Minimizes sum(unit rate * quantity) plus the order overhead for every
+    distinct supplier beyond the first.  Ties break toward fewer suppliers,
+    then the lexicographically smallest supplier set.  The search enumerates
+    supplier subsets (items decouple given the subset); a decision with a
+    spot slope falls back to full assignment enumeration.
     """
-    if not matrix.entries:
+    items, units, options, po_overhead, slope = decision
+    if not items:
         raise ValueError("empty cost matrix")
-    for item, options in matrix.entries.items():
-        if not options:
+    for item, item_options, q in zip(items, options, units):
+        if not item_options:
             raise InfeasibleAllocationError(f"no admissible supplier for item {item!r}")
-        if quantities[item] < 1:
+        if q < 1:
             raise ValueError(f"quantity for item {item!r} must be at least 1")
 
-    items = sorted(matrix.entries)
-    option_lists = [sorted(matrix.entries[item], key=_option_key) for item in items]
-    units = [quantities[item] for item in items]
-    if matrix.competition_basis == "per_supplier_total" and matrix.competition_slope > 0.0:
-        priced = _allocate_by_assignment_enumeration(option_lists, units, po_overhead,
-                                                     matrix.competition_slope)
+    option_lists = [sorted(item_options) for item_options in options]
+    if slope > 0.0:
+        priced = _allocate_by_assignment_enumeration(option_lists, units, po_overhead, slope)
     else:
         priced = _allocate_by_supplier_subsets(option_lists, units, po_overhead)
-    allocated = {item: AllocatedItem(supplier_id=entry.supplier_id, unit_cost=rate, quantity=q,
-                                     provenance=entry.provenance)
-                 for item, (entry, rate), q in zip(items, priced, units)}
-    n_orders = len({entry.supplier_id for entry, _ in priced})
+    allocated = {item: AllocatedItem(supplier_id=supplier, unit_cost=rate, quantity=q,
+                                     provenance=(CONTRACT, SPOT)[rank])
+                 for item, ((_, supplier, rank), rate), q in zip(items, priced, units)}
+    n_orders = len({option[1] for option, _ in priced})
     return Allocation(items=allocated, overhead_cost=po_overhead * (n_orders - 1))
 
 
@@ -415,10 +408,10 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
         elif event.kind == PO_GENERATION:
             state = pending.pop(event.pr_id)
             requisition = state.requisition
-            matrix = build_cost_matrix(requisition, state.contract_terms, state.quotes,
-                                       competition_slope=spot.competition_slope,
-                                       competition_basis=spot.competition_basis)
-            allocation = allocate_min_cost(matrix, requisition.items, policy.po_overhead)
+            decision = build_cost_matrix(requisition, state.contract_terms, state.quotes, policy.po_overhead,
+                                         competition_slope=spot.competition_slope,
+                                         competition_basis=spot.competition_basis)
+            allocation = allocate_min_cost(decision)
             terminal_cost += record_allocation(volumes, allocation)
             n_po += 1
             delay_streams.pop(event.pr_id, None)

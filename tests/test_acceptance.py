@@ -20,7 +20,7 @@ from oracles import OracleInstance, exhaustive_allocation, weibull_cdf
 from rto_sim.cli import load_scenario, main
 from rto_sim.engine import audit_event_log, run_batch, run_once
 from rto_sim.hazards import HazardSpec, WeibullBaseline, sample_gap
-from rto_sim.policy import SPOT, CostMatrix, MatrixEntry, allocate_min_cost
+from rto_sim.policy import Decision, allocate_min_cost
 
 POOL = min(4, os.cpu_count() or 1)
 SLOPES = (("0", 0.0), ("0.01", 0.01), ("0.1", 0.10))
@@ -113,17 +113,17 @@ def test_a3_allocation_optimality():
     for _ in range(1000):
         n_items = rng.randint(1, 5)
         suppliers = [f"S{i}" for i in range(rng.randint(1, 3))]
-        entries, quantities, costs = {}, {}, {}
+        quantities, costs = {}, {}
         for k in range(n_items):
             item = f"P{k}"
             available = [s for s in suppliers if rng.random() < 0.8] or [rng.choice(suppliers)]
-            entries[item] = tuple(MatrixEntry(s, float(rng.randint(1, 20)), SPOT)
-                                  for s in sorted(available))
-            costs[item] = {e.supplier_id: e.unit_cost for e in entries[item]}
+            costs[item] = {s: float(rng.randint(1, 20)) for s in sorted(available)}
             quantities[item] = rng.randint(1, 10)
         overhead = rng.choice([0.0, 10.0, 25.0])
         best, minimizers = exhaustive_allocation(OracleInstance(costs, quantities, overhead))
-        alloc = allocate_min_cost(CostMatrix(entries=entries), quantities, overhead)
+        # every option a spot quote (rank 1)
+        options = [[(rate, s, 1) for s, rate in costs[item].items()] for item in costs]
+        alloc = allocate_min_cost(Decision(tuple(costs), tuple(quantities.values()), options, overhead))
         assignment = {item: a.supplier_id for item, a in alloc.items.items()}
         if abs(alloc.total_cost - best) > 1e-9 or assignment not in minimizers:
             mismatches += 1

@@ -350,6 +350,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "run 0 failed" in err and "1000000 proposals under covariate bound" in err
 
+    def test_a_tiny_weibull_shape_runs(self, tmp_path, scenario_doc):
+        # at shape 0.001 a gap's Weibull power is past every float about one
+        # draw in eight; such a gap lies past the horizon, so the batch succeeds
+        scenario_doc["vessels"][0]["hazards"]["consumables"]["baseline"]["shape"] = 0.001
+        path = tmp_path / "tiny_shape.json"
+        path.write_text(json.dumps(scenario_doc))
+        assert run_cli("validate", str(path)) == 0
+        assert run_cli("run", str(path), "--runs", "20", "--out", str(tmp_path / "o")) == 0
+
     def test_policy_and_slope_overrides_land_in_summary(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("run", "paper_s5.json", "--runs", "2", "--seed", "1",
@@ -654,19 +663,21 @@ class TestBenchmarkTrace:
         assert out["rc"] == 0
         for layer in ("hazards.sample_gap", "demand.build_requisition", "market.make_quote"):
             assert out["layers"][f"{layer}.calls"][0] > 0, layer
-        # the engine solves each replication's decisions in one policy.allocate_batch
-        # call, which no span covers, so the single-decision solver spans stay empty
+        # the engine builds each decision with policy.build_cost_matrix, then solves
+        # each replication's in one policy.allocate_batch call, which no span
+        # covers, so the single-decision solver spans stay empty
         assert out["layers"]["policy.allocate_min_cost.calls"][0] == 0
+        assert out["layers"]["policy.build_cost_matrix.self_s"][0] > 0
         with gzip.open(tmp_path / "s.csv.gz", "rt", encoding="utf-8") as fh:
             spans = collections.Counter(row["name"] for row in csv.DictReader(fh))  # one row per span
         for name in ("cli.main", "cli.load_scenario", "engine.run_batch", "engine.run_once",
                      "engine.stream", "hazards.sample_gap", "demand.build_requisition",
                      "market.terms_snapshot", "market.make_quote", "policy.decide_rfq_scope",
-                     "metrics.record_allocation", "metrics.summarize_batch", "cli.write_runs_csv",
-                     "cli.write_summary_json", "cli.write_histogram_csv", "cli.write_events_csv"):
+                     "policy.build_cost_matrix", "metrics.record_allocation", "metrics.summarize_batch",
+                     "cli.write_runs_csv", "cli.write_summary_json", "cli.write_histogram_csv",
+                     "cli.write_events_csv"):
             assert spans[name] >= 1, name
-        assert not any(name.startswith(("policy.allocate_min_cost", "policy.build_cost_matrix"))
-                       for name in spans)
+        assert not any(name.startswith("policy.allocate_min_cost") for name in spans)
 
     def test_every_patched_name_resolves(self, monkeypatch):
         # install_spans rebinds each traced function on every module that looks

@@ -375,8 +375,8 @@ class TestQuoteSet:
 
         quotes = {"A": {"P1": 10.0}, "B": {"P1": 9.0}}
         req = Requisition(id="r", vessel_id="V", category_id="c", created_at=1.0, items={"P1": 2})
-        matrix = build_cost_matrix(req, {}, quotes)
-        assert sorted(e.supplier_id for e in matrix.entries["P1"]) == ["A", "B"]
+        decision = build_cost_matrix(req, {}, quotes, 10.0)
+        assert [supplier for _, supplier, _ in decision.options[0]] == ["A", "B"]
 
 
 class TestAllocationType:

@@ -401,11 +401,15 @@ class TestGrid:
             assert outputs == run_batch((cell,), 3, 42)[0]
 
     @pytest.mark.parametrize("change", [
-        {"horizon": 100.0},
-        {"delays": DelayConfig(handling_to_po=0.5)},
-    ])
+        lambda world: {"horizon": 100.0},
+        lambda world: {"delays": DelayConfig(handling_to_po=0.5)},
+        lambda world: {"suppliers": world.suppliers[1:]},
+        lambda world: {"contracts": world.contracts[1:]},
+        lambda world: {"spot": dataclasses.replace(world.spot, noise_sd=world.spot.noise_sd + 1.0,
+                                                   competition_slope=world.spot.competition_slope + 0.1)},
+    ], ids=[f"change{i}" for i in range(5)])
     def test_cells_may_differ_only_in_policy_and_slope(self, paper_scenario, change):
-        other = dataclasses.replace(paper_scenario, **change)
+        other = dataclasses.replace(paper_scenario, **change(paper_scenario))
         with pytest.raises(ValueError, match="policy and spot.competition_slope"):
             run_once((paper_scenario, other), 0, 42)
         with pytest.raises(ValueError, match="policy and spot.competition_slope"):

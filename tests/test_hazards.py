@@ -1,7 +1,9 @@
 """Hazard evaluation and sampler distribution tests."""
 
+import decimal
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -163,6 +165,29 @@ class TestSampleGap:
             assert gap == pytest.approx(inverse(-math.log(1.0 - u)), rel=1e-12)
             assert len(rng.uniforms) == len(uniforms) - left
             t += gap
+
+    def test_a_tiny_shape_never_overflows(self):
+        # at shape 1e-3, cum ** 1000 exceeds every float once cum > e^0.71,
+        # about one draw in eight: such a gap lies past the horizon
+        spec = HazardSpec(WeibullBaseline(shape=1e-3, scale=1.0))
+        rng = stream(11)
+        gaps = [sample_gap(spec, 0.0, 365.0, rng) for _ in range(300)]
+        assert all(t is None or 0.0 <= t <= 365.0 for t in gaps)
+        assert 0 < gaps.count(None) < len(gaps)
+
+    def test_an_overflowing_power_still_gives_a_representable_gap(self):
+        # a unit exponential of about 2.1: 2.1 ** 1000 is past every float, but
+        # 1e-300 times it is about 1.6e22
+        u = 1.0 - math.exp(-2.1)
+        cum = -math.log(1.0 - u)
+        assert math.log(cum) * 1000 > math.log(sys.float_info.max)
+        spec = HazardSpec(WeibullBaseline(shape=1e-3, scale=1e-300))
+        t = sample_gap(spec, 0.0, 1e30, StubRng([u]))
+        with decimal.localcontext() as context:
+            context.prec = 50
+            exact = decimal.Decimal(1e-300) * decimal.Decimal(cum) ** (1 / decimal.Decimal(1e-3))
+        assert t == pytest.approx(float(exact), rel=1e-12)
+        assert sample_gap(spec, 0.0, 1e21, StubRng([u])) is None
 
     def test_gap_respects_renewal_offset(self):
         # absolute event times start from t_last, not zero

@@ -1,6 +1,5 @@
 """Cost-matrix construction and allocation-solver tests."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -16,9 +15,8 @@ from rto_sim.domain import PolicyKind, Requisition
 from rto_sim.policy import (
     CONTRACT,
     SPOT,
-    CostMatrix,
+    Decision,
     InfeasibleAllocationError,
-    MatrixEntry,
     allocate_min_cost,
     build_cost_matrix,
     decide_rfq_scope,
@@ -26,6 +24,8 @@ from rto_sim.policy import (
 
 NAIVE = PolicyKind(kind="naive")
 DYNAMIC = PolicyKind(kind="dynamic")
+# an option's rank in a Decision
+CONTRACT_RATE, SPOT_QUOTE = 0, 1
 
 
 def requisition(items):
@@ -34,39 +34,40 @@ def requisition(items):
 
 class TestBuildCostMatrix:
     def test_naive_contract_only(self):
-        req = requisition({"P1": 2, "P2": 3})
+        req = requisition({"P2": 3, "P1": 2})
         terms = {"P1": {"A": 11.0}, "P2": {"B": 11.0}}
-        matrix = build_cost_matrix(req, terms, {})
-        assert all(e.provenance == CONTRACT for options in matrix.entries.values() for e in options)
-        assert [e.supplier_id for e in matrix.entries["P1"]] == ["A"]
+        decision = build_cost_matrix(req, terms, {}, 10.0)
+        assert decision == Decision(("P1", "P2"), (2, 3), [[(11.0, "A", CONTRACT_RATE)],
+                                                           [(11.0, "B", CONTRACT_RATE)]], 10.0, 0.0)
 
     def test_dynamic_union_of_contract_and_quotes(self):
         req = requisition({"P1": 2})
         terms = {"P1": {"A": 11.0}}
-        quotes = {"A": {"P1": 9.5}, "B": {"P1": 10.2}, "C": {"P1": 12.8}}
-        matrix = build_cost_matrix(req, terms, quotes)
-        assert len(matrix.entries["P1"]) == 4
-        costs = sorted(e.unit_cost for e in matrix.entries["P1"])
-        assert costs == [9.5, 10.2, 11.0, 12.8]
+        quotes = {"C": {"P1": 12.8}, "A": {"P1": 9.5}, "B": {"P1": 10.2}}
+        decision = build_cost_matrix(req, terms, quotes, 10.0)
+        # contract rates first, then quotes, each kind in supplier order
+        assert decision.options == [[(11.0, "A", CONTRACT_RATE), (9.5, "A", SPOT_QUOTE),
+                                     (10.2, "B", SPOT_QUOTE), (12.8, "C", SPOT_QUOTE)]]
 
     def test_naive_after_expiry_mixes_spot_and_contract(self):
-        # P1/P2 contracts lapsed, P3 still covered: spot columns for the
-        # expired items, a contract column for the covered one
+        # P1/P2 contracts lapsed, P3 still covered: spot options for the
+        # expired items, a contract option for the covered one
         req = requisition({"P1": 2, "P3": 4})
         terms = {"P3": {"C": 12.0}}
         quotes = {s: {"P1": 10.0 + i} for i, s in enumerate(("A", "B", "C"))}
-        matrix = build_cost_matrix(req, terms, quotes)
-        assert sorted(e.supplier_id for e in matrix.entries["P1"]) == ["A", "B", "C"]
-        assert all(e.provenance == SPOT for e in matrix.entries["P1"])
-        assert [(e.supplier_id, e.provenance) for e in matrix.entries["P3"]] == [("C", CONTRACT)]
+        decision = build_cost_matrix(req, terms, quotes, 10.0)
+        options = dict(zip(decision.items, decision.options))
+        assert [(supplier, rank) for _, supplier, rank in options["P1"]] == [
+            ("A", SPOT_QUOTE), ("B", SPOT_QUOTE), ("C", SPOT_QUOTE)]
+        assert [(supplier, rank) for _, supplier, rank in options["P3"]] == [("C", CONTRACT_RATE)]
 
     def test_unquoted_uncovered_item_has_no_admissible_supplier(self):
         req = requisition({"P1": 2, "P2": 1})
         quotes = {"A": {"P1": 10.0}}  # no contract and no rate for P2
-        matrix = build_cost_matrix(req, {}, quotes)
-        assert matrix.entries["P2"] == ()
+        decision = build_cost_matrix(req, {}, quotes, 10.0)
+        assert decision.options[1] == []
         with pytest.raises(InfeasibleAllocationError, match="no admissible supplier for item 'P2'"):
-            allocate_min_cost(matrix, req.items, 10.0)
+            allocate_min_cost(decision)
 
     @pytest.mark.parametrize("policy", [NAIVE, DYNAMIC], ids=["naive", "dynamic"])
     def test_policy_acts_only_through_the_scope(self, policy):
@@ -75,105 +76,97 @@ class TestBuildCostMatrix:
         terms = {"P3": {"C": 12.0}}
         scope = decide_rfq_scope(req, terms, policy)
         quotes = {s: {item: 10.0 + i for item in scope} for i, s in enumerate(("A", "B", "C"))}
-        matrix = build_cost_matrix(req, terms, quotes)
+        decision = build_cost_matrix(req, terms, quotes, 10.0)
+        options = dict(zip(decision.items, decision.options))
         for item in req.items:
-            spot = sorted(e.supplier_id for e in matrix.entries[item] if e.provenance == SPOT)
+            spot = [supplier for _, supplier, rank in options[item] if rank == SPOT_QUOTE]
             assert spot == (["A", "B", "C"] if item in scope else [])
-        assert ("C", CONTRACT) in [(e.supplier_id, e.provenance) for e in matrix.entries["P3"]]
+        assert (12.0, "C", CONTRACT_RATE) in options["P3"]
+
+    @pytest.mark.parametrize("basis, slope, coupled", [
+        ("per_item", 0.0, 0.0), ("per_item", 0.1, 0.0),
+        ("per_supplier_total", 0.0, 0.0), ("per_supplier_total", 0.1, 0.1),
+    ])
+    def test_the_slope_couples_the_items_only_under_per_supplier_total(self, basis, slope, coupled):
+        # under per_item the quoted rates already carry the markup
+        req = requisition({"P1": 2})
+        decision = build_cost_matrix(req, {}, {"A": {"P1": 10.0}}, 5.0, competition_slope=slope,
+                                     competition_basis=basis)
+        assert (decision.po_overhead, decision.slope) == (5.0, coupled)
 
 
 class TestAllocateMinCost:
     def test_single_supplier_takes_all(self):
-        matrix = CostMatrix(entries={
-            "P1": (MatrixEntry("A", 5.0, SPOT),),
-            "P2": (MatrixEntry("A", 7.0, SPOT),),
-        })
-        alloc = allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 10.0)
+        decision = Decision(("P1", "P2"), (1, 1), [[(5.0, "A", SPOT_QUOTE)], [(7.0, "A", SPOT_QUOTE)]], 10.0)
+        alloc = allocate_min_cost(decision)
         assert len(alloc.suppliers_used) == 1
         assert alloc.overhead_cost == 0.0
         assert alloc.total_cost == pytest.approx(12.0)
 
     def test_split_vs_consolidate(self):
-        entries = {
-            "P1": (MatrixEntry("X", 5.0, SPOT), MatrixEntry("Y", 20.0, SPOT)),
-            "P2": (MatrixEntry("X", 20.0, SPOT), MatrixEntry("Y", 5.0, SPOT)),
-        }
-        quantities = {"P1": 1, "P2": 1}
-        split = allocate_min_cost(CostMatrix(entries=entries), quantities, 10.0)
+        options = [[(5.0, "X", SPOT_QUOTE), (20.0, "Y", SPOT_QUOTE)],
+                   [(20.0, "X", SPOT_QUOTE), (5.0, "Y", SPOT_QUOTE)]]
+        split = allocate_min_cost(Decision(("P1", "P2"), (1, 1), options, 10.0))
         assert split.total_cost == pytest.approx(20.0)
         assert split.suppliers_used == ("X", "Y")
 
-        merged = allocate_min_cost(CostMatrix(entries=entries), quantities, 25.0)
+        merged = allocate_min_cost(Decision(("P1", "P2"), (1, 1), options, 25.0))
         assert merged.total_cost == pytest.approx(25.0)
         assert len(merged.suppliers_used) == 1
         assert merged.suppliers_used == ("X",)  # tie broken to the lexicographically smaller set
 
     def test_no_admissible_supplier(self):
-        matrix = CostMatrix(entries={"P1": ()})
         with pytest.raises(InfeasibleAllocationError):
-            allocate_min_cost(matrix, {"P1": 1}, 10.0)
+            allocate_min_cost(Decision(("P1",), (1,), [[]], 10.0))
 
     def test_zero_quantity_rejected(self):
-        matrix = CostMatrix(entries={"P1": (MatrixEntry("A", 5.0, SPOT),)})
         with pytest.raises(ValueError):
-            allocate_min_cost(matrix, {"P1": 0}, 10.0)
+            allocate_min_cost(Decision(("P1",), (0,), [[(5.0, "A", SPOT_QUOTE)]], 10.0))
 
     def test_supplier_pool_bound(self):
-        matrix = CostMatrix(entries={
-            "P1": tuple(MatrixEntry(f"S{i:02d}", 5.0, SPOT) for i in range(13)),
-        })
+        options = [(5.0, f"S{i:02d}", SPOT_QUOTE) for i in range(13)]
         with pytest.raises(InfeasibleAllocationError, match="exact-search bound"):
-            allocate_min_cost(matrix, {"P1": 1}, 10.0)
+            allocate_min_cost(Decision(("P1",), (1,), [options], 10.0))
 
     def test_supplier_pool_bound_covers_the_coupled_basis(self):
-        options = tuple(MatrixEntry(f"S{i:02d}", 5.0, SPOT) for i in range(13))
-        matrix = CostMatrix(entries={"P1": options, "P2": options[::-1]}, competition_slope=0.1,
-                            competition_basis="per_supplier_total")
+        options = [(5.0, f"S{i:02d}", SPOT_QUOTE) for i in range(13)]
+        decision = Decision(("P1", "P2"), (1, 1), [options, options[::-1]], 10.0, 0.1)
         with pytest.raises(InfeasibleAllocationError, match="supplier pool of 13 exceeds"):
-            allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 10.0)
+            allocate_min_cost(decision)
 
     @pytest.mark.parametrize("overhead", [-50.0, math.nan, math.inf])
     def test_negative_or_non_finite_overhead_rejected(self, overhead):
         # at -50 the subset search would return A, A at 20.0, charging the
         # overhead for every supplier of a set, used or not, while A, B costs
         # -10.0; at NaN it would return a NaN cost
-        options = (MatrixEntry("A", 10.0, SPOT), MatrixEntry("B", 30.0, SPOT))
-        matrix = CostMatrix(entries={"P1": options, "P2": options})
+        options = [(10.0, "A", SPOT_QUOTE), (30.0, "B", SPOT_QUOTE)]
         with pytest.raises(ValueError, match="po_overhead must be finite and non-negative"):
-            allocate_min_cost(matrix, {"P1": 1, "P2": 1}, overhead)
+            allocate_min_cost(Decision(("P1", "P2"), (1, 1), [options, options], overhead))
 
     def test_overflowing_order_totals_are_named(self):
         # each item's cheapest option comes from another supplier, so the
         # subset search runs, and every total overflows
-        matrix = CostMatrix(entries={
-            "P1": (MatrixEntry("A", 1e308, SPOT), MatrixEntry("B", 1.5e308, SPOT)),
-            "P2": (MatrixEntry("A", 1.5e308, SPOT), MatrixEntry("B", 1e308, SPOT)),
-        })
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(InfeasibleAllocationError, match="every order total overflows"):
-                allocate_min_cost(matrix, {"P1": 10, "P2": 10}, 0.0)
+                allocate_min_cost(_overflowing_decision())
 
     def test_contract_preferred_on_equal_cost(self):
-        matrix = CostMatrix(entries={
-            "P1": (MatrixEntry("A", 5.0, SPOT), MatrixEntry("A", 5.0, CONTRACT)),
-        })
-        alloc = allocate_min_cost(matrix, {"P1": 1}, 10.0)
+        decision = Decision(("P1",), (1,), [[(5.0, "A", SPOT_QUOTE), (5.0, "A", CONTRACT_RATE)]], 10.0)
+        alloc = allocate_min_cost(decision)
         assert alloc.items["P1"].provenance == CONTRACT
 
     def test_determinism(self):
         rng = random.Random(3)
         for _ in range(50):
-            matrix, quantities = _random_instance(rng)
-            a = allocate_min_cost(matrix, quantities, 10.0)
-            b = allocate_min_cost(matrix, quantities, 10.0)
-            assert a == b
+            decision = _random_instance(rng)
+            assert allocate_min_cost(decision) == allocate_min_cost(decision)
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(20240601)
         for _ in range(300):
-            matrix, quantities = _random_instance(rng)
+            decision = _random_instance(rng)
             for overhead in (0.0, 10.0, 25.0):
-                _assert_matches_oracle(matrix, quantities, overhead)
+                _assert_matches_oracle(decision._replace(po_overhead=overhead))
 
     def test_tie_break_pins_the_minimizer(self):
         # small integer costs make exact ties common; among the minimizers the
@@ -181,14 +174,12 @@ class TestAllocateMinCost:
         # then the smallest per-item supplier tuple
         rng = random.Random(5)
         for _ in range(3000):
-            matrix, quantities = _random_instance(rng, cost_range=(1, 3))
-            costs = {item: {e.supplier_id: e.unit_cost for e in options}
-                     for item, options in matrix.entries.items()}
+            decision = _random_instance(rng, cost_range=(1, 3))
             for overhead in (0.0, 1.0, 3.0):
-                _, minimizers = exhaustive_allocation(OracleInstance(costs, quantities, overhead))
+                _, minimizers = exhaustive_allocation(_oracle_instance(decision, overhead))
                 want = min(minimizers, key=lambda m: (len(set(m.values())), sorted(set(m.values())),
                                                       [m[item] for item in sorted(m)]))
-                alloc = allocate_min_cost(matrix, quantities, overhead)
+                alloc = allocate_min_cost(decision._replace(po_overhead=overhead))
                 assert {item: a.supplier_id for item, a in alloc.items.items()} == want
 
     def test_contract_only_matrices_solve_alike_under_every_basis_and_slope(self):
@@ -200,24 +191,25 @@ class TestAllocateMinCost:
                    ("per_supplier_total", 1.0)]
         for _ in range(4000):
             suppliers = [f"S{i}" for i in range(rng.randint(1, 5))]
-            entries = {}
+            terms = {}
             for k in range(rng.randint(1, 4)):
                 holders = [s for s in suppliers if rng.random() < 0.6] or [rng.choice(suppliers)]
-                entries[f"P{k}"] = tuple(MatrixEntry(s, float(rng.randint(1, 3)), CONTRACT) for s in holders)
-            quantities = {item: rng.randint(1, 10) for item in entries}
+                terms[f"P{k}"] = {s: float(rng.randint(1, 3)) for s in holders}
+            req = requisition({item: rng.randint(1, 10) for item in terms})
             for overhead in (0.0, 1.0, 3.0):
-                want = allocate_min_cost(CostMatrix(entries=entries), quantities, overhead)
+                want = allocate_min_cost(build_cost_matrix(req, terms, {}, overhead))
                 for basis, slope in markups:
-                    matrix = CostMatrix(entries=entries, competition_slope=slope, competition_basis=basis)
-                    assert allocate_min_cost(matrix, quantities, overhead) == want
+                    decision = build_cost_matrix(req, terms, {}, overhead, competition_slope=slope,
+                                                 competition_basis=basis)
+                    assert allocate_min_cost(decision) == want
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6),
            h1=st.sampled_from([0.0, 5.0, 10.0]), extra=st.sampled_from([5.0, 15.0, 40.0]))
     def test_overhead_monotonicity(self, seed, h1, extra):
-        matrix, quantities = _random_instance(random.Random(seed))
-        low = allocate_min_cost(matrix, quantities, h1)
-        high = allocate_min_cost(matrix, quantities, h1 + extra)
+        decision = _random_instance(random.Random(seed))
+        low = allocate_min_cost(decision._replace(po_overhead=h1))
+        high = allocate_min_cost(decision._replace(po_overhead=h1 + extra))
         assert low.total_cost <= high.total_cost + 1e-9
         assert len(high.suppliers_used) <= len(low.suppliers_used)
 
@@ -226,13 +218,10 @@ class TestAllocateMinCost:
     def test_dynamic_superset_never_costs_more(self, seed):
         # column-wise superset of options can only lower the optimal cost
         rng = random.Random(seed)
-        matrix, quantities = _random_instance(rng)
-        widened = {}
-        for item, options in matrix.entries.items():
-            extra = MatrixEntry("Z", float(rng.randint(1, 20)), SPOT)
-            widened[item] = options + (extra,)
-        base = allocate_min_cost(matrix, quantities, 10.0)
-        wide = allocate_min_cost(CostMatrix(entries=widened), quantities, 10.0)
+        decision = _random_instance(rng)
+        widened = [[*options, (float(rng.randint(1, 20)), "Z", SPOT_QUOTE)] for options in decision.options]
+        base = allocate_min_cost(decision)
+        wide = allocate_min_cost(decision._replace(options=widened))
         assert wide.total_cost <= base.total_cost + 1e-9
 
 
@@ -240,21 +229,14 @@ class TestSupplierTotalBasis:
     def test_matches_inline_brute_force(self):
         rng = random.Random(77)
         for _ in range(60):
-            matrix, quantities = _random_instance(rng, basis="per_supplier_total", slope=0.1)
-            got = allocate_min_cost(matrix, quantities, 10.0)
-            want = _total_basis_brute_force(matrix, quantities, 10.0)
-            assert got.total_cost == pytest.approx(want, abs=1e-9)
+            decision = _random_instance(rng, basis="per_supplier_total", slope=0.1)
+            got = allocate_min_cost(decision)
+            assert got.total_cost == pytest.approx(_total_basis_brute_force(decision), abs=1e-9)
 
     def test_markup_scales_with_allocated_volume(self):
-        matrix = CostMatrix(
-            entries={
-                "P1": (MatrixEntry("A", 10.0, SPOT),),
-                "P2": (MatrixEntry("A", 10.0, SPOT),),
-            },
-            competition_slope=0.1,
-            competition_basis="per_supplier_total",
-        )
-        alloc = allocate_min_cost(matrix, {"P1": 10, "P2": 30}, 0.0)
+        decision = Decision(("P1", "P2"), (10, 30), [[(10.0, "A", SPOT_QUOTE)], [(10.0, "A", SPOT_QUOTE)]],
+                            0.0, 0.1)
+        alloc = allocate_min_cost(decision)
         # both items carry the 0.1 * 40 supplier-total markup
         assert alloc.items["P1"].unit_cost == pytest.approx(14.0)
         assert alloc.items["P2"].unit_cost == pytest.approx(14.0)
@@ -266,28 +248,24 @@ class TestArraySearches:
     def test_matches_the_reference_on_random_matrices(self):
         # integer costs 1-3 make exact ties common; a mixed instance lets one
         # supplier offer an item both under contract and on spot; the
-        # instance's options come sorted by supplier, so each is also solved
-        # with every item's options shuffled
+        # builder lists each item's options contract rates first, so each
+        # instance is also solved with every item's options shuffled
         rng, shuffler = random.Random(8), random.Random(9)
         for _ in range(20_000):
             basis = rng.choice(("per_item", "per_supplier_total"))
             slope = rng.choice((0.0, 0.05, 0.1))
-            matrix, quantities = _random_instance(rng, basis, slope, cost_range=(1, 3), max_items=4,
-                                                  max_suppliers=6, mixed=True)
-            overhead = rng.choice((0.0, 1.0, 3.0))
-            _assert_matches_reference(matrix, quantities, overhead)
-            shuffled = {item: tuple(shuffler.sample(options, len(options)))
-                        for item, options in matrix.entries.items()}
-            _assert_matches_reference(dataclasses.replace(matrix, entries=shuffled), quantities,
-                                      overhead)
+            decision = _random_instance(rng, basis, slope, cost_range=(1, 3), max_items=4,
+                                        max_suppliers=6, mixed=True)
+            decision = decision._replace(po_overhead=rng.choice((0.0, 1.0, 3.0)))
+            _assert_matches_reference(decision)
+            shuffled = [shuffler.sample(options, len(options)) for options in decision.options]
+            _assert_matches_reference(decision._replace(options=shuffled))
 
     def test_spot_first_options_from_one_supplier_still_split(self):
         # both items on A would cost (5 + 0.1 * 20) * 20 = 140; the split
         # costs (5 + 1) * 10 + (5.5 + 1) * 10 = 125
-        options = (MatrixEntry("A", 5.0, SPOT), MatrixEntry("B", 5.5, SPOT))
-        matrix = CostMatrix(entries={"P1": options, "P2": options}, competition_slope=0.1,
-                            competition_basis="per_supplier_total")
-        alloc = allocate_min_cost(matrix, {"P1": 10, "P2": 10}, 0.0)
+        options = [(5.0, "A", SPOT_QUOTE), (5.5, "B", SPOT_QUOTE)]
+        alloc = allocate_min_cost(Decision(("P1", "P2"), (10, 10), [options, options], 0.0, 0.1))
         assert alloc.total_cost == 125.0
         assert {item: a.supplier_id for item, a in alloc.items.items()} == {"P1": "A", "P2": "B"}
 
@@ -300,15 +278,13 @@ class TestArraySearches:
         def no_search(*args):
             raise AssertionError("the search ran")
 
-        matrix = CostMatrix(entries={
-            "P1": (MatrixEntry("A", 5.0, CONTRACT), MatrixEntry("B", 6.0, SPOT)),
-            "P2": (MatrixEntry("A", 6.0, CONTRACT), MatrixEntry("B", 6.5, SPOT),
-                   MatrixEntry("A", 6.0, SPOT)),
-        }, competition_slope=slope, competition_basis=basis)
-        quantities = {"P1": 3, "P2": 4}
-        want = reference_allocate_min_cost(matrix, quantities, 10.0)
+        terms = {"P1": {"A": 5.0}, "P2": {"A": 6.0}}
+        quotes = {"A": {"P2": 6.0}, "B": {"P1": 6.0, "P2": 6.5}}
+        decision = build_cost_matrix(requisition({"P1": 3, "P2": 4}), terms, quotes, 10.0,
+                                     competition_slope=slope, competition_basis=basis)
+        want = reference_allocate_min_cost(decision)
         monkeypatch.setattr(policy, search, no_search)
-        alloc = allocate_min_cost(matrix, quantities, 10.0)
+        alloc = allocate_min_cost(decision)
         assert alloc == want
         assert {(a.supplier_id, a.provenance) for a in alloc.items.values()} == {("A", CONTRACT)}
 
@@ -317,36 +293,34 @@ class TestArraySearches:
         monkeypatch.setattr(policy, "_ENUMERATION_BLOCK", block)
         rng = random.Random(block)
         for _ in range(2000):
-            matrix, quantities = _random_instance(rng, "per_supplier_total", 0.1, cost_range=(1, 3),
-                                                  max_items=4, max_suppliers=4, mixed=True)
-            _assert_matches_reference(matrix, quantities, rng.choice((0.0, 1.0, 3.0)))
+            decision = _random_instance(rng, "per_supplier_total", 0.1, cost_range=(1, 3), max_items=4,
+                                        max_suppliers=4, mixed=True)
+            _assert_matches_reference(decision._replace(po_overhead=rng.choice((0.0, 1.0, 3.0))))
 
     def test_tie_straddling_two_blocks(self, monkeypatch):
         # assignments 0 (A, B) and 2 (B, B) both total 2; the second, in the
         # second block, wins on fewer suppliers
         monkeypatch.setattr(policy, "_ENUMERATION_BLOCK", 2)
-        matrix = CostMatrix(entries={
-            "P1": (MatrixEntry("A", 1.0, CONTRACT), MatrixEntry("B", 1.0, CONTRACT)),
-            "P2": (MatrixEntry("B", 1.0, CONTRACT), MatrixEntry("C", 5.0, SPOT)),
-        }, competition_slope=0.1, competition_basis="per_supplier_total")
-        alloc = allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 0.0)
+        decision = Decision(("P1", "P2"), (1, 1), [[(1.0, "A", CONTRACT_RATE), (1.0, "B", CONTRACT_RATE)],
+                                                   [(1.0, "B", CONTRACT_RATE), (5.0, "C", SPOT_QUOTE)]],
+                            0.0, 0.1)
+        alloc = allocate_min_cost(decision)
         assert alloc.suppliers_used == ("B",)
-        assert alloc == reference_allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 0.0)
+        assert alloc == reference_allocate_min_cost(decision)
 
     def test_full_tie_straddling_two_blocks_keeps_the_earlier_row(self, monkeypatch):
         # in (supplier, provenance) order, assignments 0 (A contract, A
         # contract) and 2 (A spot at 0.5 + 0.5 * 1, A contract) both total 2.0
         # on the set {A}; the first, in the first block, wins
         monkeypatch.setattr(policy, "_ENUMERATION_BLOCK", 2)
-        matrix = CostMatrix(entries={
-            "P1": (MatrixEntry("A", 0.5, SPOT), MatrixEntry("A", 1.0, CONTRACT)),
-            "P2": (MatrixEntry("B", 5.0, SPOT), MatrixEntry("A", 1.0, CONTRACT)),
-        }, competition_slope=0.5, competition_basis="per_supplier_total")
-        alloc = allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 0.0)
+        decision = Decision(("P1", "P2"), (1, 1), [[(0.5, "A", SPOT_QUOTE), (1.0, "A", CONTRACT_RATE)],
+                                                   [(5.0, "B", SPOT_QUOTE), (1.0, "A", CONTRACT_RATE)]],
+                            0.0, 0.5)
+        alloc = allocate_min_cost(decision)
         assert {item: a.provenance for item, a in alloc.items.items()} == {"P1": CONTRACT,
                                                                            "P2": CONTRACT}
         assert alloc.total_cost == 2.0
-        assert alloc == reference_allocate_min_cost(matrix, {"P1": 1, "P2": 1}, 0.0)
+        assert alloc == reference_allocate_min_cost(decision)
 
     @pytest.mark.parametrize("n_suppliers", range(1, 13))
     def test_supplier_sets_in_tie_break_order(self, n_suppliers):
@@ -362,15 +336,12 @@ class TestArraySearches:
 
     def test_a_million_assignments_stay_within_32_mb(self):
         rng = random.Random(6)
-        suppliers = [f"S{i}" for i in range(10)]
-        entries = {f"P{k}": tuple(MatrixEntry(s, rng.uniform(5.0, 15.0), SPOT) for s in suppliers)
-                   for k in range(6)}
-        matrix = CostMatrix(entries=entries, competition_slope=0.01,
-                            competition_basis="per_supplier_total")
-        quantities = {item: rng.randint(1, 10) for item in entries}
+        items = tuple(f"P{k}" for k in range(6))
+        options = [[(rng.uniform(5.0, 15.0), f"S{i}", SPOT_QUOTE) for i in range(10)] for _ in items]
+        decision = Decision(items, tuple(rng.randint(1, 10) for _ in items), options, 10.0, 0.01)
         tracemalloc.start()
         try:
-            alloc = allocate_min_cost(matrix, quantities, 10.0)
+            alloc = allocate_min_cost(decision)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -395,25 +366,24 @@ class TestLayoutCache:
         rng = random.Random(15)
         warm_solves = 0
         for _ in range(300):
-            matrix, quantities = _sparse_coupled_instance(rng)
-            overhead = rng.choice((0.0, 1.0, 3.0))
-            allocate_min_cost(matrix, quantities, overhead)
-            warm = allocate_min_cost(matrix, quantities, overhead)
+            decision = _sparse_coupled_instance(rng)
+            allocate_min_cost(decision)
+            warm = allocate_min_cost(decision)
             warm_solves += policy._enumeration_layout.cache_info().hits
             policy._enumeration_layout.cache_clear()
-            cold = allocate_min_cost(matrix, quantities, overhead)
+            cold = allocate_min_cost(decision)
             assert _bits(cold) == _bits(warm)
         assert warm_solves > 100
 
     def test_warm_cache_at_a_smaller_block_matches_the_reference(self, monkeypatch):
         rng = random.Random(16)
-        instances = [(*_sparse_coupled_instance(rng), rng.choice((0.0, 1.0, 3.0))) for _ in range(300)]
-        for matrix, quantities, overhead in instances:
-            allocate_min_cost(matrix, quantities, overhead)
+        decisions = [_sparse_coupled_instance(rng) for _ in range(300)]
+        for decision in decisions:
+            allocate_min_cost(decision)
         assert policy._enumeration_layout.cache_info().currsize > 0
         monkeypatch.setattr(policy, "_ENUMERATION_BLOCK", 2)
-        for matrix, quantities, overhead in instances:
-            _assert_matches_reference(matrix, quantities, overhead)
+        for decision in decisions:
+            _assert_matches_reference(decision)
 
     @pytest.mark.parametrize("bound, value", [("_ENUMERATION_BLOCK", 4), ("_LAYOUT_CACHE_CELLS", 8)])
     def test_only_a_space_within_the_bounds_is_cached(self, monkeypatch, bound, value):
@@ -421,10 +391,8 @@ class TestLayoutCache:
         monkeypatch.setattr(policy, bound, value)
         cached = policy._enumeration_layout.cache_info
         for n_options, currsize in ((3, 0), (2, 1)):
-            options = tuple(MatrixEntry(f"S{i}", 5.0 + i, SPOT) for i in range(n_options))
-            matrix = CostMatrix(entries={"P1": options, "P2": options[::-1]}, competition_slope=0.1,
-                                competition_basis="per_supplier_total")
-            _assert_matches_reference(matrix, {"P1": 3, "P2": 4}, 1.0)
+            options = [(5.0 + i, f"S{i}", SPOT_QUOTE) for i in range(n_options)]
+            _assert_matches_reference(Decision(("P1", "P2"), (3, 4), [options, options[::-1]], 1.0, 0.1))
             assert cached().currsize == currsize
 
     def test_a_full_cache_of_the_largest_entries_stays_under_34_mb(self):
@@ -441,16 +409,6 @@ class TestLayoutCache:
             tracemalloc.stop()
         assert policy._enumeration_layout.cache_info().currsize == policy._LAYOUT_CACHE_ENTRIES
         assert current < 34 * 2 ** 20
-
-
-def _decision(matrix, quantities, overhead):
-    """The matrix's allocation problem as the batch solver takes it."""
-    items = tuple(sorted(matrix.entries))
-    coupled = matrix.competition_basis == "per_supplier_total"
-    options = [[(e.unit_cost, e.supplier_id, int(e.provenance == SPOT)) for e in matrix.entries[item]]
-               for item in items]
-    return policy.Decision(items, tuple(quantities[item] for item in items), options, overhead,
-                           matrix.competition_slope if coupled else 0.0)
 
 
 class TestAllocateBatch:
@@ -478,21 +436,21 @@ class TestAllocateBatch:
         # integer costs 1-3 make exact price ties common, and a zero overhead
         # ties supplier sets of different sizes
         rng = random.Random(17)
-        instances = []
+        decisions = []
         for _ in range(1500):
             basis = rng.choice(("per_item", "per_supplier_total"))
             slope = rng.choice((0.0, 0.05, 0.1))
-            matrix, quantities = _random_instance(rng, basis, slope, cost_range=(1, 3), max_items=4,
-                                                  max_suppliers=6, mixed=True)
-            instances.append((matrix, quantities, rng.choice((0.0, 1.0, 3.0))))
-        got = policy.allocate_batch([_decision(*instance) for instance in instances])
-        for allocation, instance in zip(got, instances):
-            assert _bits(allocation) == _bits(reference_allocate_min_cost(*instance))
+            decision = _random_instance(rng, basis, slope, cost_range=(1, 3), max_items=4,
+                                        max_suppliers=6, mixed=True)
+            decisions.append(decision._replace(po_overhead=rng.choice((0.0, 1.0, 3.0))))
+        got = policy.allocate_batch(decisions)
+        for allocation, decision in zip(got, decisions):
+            assert _bits(allocation) == _bits(reference_allocate_min_cost(decision))
         # every path ran: the fast path for the rest, one stacked search per structure
         assert {(pool, items) for search, pool, items, _ in searched if search == "subset"} == {
             (pool, items) for pool in range(2, 7) for items in range(2, 5)}
         assert {items for search, _, items, _ in searched if search == "enumeration"} == {1, 2, 3, 4}
-        assert sum(n for *_, n in searched) < len(instances)
+        assert sum(n for *_, n in searched) < len(decisions)
 
     @pytest.mark.parametrize("n_pool", range(1, 7))
     def test_subset_search_at_each_pool_size(self, n_pool):
@@ -500,28 +458,25 @@ class TestAllocateBatch:
         # called directly, once per item count, on every supplier of the pool
         rng = random.Random(n_pool)
         suppliers = [f"S{i}" for i in range(n_pool)]
+        kinds = ((CONTRACT_RATE,), (SPOT_QUOTE,), (CONTRACT_RATE, SPOT_QUOTE))
         for n_items in range(1, 5):
-            instances = []
+            items = tuple(f"P{k}" for k in range(n_items))
+            decisions = []
             for _ in range(20):
-                entries = {f"P{k}": tuple(MatrixEntry(s, float(rng.randint(1, 3)), kind) for s in suppliers
-                                          for kind in rng.choice(((CONTRACT,), (SPOT,), (CONTRACT, SPOT))))
-                           for k in range(n_items)}
-                instances.append((CostMatrix(entries=entries), {item: rng.randint(1, 10) for item in entries},
-                                  rng.choice((0.0, 1.0, 3.0))))
-            found = policy._search_supplier_subsets([_decision(*instance) for instance in instances], n_pool)
-            for priced, instance in zip(found, instances):
-                want = reference_allocate_min_cost(*instance)
+                options = [[(float(rng.randint(1, 3)), s, rank) for s in suppliers for rank in rng.choice(kinds)]
+                           for _ in items]
+                decisions.append(Decision(items, tuple(rng.randint(1, 10) for _ in items), options,
+                                          rng.choice((0.0, 1.0, 3.0))))
+            found = policy._search_supplier_subsets(decisions, n_pool)
+            for priced, decision in zip(found, decisions):
+                want = reference_allocate_min_cost(decision)
                 assert [(option[1], option[2], rate) for option, rate in priced] == [
                     (a.supplier_id, int(a.provenance == SPOT), a.unit_cost) for a in want.items.values()]
 
     def test_an_overflowing_decision_fails_the_batch(self):
-        matrix = CostMatrix(entries={
-            "P1": (MatrixEntry("A", 1e308, SPOT), MatrixEntry("B", 1.5e308, SPOT)),
-            "P2": (MatrixEntry("A", 1.5e308, SPOT), MatrixEntry("B", 1e308, SPOT)),
-        })
         rng = random.Random(4)
-        decisions = [_decision(*_random_instance(rng, mixed=True), 1.0) for _ in range(20)]
-        decisions.insert(7, _decision(matrix, {"P1": 10, "P2": 10}, 0.0))
+        decisions = [_random_instance(rng, mixed=True, po_overhead=1.0) for _ in range(20)]
+        decisions.insert(7, _overflowing_decision())
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(InfeasibleAllocationError, match="every order total overflows"):
                 policy.allocate_batch(decisions)
@@ -531,22 +486,22 @@ class TestAllocateBatch:
         # over 8 fill several chunks each; 5 coupled over 6 suppliers and 5
         # subset searches over 12 are each large enough to be evaluated alone
         rng = random.Random(23)
+        items = ("P0", "P1", "P2", "P3")
 
         def decision(n_suppliers, coupled):
             suppliers = [f"S{i:02d}" for i in range(n_suppliers)]
-            entries = {f"P{j}": tuple(MatrixEntry(s, float(rng.randint(1, 3)), kind)
-                                      for s in suppliers for kind in (CONTRACT, SPOT) if rng.random() < 0.6)
-                       or (MatrixEntry(suppliers[0], 2.0, SPOT),) for j in range(4)}
-            matrix = CostMatrix(entries=entries, competition_slope=0.05 if coupled else 0.0,
-                                competition_basis="per_supplier_total")
-            return _decision(matrix, {item: rng.randint(1, 10) for item in entries}, rng.choice((0.0, 1.0)))
+            options = [[(float(rng.randint(1, 3)), s, rank)
+                        for s in suppliers for rank in (CONTRACT_RATE, SPOT_QUOTE) if rng.random() < 0.6]
+                       or [(2.0, suppliers[0], SPOT_QUOTE)] for _ in items]
+            return Decision(items, tuple(rng.randint(1, 10) for _ in items), options, rng.choice((0.0, 1.0)),
+                            0.05 if coupled else 0.0)
 
         groups = ((80, 3, True), (40, 8, False), (5, 6, True), (5, 12, False))
         decisions = [decision(n_suppliers, coupled) for count, n_suppliers, coupled in groups
                      for _ in range(count)]
         batch = policy.allocate_batch(decisions)
         searched_decisions = sum(n for *_, n in searched)
-        alone = [policy.allocate_batch([decision])[0] for decision in decisions]
+        alone = [allocate_min_cost(decision) for decision in decisions]
         assert [_bits(a) for a in batch] == [_bits(a) for a in alone]
         # a decision's cells: its rows (assignments or supplier sets) times its 4 items
         cells = [4 * (math.prod(map(len, d.options)) if d.slope
@@ -564,8 +519,8 @@ class TestAllocateBatch:
         # most _STACK_CELLS cells with the largest pool
         rng = random.Random(n_items)
         options = [(float(rng.randint(1, 3)), f"S{i:02d}", rank) for i in range(12) for rank in (0, 1)]
-        decisions = [policy.Decision(tuple(f"P{j}" for j in range(n_items)), (3,) * n_items,
-                                     [rng.sample(options, len(options)) for _ in range(n_items)], 1.0, 0.05)
+        decisions = [Decision(tuple(f"P{j}" for j in range(n_items)), (3,) * n_items,
+                              [rng.sample(options, len(options)) for _ in range(n_items)], 1.0, 0.05)
                      for _ in range(n_decisions)]
         assert n_decisions * 24 ** n_items * n_items <= policy._STACK_CELLS
         policy.allocate_batch(decisions[:1])  # the layout is cached, as in a warm run
@@ -599,42 +554,51 @@ class TestDecideRfqScope:
 
 def _random_instance(rng: random.Random, basis: str = "per_item", slope: float = 0.0,
                      cost_range: tuple[int, int] = (1, 20), max_items: int = 5,
-                     max_suppliers: int = 3, mixed: bool = False):
+                     max_suppliers: int = 3, mixed: bool = False, po_overhead: float = 10.0) -> Decision:
+    """A random requisition's decision, built from contract terms and quotes as the engine builds it."""
     n_items = rng.randint(1, max_items)
     n_suppliers = rng.randint(1, max_suppliers)
     suppliers = [f"S{i}" for i in range(n_suppliers)]
-    entries = {}
-    quantities = {}
+    terms, quotes, quantities = {}, {}, {}
     for k in range(n_items):
         item = f"P{k}"
         # every item keeps at least one option so instances stay feasible
         available = [s for s in suppliers if rng.random() < 0.8] or [rng.choice(suppliers)]
-        options = []
         for s in sorted(available):
             # a mixed instance lets a supplier offer the item under contract,
             # on spot, or both
-            kinds = rng.choice(((CONTRACT,), (SPOT,), (CONTRACT, SPOT))) if mixed else (SPOT,)
-            options += [MatrixEntry(s, float(rng.randint(*cost_range)), kind) for kind in kinds]
-        entries[item] = tuple(options)
+            for kind in rng.choice(((CONTRACT,), (SPOT,), (CONTRACT, SPOT))) if mixed else (SPOT,):
+                rate = float(rng.randint(*cost_range))
+                if kind == CONTRACT:
+                    terms.setdefault(item, {})[s] = rate
+                else:
+                    quotes.setdefault(s, {})[item] = rate
         quantities[item] = rng.randint(1, 10)
-    return CostMatrix(entries=entries, competition_slope=slope, competition_basis=basis), quantities
+    return build_cost_matrix(requisition(quantities), terms, quotes, po_overhead,
+                             competition_slope=slope, competition_basis=basis)
 
 
-def _sparse_coupled_instance(rng: random.Random):
-    """1-5 items of 1-4 options each from a pool of up to 12 suppliers, under a coupled markup.
+def _sparse_coupled_instance(rng: random.Random) -> Decision:
+    """1-5 items of 1-4 options each from a pool of up to 12 suppliers, under a spot slope.
 
     Integer costs 1-3 make exact ties common; a supplier may offer an item
     under contract, on spot, or both.
     """
     suppliers = [f"S{i:02d}" for i in range(rng.randint(1, 12))]
-    pairs = [(s, kind) for s in suppliers for kind in (CONTRACT, SPOT)]
-    entries = {f"P{k}": tuple(MatrixEntry(s, float(rng.randint(1, 3)), kind)
-                              for s, kind in rng.sample(pairs, min(len(pairs), rng.randint(1, 4))))
-               for k in range(rng.randint(1, 5))}
-    quantities = {item: rng.randint(1, 10) for item in entries}
-    matrix = CostMatrix(entries=entries, competition_slope=rng.choice((0.05, 0.1, 1.0)),
-                        competition_basis="per_supplier_total")
-    return matrix, quantities
+    pairs = [(s, rank) for s in suppliers for rank in (CONTRACT_RATE, SPOT_QUOTE)]
+    options = [[(float(rng.randint(1, 3)), s, rank)
+                for s, rank in rng.sample(pairs, min(len(pairs), rng.randint(1, 4)))]
+               for _ in range(rng.randint(1, 5))]
+    items = tuple(f"P{k}" for k in range(len(options)))
+    units = tuple(rng.randint(1, 10) for _ in items)
+    slope = rng.choice((0.05, 0.1, 1.0))
+    return Decision(items, units, options, rng.choice((0.0, 1.0, 3.0)), slope)
+
+
+def _overflowing_decision() -> Decision:
+    # each item's cheapest option comes from another supplier, and every order total overflows
+    return Decision(("P1", "P2"), (10, 10), [[(1e308, "A", SPOT_QUOTE), (1.5e308, "B", SPOT_QUOTE)],
+                                             [(1.5e308, "A", SPOT_QUOTE), (1e308, "B", SPOT_QUOTE)]], 0.0)
 
 
 def _bits(alloc):
@@ -642,42 +606,41 @@ def _bits(alloc):
              for item, a in alloc.items.items()}, alloc.overhead_cost.hex())
 
 
-def _assert_matches_reference(matrix, quantities, overhead):
-    got = allocate_min_cost(matrix, quantities, overhead)
-    want = reference_allocate_min_cost(matrix, quantities, overhead)
+def _assert_matches_reference(decision):
+    got = allocate_min_cost(decision)
+    want = reference_allocate_min_cost(decision)
     assert ({item: (a.supplier_id, a.provenance, a.unit_cost) for item, a in got.items.items()}
             == {item: (a.supplier_id, a.provenance, a.unit_cost) for item, a in want.items.items()})
     assert got.overhead_cost == want.overhead_cost
 
 
-def _assert_matches_oracle(matrix, quantities, overhead):
-    costs = {
-        item: {e.supplier_id: e.unit_cost for e in options}
-        for item, options in matrix.entries.items()
-    }
-    best, minimizers = exhaustive_allocation(OracleInstance(costs, quantities, overhead))
-    alloc = allocate_min_cost(matrix, quantities, overhead)
+def _oracle_instance(decision, po_overhead):
+    costs = {item: {supplier: rate for rate, supplier, _ in options}
+             for item, options in zip(decision.items, decision.options)}
+    return OracleInstance(costs, dict(zip(decision.items, decision.units)), po_overhead)
+
+
+def _assert_matches_oracle(decision):
+    best, minimizers = exhaustive_allocation(_oracle_instance(decision, decision.po_overhead))
+    alloc = allocate_min_cost(decision)
     assert alloc.total_cost == pytest.approx(best, abs=1e-9)
     assignment = {item: a.supplier_id for item, a in alloc.items.items()}
     assert assignment in minimizers
 
 
-def _total_basis_brute_force(matrix, quantities, overhead):
-    import itertools
-
-    items = sorted(matrix.entries)
+def _total_basis_brute_force(decision):
+    items, units, options, overhead, slope = decision
     best = None
-    for combo in itertools.product(*[matrix.entries[i] for i in items]):
+    for combo in itertools.product(*options):
         spot_units = {}
-        for item, entry in zip(items, combo):
-            if entry.provenance == SPOT:
-                spot_units[entry.supplier_id] = spot_units.get(entry.supplier_id, 0) + quantities[item]
-        total = overhead * (len({e.supplier_id for e in combo}) - 1)
-        for item, entry in zip(items, combo):
-            rate = entry.unit_cost
-            if entry.provenance == SPOT:
-                rate += matrix.competition_slope * spot_units[entry.supplier_id]
-            total += rate * quantities[item]
+        for (_, supplier, rank), q in zip(combo, units):
+            if rank == SPOT_QUOTE:
+                spot_units[supplier] = spot_units.get(supplier, 0) + q
+        total = overhead * (len({supplier for _, supplier, _ in combo}) - 1)
+        for (rate, supplier, rank), q in zip(combo, units):
+            if rank == SPOT_QUOTE:
+                rate += slope * spot_units[supplier]
+            total += rate * q
         if best is None or total < best:
             best = total
     return best
