@@ -381,8 +381,7 @@ def _removed_on_failure() -> Iterator[list[Path]]:
 
 
 def _emit_cell(out_dir: Path, outputs: Sequence[RunOutput], config: Mapping[str, Any], bins: int,
-               lead_times: Mapping[str, float], created: list[Path]) -> dict[str, DistributionSummary]:
-    _make_dirs(out_dir, created)
+               created: list[Path]) -> dict[str, DistributionSummary]:
     results = [o.result for o in outputs]
     summaries = summarize_batch(results)
 
@@ -396,10 +395,14 @@ def _emit_cell(out_dir: Path, outputs: Sequence[RunOutput], config: Mapping[str,
     for supplier_id in sorted(results[0].utilizations):
         write(write_histogram_csv, f"histogram_utilization_{supplier_id}.csv",
               [r.utilizations[supplier_id] for r in results], bins)
-    for o in outputs:
-        if o.log:  # a collected log ends with its termination record
-            write(write_events_csv, f"events_{o.result.run_index}.csv", o.log, lead_times)
     return summaries
+
+
+def _write_run_events(out_dirs: Sequence[Path], lead_times: Mapping[str, float], run_index: int,
+                      logs: Sequence[Sequence]) -> None:
+    """The log sink of an exporting batch: write a run's log of each cell under its temporary name."""
+    for out_dir, log in zip(out_dirs, logs):
+        write_events_csv(out_dir / f"events_{run_index}.csv.tmp", log, lead_times)
 
 
 def _check_no_stale_events(out_dirs: Iterable[Path], runs: int, export_events: bool) -> None:
@@ -421,29 +424,54 @@ def _check_no_stale_events(out_dirs: Iterable[Path], runs: int, export_events: b
 
 
 def _run_cells(sf: ScenarioFile, cells: Sequence[tuple[Scenario, Path]],
-               created: list[Path]) -> Iterator[dict[str, DistributionSummary]]:
+               created: list[Path]) -> list[dict[str, DistributionSummary]]:
     """Simulate every (scenario, output directory) cell in one batch; write each cell's files.
 
     The cells share each run's demand draws (common random numbers); each
-    cell's summary.json config describes its own scenario.  Yields each
-    cell's summaries once its files are written, so only one cell's are held.
+    cell's summary.json config describes its own scenario.  Exported event
+    logs are written as each run ends, as `events_<i>.csv.tmp`, and renamed
+    into place once every cell's other files are written; a failure removes
+    every such file in the cell directories.  Returns each cell's summaries.
     """
     runs, bins = sf.runs, sf.output.histogram_bins
-    _check_no_stale_events([out_dir for _, out_dir in cells], runs.count, sf.output.export_events)
-    # not re-validated: a cell changes only the file's policy and slope, the flags'
-    # argparse types check both, and of the checks in validate_scenario only
-    # check_spot_order_totals reads them, which the commands run on each flag slope
-    batches = run_batch([scenario for scenario, _ in cells], runs.count, runs.master_seed,
-                        parallelism=runs.parallelism, collect_logs=sf.output.export_events)
-    for (scenario, out_dir), outputs in zip(cells, batches):
-        yield _emit_cell(out_dir, outputs, {
+    out_dirs = [out_dir for _, out_dir in cells]
+    _check_no_stale_events(out_dirs, runs.count, sf.output.export_events)
+    for out_dir in out_dirs:
+        _make_dirs(out_dir, created)
+    log_sink = None
+    if sf.output.export_events:
+        # the process that simulates a run writes its logs, so none is held;
+        # the cells share their suppliers, so their lead times
+        log_sink = functools.partial(_write_run_events, out_dirs,
+                                     {s.id: s.spot_lead_time for s in cells[0][0].suppliers})
+    try:
+        # not re-validated: a cell changes only the file's policy and slope, the flags'
+        # argparse types check both, and of the checks in validate_scenario only
+        # check_spot_order_totals reads them, which the commands run on each flag slope
+        batches = run_batch([scenario for scenario, _ in cells], runs.count, runs.master_seed,
+                            parallelism=runs.parallelism, log_sink=log_sink)
+        summaries = [_emit_cell(out_dir, outputs, {
             "policy": scenario.policy.kind,
             "competition_slope": scenario.spot.competition_slope,
             "runs": runs.count,
             "master_seed": runs.master_seed,
             "horizon_days": scenario.horizon,
             "histogram_bins": bins,
-        }, bins, {s.id: s.spot_lead_time for s in scenario.suppliers}, created)
+        }, bins, created) for (scenario, out_dir), outputs in zip(cells, batches)]
+        if log_sink is not None:  # last: a failure in the batch or a cell's files keeps earlier logs
+            for out_dir in out_dirs:
+                for index in range(runs.count):
+                    final = out_dir / f"events_{index}.csv"
+                    os.replace(f"{final}.tmp", final)
+                    created.append(final)
+    except Exception:
+        # before _removed_on_failure removes the directories
+        for out_dir in out_dirs:
+            for partial in out_dir.glob("events_*.csv.tmp"):
+                with contextlib.suppress(OSError):
+                    partial.unlink()
+        raise
+    return summaries
 
 
 def _resolve_seed(flag_seed: int | None, file_seed: int | None) -> int:

@@ -28,7 +28,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -342,11 +342,14 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
 
 
 def _run_span(args) -> list:
-    scenarios, master_seed, indices, collect_logs = args
+    scenarios, master_seed, indices, log_sink = args
     out = []
     for run_index in indices:
         try:
-            outputs = run_once(scenarios, run_index, master_seed, collect_log=collect_logs)
+            outputs = run_once(scenarios, run_index, master_seed, collect_log=log_sink is not None)
+            if log_sink is not None:  # the logs leave here, so no process holds more than one run's
+                log_sink(run_index, tuple(o.log for o in outputs))
+                outputs = tuple(RunOutput(o.result, ()) for o in outputs)
         except Exception as exc:  # noqa: BLE001 - reported with the failing index
             raise BatchRunError(run_index, repr(exc)) from exc
         out.append(outputs)
@@ -354,15 +357,22 @@ def _run_span(args) -> list:
 
 
 def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
-              *, parallelism: int = 1, collect_logs: bool = False) -> tuple[tuple[RunOutput, ...], ...]:
+              *, parallelism: int = 1,
+              log_sink: Callable[[int, tuple[tuple[EventRecord, ...], ...]], None] | None = None,
+              ) -> tuple[tuple[RunOutput, ...], ...]:
     """Independent replications indexed 0..n_runs-1 of every cell of a grid.
 
-    Returns, per scenario in order, its RunOutputs in run order; a log is
-    empty unless collect_logs, and the grid rules are those of run_once.
-    Results are bit-identical for a fixed (grid, master_seed) whatever the
-    parallelism degree: runs derive their randomness from their index alone
-    and are merged back in index order.  A worker process that dies aborts
-    the batch with a BatchRunError naming the first run of the chunk it lost.
+    Returns, per scenario in order, its RunOutputs in run order, every log
+    empty; the grid rules are those of run_once.  With a `log_sink`, the
+    process that simulates a run calls `log_sink(run_index, logs)`, one log
+    per scenario, as soon as the run ends, in the serial path and in workers
+    alike, so no log is returned or held; above parallelism 1 the sink must
+    pickle, and chunks of runs call it concurrently.  A sink that raises
+    fails its run.  Results are bit-identical for a fixed
+    (grid, master_seed) whatever the parallelism degree: runs derive their
+    randomness from their index alone and are merged back in index order.
+    A worker process that dies aborts the batch with a BatchRunError naming
+    the first run of the chunk it lost.
     """
     _check_grid(scenarios)
     if n_runs < 1:
@@ -375,7 +385,7 @@ def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
     workers = min(parallelism, os.cpu_count() or 1)
     chunk = max(1, -(-n_runs // (workers * 4)))
     spans = [list(range(start, min(start + chunk, n_runs))) for start in range(0, n_runs, chunk)]
-    jobs = [(tuple(scenarios), master_seed, span, collect_logs) for span in spans]
+    jobs = [(tuple(scenarios), master_seed, span, log_sink) for span in spans]
     workers = min(workers, len(jobs))
     runs: list[tuple[RunOutput, ...]] = []  # index order: spans are contiguous and merged in order
     if workers == 1:

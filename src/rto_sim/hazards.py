@@ -8,6 +8,7 @@ the covariate modulation, against its provable bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -69,6 +70,10 @@ class HazardSpec:
 
     def modulation_bound(self) -> float:
         """Upper bound of exp(sum of covariate terms); finite because the terms are bounded cosines."""
+        return self._modulation_bound
+
+    @functools.cached_property
+    def _modulation_bound(self) -> float:  # sample_gap reads it on every gap
         return math.exp(sum(abs(c.coefficient) * abs(c.amplitude) for c in self.covariates))
 
     def log_modulation(self, t: float) -> float:
@@ -119,7 +124,7 @@ def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng) -> float | 
     """
     if t_last >= horizon:
         return None
-    bound = spec.modulation_bound()
+    bound = spec._modulation_bound
     cum = 0.0  # baseline cumulative hazard at the latest proposal; the proposals' own is bound * cum
     for _ in range(PROPOSAL_BUDGET):
         cum += _unit_exponential(rng) / bound

@@ -8,18 +8,20 @@ import gzip
 import importlib.util
 import json
 import math
+import multiprocessing
 import os
 import random
 import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import dump_scenario, uniform_market_scenario
-from rto_sim import cli
+from rto_sim import cli, engine
 from rto_sim.cli import (
     OutputConfig,
     RunsConfig,
@@ -395,6 +397,18 @@ class TestRunCommand:
         assert f"{out / 'events_2.csv'}: a stale event log" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_a_left_over_temporary_log_is_overwritten_or_ignored(self, tmp_path):
+        # a killed command may leave events_<i>.csv.tmp behind; it is no event log
+        out, fresh = tmp_path / "o", tmp_path / "fresh"
+        out.mkdir()
+        (out / "events_0.csv.tmp").write_text("junk")
+        (out / "events_9.csv.tmp").write_text("junk")
+        for directory in (out, fresh):
+            assert run_cli("run", "paper_s5.json", "--runs", "2", "--seed", "1",
+                           "--export-events", "--out", str(directory)) == 0
+        assert (out / "events_0.csv").read_bytes() == (fresh / "events_0.csv").read_bytes()
+        assert sorted(p.name for p in out.glob("*.tmp")) == ["events_9.csv.tmp"]
+
     def test_rfq_lines_carry_their_suppliers_lead_time(self, tmp_path):
         doc = json.loads(bundled_scenario_path("paper_s5.json").read_text())
         lead_times = {"A": "1.5", "B": "4.25", "C": "3"}
@@ -456,6 +470,73 @@ class TestRunCommand:
         assert "events_19.csv" in names
         for name in names:
             assert (tmp_path / "run" / name).read_bytes() == (cell / name).read_bytes(), name
+
+
+class TestEventExport:
+    """Each run's log is written where it is simulated, as it ends, and renamed into place."""
+
+    @pytest.fixture(autouse=True)
+    def eight_cpus(self, monkeypatch):
+        # the pool is capped at the CPU count; pin it, so that on a 1-CPU host
+        # a parallel batch still goes to the forked pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_peak_memory_does_not_grow_with_runs(self, tmp_path, parallelism):
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                assert run_cli("run", "paper_s5.json", "--runs", str(runs), "--seed", "1",
+                               "--export-events", "--parallelism", str(parallelism),
+                               "--out", str(tmp_path / str(runs))) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # warm the caches and imports, which only the first command pays for
+        assert peak(200) - peak(50) < 2**20
+
+    @pytest.mark.parametrize("parallelism", [
+        1, pytest.param(2, marks=pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                                    reason="workers must inherit the patched run_once")),
+    ])
+    def test_failed_run_leaves_earlier_logs_and_no_partial_ones(self, tmp_path, capsys, monkeypatch,
+                                                               parallelism):
+        out = tmp_path / "o"
+        command = ("run", "paper_s5.json", "--seed", "1", "--export-events",
+                   "--parallelism", str(parallelism), "--out", str(out))
+        assert run_cli(*command, "--runs", "1") == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert "events_0.csv" in before and not any(name.endswith(".tmp") for name in before)
+        real = engine.run_once
+
+        def exploding(scenarios, run_index, master_seed, **kwargs):
+            if run_index == 3:
+                raise RuntimeError("boom")
+            return real(scenarios, run_index, master_seed, **kwargs)
+
+        monkeypatch.setattr(engine, "run_once", exploding)
+        capsys.readouterr()
+        assert run_cli(*command, "--runs", "8") == 1
+        assert "run 3 failed: RuntimeError('boom')" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_failure_after_the_batch_leaves_earlier_logs(self, tmp_path, capsys, monkeypatch):
+        # the logs are renamed into place last, so they have not yet replaced
+        # the earlier ones when a cell's summary.json fails
+        out = tmp_path / "o"
+        command = ("run", "paper_s5.json", "--runs", "2", "--export-events", "--out", str(out))
+        assert run_cli(*command, "--seed", "1") == 0
+        earlier = {name: (out / name).read_bytes() for name in ("events_0.csv", "events_1.csv")}
+
+        def write_summary_json(path, *args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_summary_json", write_summary_json)
+        assert run_cli(*command, "--seed", "2") == 1
+        assert "disk full" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in earlier} == earlier
+        assert not list(out.glob("*.tmp"))
 
 
 class TestCompareCommand:
@@ -559,8 +640,8 @@ class TestCompareCommand:
             assert len(cells[0]) > 0
 
     def test_event_logs_identical_across_parallelism(self, tmp_path):
-        # every file, event logs included, whether the runs come back from one
-        # process or from worker processes
+        # every file, event logs included, whether the logs are written by one
+        # process or by worker processes; no temporary log is left
         outputs = []
         for parallelism in (1, 2):
             out = tmp_path / f"par{parallelism}"
@@ -568,6 +649,7 @@ class TestCompareCommand:
                            "--export-events", "--parallelism", str(parallelism), "--out", str(out)) == 0
             outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
         assert sum(p.name.startswith("events_") for p in outputs[0]) == 48
+        assert not any(p.suffix == ".tmp" for p in outputs[0])
         assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("source", ["paper_s5", "wide-market"])

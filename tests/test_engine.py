@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pickle
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,18 @@ def grid(base, slopes, policies=("naive", "dynamic")):
         for kind in policies for slope in slopes
     )
 
+
+@dataclasses.dataclass(frozen=True)
+class PickleSink:
+    """A picklable log sink: each run's logs land in `<directory>/<run_index>.pickle`."""
+
+    directory: Path
+
+    def __call__(self, run_index, logs):
+        (self.directory / f"{run_index}.pickle").write_bytes(pickle.dumps(logs))
+
+    def logs(self, n_runs):
+        return [pickle.loads((self.directory / f"{i}.pickle").read_bytes()) for i in range(n_runs)]
 
 
 class InlineExecutor:
@@ -232,17 +245,33 @@ class TestBatchDeterminism:
         # a parallel batch still goes to the (patched or forked) pool
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
-    def test_single_run_batch_equals_run_once(self, paper_scenario):
+    def test_single_run_batch_equals_run_once(self, paper_scenario, tmp_path):
         once = run_once((paper_scenario,), 0, 42)[0]
-        assert run_batch((paper_scenario,), 1, 42, collect_logs=True)[0] == (once,)
+        sink = PickleSink(tmp_path)
+        [output] = run_batch((paper_scenario,), 1, 42, log_sink=sink)[0]
+        assert sink.logs(1) == [(once.log,)]
+        assert output.result == once.result and output.log == ()
         [output] = run_batch((paper_scenario,), 1, 42)[0]
         assert output.result == once.result and output.log == ()
 
-    def test_parallelism_invariance(self, paper_scenario):
-        serial = run_batch((paper_scenario,), 8, 42, parallelism=1, collect_logs=True)[0]
-        parallel = run_batch((paper_scenario,), 8, 42, parallelism=2, collect_logs=True)[0]
+    def test_parallelism_invariance(self, paper_scenario, tmp_path):
+        sinks = PickleSink(tmp_path / "serial"), PickleSink(tmp_path / "parallel")
+        for sink in sinks:
+            sink.directory.mkdir()
+        serial = run_batch((paper_scenario,), 8, 42, parallelism=1, log_sink=sinks[0])[0]
+        parallel = run_batch((paper_scenario,), 8, 42, parallelism=2, log_sink=sinks[1])[0]
         assert [o.result.run_index for o in serial] == list(range(8))
         assert serial == parallel
+        serial_logs = sinks[0].logs(8)
+        assert serial_logs == sinks[1].logs(8)
+        assert all(log[-1].kind == TERMINATION for (log,) in serial_logs)
+
+    def test_failing_sink_reports_its_run(self, paper_scenario, tmp_path):
+        sink = PickleSink(tmp_path / "missing")  # no directory: the run's write fails
+        with pytest.raises(BatchRunError) as err:
+            run_batch((paper_scenario,), 4, 42, log_sink=sink)
+        assert err.value.run_index == 0
+        assert "FileNotFoundError" in err.value.message
 
     def test_replay_determinism(self, paper_scenario):
         a = run_once((paper_scenario,), 5, 42)[0]
