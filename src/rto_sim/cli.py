@@ -20,7 +20,7 @@ import sys
 import time
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .domain import (POLICY_KINDS, Scenario, ScenarioValidationError, check_spot_order_totals,
                      validate_scenario)
-from .engine import PO_GENERATION, PR_GENERATION, PR_HANDLING, RFQ_RESPONSE, RunOutput, run_batch
+from .engine import PO_GENERATION, PR_GENERATION, PR_HANDLING, RFQ_RESPONSE, run_batch
 from .hazards import ConstantBaseline, WeibullBaseline
 from .metrics import DistributionSummary, RunResult, summarize_batch
 
@@ -238,6 +238,8 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     resolved = _resolve_scenario_path(str(path))
     try:
         doc = json.loads(resolved.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", str(resolved)) from exc
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}", str(resolved)) from exc
     sf = parse_scenario(doc)
@@ -357,44 +359,65 @@ def write_events_csv(path: Path, log: Sequence, lead_times: Mapping[str, float])
     _write_text(path, lines)
 
 
-def _make_dirs(path: Path, created: list[Path]) -> None:
-    """Create `path` and its missing parents, recording each one created, outermost first."""
-    created.extend(reversed([p for p in (path, *path.parents) if not p.exists()]))
-    path.mkdir(parents=True, exist_ok=True)
+def _temporary(path: Path) -> Path:
+    """The name an output file is written under until the command's last file is written."""
+    return path.with_name(f"{path.name}.tmp")
+
+
+@dataclass
+class _Staged:
+    """What a command puts on disk: directories it created, and files under their temporary names."""
+
+    dirs: list[Path] = field(default_factory=list)  # outermost first
+    files: list[Path] = field(default_factory=list)  # final names
+    logs: list[tuple[Path, int]] = field(default_factory=list)  # (cell directory, run count) of event logs
+
+    def mkdir(self, path: Path) -> None:
+        self.dirs.extend(reversed([p for p in (path, *path.parents) if not p.exists()]))
+        path.mkdir(parents=True, exist_ok=True)
+
+    def write(self, writer: Callable[..., None], path: Path, *data: Any) -> None:
+        self.files.append(path)
+        writer(_temporary(path), *data)
+
+    def final_paths(self) -> Iterator[Path]:
+        yield from self.files
+        for out_dir, runs in self.logs:
+            yield from (out_dir / f"events_{index}.csv" for index in range(runs))
 
 
 @contextlib.contextmanager
-def _removed_on_failure() -> Iterator[list[Path]]:
-    """Yield a list for the files and directories a command creates; on failure remove them.
+def _staged() -> Iterator[_Staged]:
+    """Yield a command's staging; when its block ends, rename every staged file into place.
 
-    Removal goes newest first, so a directory goes after its contents; one
-    that is still not empty stays.
+    On failure only the temporary files go, then the directories the command created,
+    newest first (one still not empty stays): a file already in place is never touched.
     """
-    created: list[Path] = []
+    staged = _Staged()
     try:
-        yield created
+        yield staged
+        for path in staged.final_paths():
+            os.replace(_temporary(path), path)
     except Exception:
-        for path in reversed(created):
+        for path in staged.final_paths():
             with contextlib.suppress(OSError):
-                path.rmdir() if path.is_dir() else path.unlink()
+                _temporary(path).unlink()
+        for directory in reversed(staged.dirs):
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         raise
 
 
-def _emit_cell(out_dir: Path, outputs: Sequence[RunOutput], config: Mapping[str, Any], bins: int,
-               created: list[Path]) -> dict[str, DistributionSummary]:
-    results = [o.result for o in outputs]
+def _emit_cell(out_dir: Path, results: Sequence[RunResult], config: Mapping[str, Any], bins: int,
+               staged: _Staged) -> dict[str, DistributionSummary]:
     summaries = summarize_batch(results)
-
-    def write(writer, name: str, *data) -> None:
-        created.append(out_dir / name)
-        writer(out_dir / name, *data)
-
-    write(write_runs_csv, "runs.csv", results)
-    write(write_summary_json, "summary.json", config, summaries)
-    write(write_histogram_csv, "histogram_terminal_cost.csv", [r.terminal_cost for r in results], bins)
+    staged.write(write_runs_csv, out_dir / "runs.csv", results)
+    staged.write(write_summary_json, out_dir / "summary.json", config, summaries)
+    staged.write(write_histogram_csv, out_dir / "histogram_terminal_cost.csv",
+                 [r.terminal_cost for r in results], bins)
     for supplier_id in sorted(results[0].utilizations):
-        write(write_histogram_csv, f"histogram_utilization_{supplier_id}.csv",
-              [r.utilizations[supplier_id] for r in results], bins)
+        staged.write(write_histogram_csv, out_dir / f"histogram_utilization_{supplier_id}.csv",
+                     [r.utilizations[supplier_id] for r in results], bins)
     return summaries
 
 
@@ -402,7 +425,7 @@ def _write_run_events(out_dirs: Sequence[Path], lead_times: Mapping[str, float],
                       logs: Sequence[Sequence]) -> None:
     """The log sink of an exporting batch: write a run's log of each cell under its temporary name."""
     for out_dir, log in zip(out_dirs, logs):
-        write_events_csv(out_dir / f"events_{run_index}.csv.tmp", log, lead_times)
+        write_events_csv(_temporary(out_dir / f"events_{run_index}.csv"), log, lead_times)
 
 
 def _check_no_stale_events(out_dirs: Iterable[Path], runs: int, export_events: bool) -> None:
@@ -424,54 +447,38 @@ def _check_no_stale_events(out_dirs: Iterable[Path], runs: int, export_events: b
 
 
 def _run_cells(sf: ScenarioFile, cells: Sequence[tuple[Scenario, Path]],
-               created: list[Path]) -> list[dict[str, DistributionSummary]]:
-    """Simulate every (scenario, output directory) cell in one batch; write each cell's files.
+               staged: _Staged) -> list[dict[str, DistributionSummary]]:
+    """Simulate every (scenario, output directory) cell in one batch; stage each cell's files.
 
     The cells share each run's demand draws (common random numbers); each
-    cell's summary.json config describes its own scenario.  Exported event
-    logs are written as each run ends, as `events_<i>.csv.tmp`, and renamed
-    into place once every cell's other files are written; a failure removes
-    every such file in the cell directories.  Returns each cell's summaries.
+    cell's summary.json config describes its own scenario.  Returns each
+    cell's summaries.
     """
     runs, bins = sf.runs, sf.output.histogram_bins
     out_dirs = [out_dir for _, out_dir in cells]
     _check_no_stale_events(out_dirs, runs.count, sf.output.export_events)
     for out_dir in out_dirs:
-        _make_dirs(out_dir, created)
+        staged.mkdir(out_dir)
     log_sink = None
     if sf.output.export_events:
+        staged.logs.extend((out_dir, runs.count) for out_dir in out_dirs)
         # the process that simulates a run writes its logs, so none is held;
         # the cells share their suppliers, so their lead times
         log_sink = functools.partial(_write_run_events, out_dirs,
                                      {s.id: s.spot_lead_time for s in cells[0][0].suppliers})
-    try:
-        # not re-validated: a cell changes only the file's policy and slope, the flags'
-        # argparse types check both, and of the checks in validate_scenario only
-        # check_spot_order_totals reads them, which the commands run on each flag slope
-        batches = run_batch([scenario for scenario, _ in cells], runs.count, runs.master_seed,
-                            parallelism=runs.parallelism, log_sink=log_sink)
-        summaries = [_emit_cell(out_dir, outputs, {
-            "policy": scenario.policy.kind,
-            "competition_slope": scenario.spot.competition_slope,
-            "runs": runs.count,
-            "master_seed": runs.master_seed,
-            "horizon_days": scenario.horizon,
-            "histogram_bins": bins,
-        }, bins, created) for (scenario, out_dir), outputs in zip(cells, batches)]
-        if log_sink is not None:  # last: a failure in the batch or a cell's files keeps earlier logs
-            for out_dir in out_dirs:
-                for index in range(runs.count):
-                    final = out_dir / f"events_{index}.csv"
-                    os.replace(f"{final}.tmp", final)
-                    created.append(final)
-    except Exception:
-        # before _removed_on_failure removes the directories
-        for out_dir in out_dirs:
-            for partial in out_dir.glob("events_*.csv.tmp"):
-                with contextlib.suppress(OSError):
-                    partial.unlink()
-        raise
-    return summaries
+    # not re-validated: a cell changes only the file's policy and slope, the flags'
+    # argparse types check both, and of the checks in validate_scenario only
+    # check_spot_order_totals reads them, which the commands run on each flag slope
+    batches = run_batch([scenario for scenario, _ in cells], runs.count, runs.master_seed,
+                        parallelism=runs.parallelism, log_sink=log_sink)
+    return [_emit_cell(out_dir, results, {
+        "policy": scenario.policy.kind,
+        "competition_slope": scenario.spot.competition_slope,
+        "runs": runs.count,
+        "master_seed": runs.master_seed,
+        "horizon_days": scenario.horizon,
+        "histogram_bins": bins,
+    }, bins, staged) for (scenario, out_dir), results in zip(cells, batches)]
 
 
 def _resolve_seed(flag_seed: int | None, file_seed: int | None) -> int:
@@ -516,8 +523,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(sf.scenario, args.policy, args.competition_slope)
     out_dir = Path(sf.output.directory)
     started = time.perf_counter()
-    with _removed_on_failure() as created:
-        [summaries] = _run_cells(sf, [(scenario, out_dir)], created)
+    with _staged() as staged:
+        [summaries] = _run_cells(sf, [(scenario, out_dir)], staged)
     elapsed = time.perf_counter() - started
 
     mean_util = " ".join(
@@ -543,8 +550,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(sf.output.directory)
     cells = [(scenario, out_dir / f"{policy}_slope{token}") for policy, token, scenario in grid]
     table_rows: list[dict[str, Any]] = []
-    with _removed_on_failure() as created:
-        for (policy, token, _), summaries in zip(grid, _run_cells(sf, cells, created)):
+    with _staged() as staged:
+        for (policy, token, _), summaries in zip(grid, _run_cells(sf, cells, staged)):
             row: dict[str, Any] = {
                 "policy": policy,
                 "slope": token,
@@ -560,10 +567,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             table_rows.append(row)
 
         columns = list(table_rows[0])
-        comparison = out_dir / "comparison.csv"
-        created.append(comparison)
-        _write_text(comparison, [",".join(columns)]
-                    + [",".join(_fmt(row[c]) for c in columns) for row in table_rows])
+        staged.write(_write_text, out_dir / "comparison.csv", [",".join(columns)]
+                     + [",".join(_fmt(row[c]) for c in columns) for row in table_rows])
 
     widths = [max(len(str(c)), max(len(_fmt(row[c])) for row in table_rows)) for c in columns]
     print("  ".join(c.ljust(w) for c, w in zip(columns, widths)))

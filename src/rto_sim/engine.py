@@ -341,7 +341,7 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                  for cell in cells)
 
 
-def _run_span(args) -> list:
+def _run_span(args) -> list[tuple[RunResult, ...]]:
     scenarios, master_seed, indices, log_sink = args
     out = []
     for run_index in indices:
@@ -349,26 +349,25 @@ def _run_span(args) -> list:
             outputs = run_once(scenarios, run_index, master_seed, collect_log=log_sink is not None)
             if log_sink is not None:  # the logs leave here, so no process holds more than one run's
                 log_sink(run_index, tuple(o.log for o in outputs))
-                outputs = tuple(RunOutput(o.result, ()) for o in outputs)
         except Exception as exc:  # noqa: BLE001 - reported with the failing index
             raise BatchRunError(run_index, repr(exc)) from exc
-        out.append(outputs)
+        out.append(tuple(o.result for o in outputs))
     return out
 
 
 def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
               *, parallelism: int = 1,
               log_sink: Callable[[int, tuple[tuple[EventRecord, ...], ...]], None] | None = None,
-              ) -> tuple[tuple[RunOutput, ...], ...]:
+              ) -> tuple[tuple[RunResult, ...], ...]:
     """Independent replications indexed 0..n_runs-1 of every cell of a grid.
 
-    Returns, per scenario in order, its RunOutputs in run order, every log
-    empty; the grid rules are those of run_once.  With a `log_sink`, the
-    process that simulates a run calls `log_sink(run_index, logs)`, one log
-    per scenario, as soon as the run ends, in the serial path and in workers
-    alike, so no log is returned or held; above parallelism 1 the sink must
-    pickle, and chunks of runs call it concurrently.  A sink that raises
-    fails its run.  Results are bit-identical for a fixed
+    Returns, per scenario in order, its RunResults in run order; the grid
+    rules are those of run_once.  Logs are collected only for a `log_sink`:
+    the process that simulates a run calls `log_sink(run_index, logs)`, one
+    log per scenario, as soon as the run ends, in the serial path and in
+    workers alike, so no log is returned or held; above parallelism 1 the
+    sink must pickle, and chunks of runs call it concurrently.  A sink that
+    raises fails its run.  Results are bit-identical for a fixed
     (grid, master_seed) whatever the parallelism degree: runs derive their
     randomness from their index alone and are merged back in index order.
     A worker process that dies aborts the batch with a BatchRunError naming
@@ -387,7 +386,7 @@ def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
     spans = [list(range(start, min(start + chunk, n_runs))) for start in range(0, n_runs, chunk)]
     jobs = [(tuple(scenarios), master_seed, span, log_sink) for span in spans]
     workers = min(workers, len(jobs))
-    runs: list[tuple[RunOutput, ...]] = []  # index order: spans are contiguous and merged in order
+    runs: list[tuple[RunResult, ...]] = []  # index order: spans are contiguous and merged in order
     if workers == 1:
         for job in jobs:
             runs.extend(_run_span(job))

@@ -44,7 +44,7 @@ def grid_1k():
     started = time.perf_counter()
     batches = run_batch(scenarios, 1000, 42, parallelism=POOL)
     elapsed = time.perf_counter() - started
-    return {key: (tuple(o.result for o in outputs), elapsed) for key, outputs in zip(keys, batches)}
+    return {key: (results, elapsed) for key, results in zip(keys, batches)}
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import copy
 import csv
 import dataclasses
 import gzip
+import hashlib
 import importlib.util
 import json
 import math
@@ -181,6 +182,20 @@ class TestCodecConformance:
         ))
         assert parse_scenario(doc) == expected
         assert parse_scenario(dump_scenario(expected)) == expected
+        # the defaults themselves, which the comparison above would follow if one were edited
+        sf = parse_scenario(doc)
+        scenario, spot, delays = sf.scenario, sf.scenario.spot, sf.scenario.delays
+        assert scenario.vessels[0].hazards["cat"].covariates[0].phase == 0.0
+        assert (spot.rates[("P", "A")].amplitude, spot.rates[("P", "A")].phase) == (0.0, 0.0)
+        assert (spot.period, spot.noise_sd, spot.competition_slope, spot.competition_basis) \
+            == (365.0, 1.0, 0.0, "per_item")
+        assert scenario.policy.po_overhead == 10.0
+        assert (delays.creation_to_approval, delays.approval_to_handling, delays.rfq_response,
+                delays.handling_to_po) == (2.0, 5.0, 2.5, 0.1)
+        assert (scenario.contracts[0].lead_time, scenario.contracts[0].volume_commitment) == (2.0, 0)
+        assert scenario.suppliers[0].spot_lead_time == 3.0
+        assert (sf.runs.count, sf.runs.parallelism) == (100, 1)
+        assert (sf.output.directory, sf.output.histogram_bins, sf.output.export_events) == ("out", 100, False)
 
 
 class TestLoadScenario:
@@ -249,6 +264,13 @@ class TestLoadScenario:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioFormatError, match="not found"):
             load_scenario(tmp_path / "nope.json")
+
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes('{"schema_version": 1}'.encode("utf-16"))  # starts with the BOM ff fe
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(path)
+        assert str(err.value) == f"{path}: not UTF-8 text: invalid start byte at byte 0"
 
     def test_bare_bundled_name_resolves(self):
         sf = load_scenario("paper_s5.json")
@@ -521,22 +543,35 @@ class TestEventExport:
         assert "run 3 failed: RuntimeError('boom')" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
-    def test_failure_after_the_batch_leaves_earlier_logs(self, tmp_path, capsys, monkeypatch):
-        # the logs are renamed into place last, so they have not yet replaced
-        # the earlier ones when a cell's summary.json fails
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_failure_after_the_batch_leaves_earlier_logs(self, tmp_path, capsys, monkeypatch, command,
+                                                         parallelism):
+        # every file is renamed into place after the command's last one, so
+        # none has replaced an earlier command's when the last cell's
+        # summary.json fails: not the logs, nor the files of the cells before
         out = tmp_path / "o"
-        command = ("run", "paper_s5.json", "--runs", "2", "--export-events", "--out", str(out))
-        assert run_cli(*command, "--seed", "1") == 0
-        earlier = {name: (out / name).read_bytes() for name in ("events_0.csv", "events_1.csv")}
+        argv = (command, "paper_s5.json", "--runs", "2", "--export-events", "--parallelism", str(parallelism),
+                "--out", str(out))
+        failing = out
+        if command == "compare":
+            argv += ("--slopes", "0")
+            failing = out / "dynamic_slope0"
+        assert run_cli(*argv, "--seed", "1") == 0
+        earlier = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        assert sum(path.name.startswith("events_") for path in earlier) == (2 if command == "run" else 4)
+        assert (out / "comparison.csv" in earlier) == (command == "compare")
+        real = cli.write_summary_json
 
         def write_summary_json(path, *args):
-            raise OSError("disk full")
+            if path.parent == failing:
+                raise OSError("disk full")
+            real(path, *args)
 
         monkeypatch.setattr(cli, "write_summary_json", write_summary_json)
-        assert run_cli(*command, "--seed", "2") == 1
+        assert run_cli(*argv, "--seed", "2") == 1
         assert "disk full" in capsys.readouterr().err
-        assert {name: (out / name).read_bytes() for name in earlier} == earlier
-        assert not list(out.glob("*.tmp"))
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == earlier
 
 
 class TestCompareCommand:
@@ -674,6 +709,119 @@ class TestCompareCommand:
         assert len(outputs[0]) > 100
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+
+def digest_table(out: Path) -> dict[str, str]:
+    """sha256 of every file under `out` by relative path; each cell's event logs fold into one digest.
+
+    The fold hashes the logs' "<path> <sha256>" lines in run-index order, as
+    perfbench/checks.digest_summary does, under the key `<cell>/events_*.csv`.
+    """
+    table: dict[str, str] = {}
+    logs = collections.defaultdict(list)
+    for path in out.rglob("*"):
+        if not path.is_file():
+            continue
+        name, digest = path.relative_to(out).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest()
+        if path.name.startswith("events_"):
+            logs[path.parent].append((int(path.stem.split("_")[1]), name, digest))
+        else:
+            table[name] = digest
+    for cell, entries in logs.items():
+        joined = "".join(f"{name} {digest}\n" for _, name, digest in sorted(entries)).encode()
+        table[(cell / "events_*.csv").relative_to(out).as_posix()] = hashlib.sha256(joined).hexdigest()
+    return dict(sorted(table.items()))
+
+
+# Every output file of two small commands, recorded under Python 3.11.7, numpy
+# 2.4.6 and glibc 2.36.  A change that alters outputs on purpose pastes in the
+# table its failure prints and says so in CHANGES.md.
+OUTPUT_DIGESTS = {
+    "paper_s5": {
+        "comparison.csv": "4e3b441a4afca49bcdc3f3e264babba8219cde106403aff68a050086d42a3d01",
+        "dynamic_slope0.1/events_*.csv": "a337172fa8688297b9afca7be61d907a4f654957a74d66f98cfd4ae1231730b4",
+        "dynamic_slope0.1/histogram_terminal_cost.csv": "c01b2c38995aef2504577f4ae8399a8ad7ed4e80cbc2944b7799957af51094e5",
+        "dynamic_slope0.1/histogram_utilization_A.csv": "ac219f79176d6407fc3819536552162ad527fe74525ca3dd1e2880dcde7c212b",
+        "dynamic_slope0.1/histogram_utilization_B.csv": "f3505b497dd1f0da3ac82f500dac32c2e890a8d21091c0fb3fe75e8945366309",
+        "dynamic_slope0.1/histogram_utilization_C.csv": "97ddfaaa1bfa55b227f74a8e846a028303be382807fb29fc732485db3b32b36f",
+        "dynamic_slope0.1/runs.csv": "0bdc987f6db19f6f7c9503c9a9c9e47107246aa31d63754522cc93dad983a2a5",
+        "dynamic_slope0.1/summary.json": "13c16ea15093210f78fcf78cc83d2d5bd5ce6e994f71cf1f713ec8e591b3e335",
+        "dynamic_slope0/events_*.csv": "5329369b075af9b6c8efaf1d194bc70504de32bcf3d0e4df19fe79e6a8d0cac4",
+        "dynamic_slope0/histogram_terminal_cost.csv": "94462a7124bc0fa4909b46152069d91cd5ce2cf601fda21a4fcd6776ed418cb4",
+        "dynamic_slope0/histogram_utilization_A.csv": "ac219f79176d6407fc3819536552162ad527fe74525ca3dd1e2880dcde7c212b",
+        "dynamic_slope0/histogram_utilization_B.csv": "e56ac6b2a292e77449918b21bc14b75f0755887601f5e0310df22877349ac525",
+        "dynamic_slope0/histogram_utilization_C.csv": "7696c45b61740cbd8e5107b075242256757941238f992b565f4186d3e565c25b",
+        "dynamic_slope0/runs.csv": "b07c6e9fd6132c40f834e44ae794ab9fc599d5fac9205dd9a9213016debcb4cd",
+        "dynamic_slope0/summary.json": "85e3de04043567026ec3d1e1b3b6cacaee6648ce3120daa5290b76ae1f9a28ec",
+        "naive_slope0.1/events_*.csv": "04e1638535e91278d30a41bdea93a8aa9bcb6d6e9776a8ce249ea3f6e1ca32bc",
+        "naive_slope0.1/histogram_terminal_cost.csv": "a63c784bc69de4de4df8c2466969419f486a0caad9172bbaf32a345dcdad1552",
+        "naive_slope0.1/histogram_utilization_A.csv": "5f17e2f02afc5763c31815cd374120482e06284976cc302a456e54123ac034ba",
+        "naive_slope0.1/histogram_utilization_B.csv": "c62c8b3ec81f8cfa03c35e82db3c2fd9c7d3683d6f7ad94d9ebf8d9dacc35470",
+        "naive_slope0.1/histogram_utilization_C.csv": "b05493a51bedae0ca0fc2da446b735a3767fdc28c3b4fff6bb09ee1528862206",
+        "naive_slope0.1/runs.csv": "bfa03f3ce391eafe90db4792611e09ac65b03f8cda2f8c1751e212a7808bb375",
+        "naive_slope0.1/summary.json": "94b7613453145cb5656ee6e8073a45a9169bd92566f9a327516df65cd49b39d7",
+        "naive_slope0/events_*.csv": "18f44d89536803235c12b934db2d061d768cc1a852a0cc6ee940ae177ea697df",
+        "naive_slope0/histogram_terminal_cost.csv": "7648ed1ff1845eca99f6d7cdba6fd41b65d4b86a0e71a44b56c248892f005c16",
+        "naive_slope0/histogram_utilization_A.csv": "5f17e2f02afc5763c31815cd374120482e06284976cc302a456e54123ac034ba",
+        "naive_slope0/histogram_utilization_B.csv": "c62c8b3ec81f8cfa03c35e82db3c2fd9c7d3683d6f7ad94d9ebf8d9dacc35470",
+        "naive_slope0/histogram_utilization_C.csv": "b05493a51bedae0ca0fc2da446b735a3767fdc28c3b4fff6bb09ee1528862206",
+        "naive_slope0/runs.csv": "e5e4c64229ce72f0ff6c3735575d0412a00dfd2fa1d1009747436ed6e62e6de5",
+        "naive_slope0/summary.json": "48dde1e3c661479aedc796a8c7cf3e54ec448fc8305a71211ebf5bcc510a3f08",
+    },
+    "wide-market": {
+        "comparison.csv": "3234293025a13545103d0fe83985a1b9c9c6766adf5056d3aed76018dd18e36f",
+        "dynamic_slope0.05/histogram_terminal_cost.csv": "3a8b72e3b26ea5b8c69a85b0f47d038d1bab8a7e217a838b3c8f6cdb2484b348",
+        "dynamic_slope0.05/histogram_utilization_S2.csv": "84ccb2cc17c1b0572339a74aea55bbe5bb0a3cdac1883cbabe515254beb291a2",
+        "dynamic_slope0.05/histogram_utilization_S4.csv": "f171c28b9b05f567be66766f8e6599ae41079d0723ae75adde522acc6650ff18",
+        "dynamic_slope0.05/histogram_utilization_S5.csv": "a5bb0107bc3c6368926e7e06399f52100ebffbabf31de012d099827b3ed9be13",
+        "dynamic_slope0.05/histogram_utilization_S6.csv": "4fc1bed263513d3794efa4f0b7cfe57e4678e39e9efc6357a8e65b33a0a25b00",
+        "dynamic_slope0.05/runs.csv": "4386fe71d357cdce906e30a05ca5af74c77de5d3dd40acef7fc2d82a4f3bf569",
+        "dynamic_slope0.05/summary.json": "fef0b013c43ad3f1116eb40c7ed100835d122a5033c9079ac5ca40743a30a44a",
+        "dynamic_slope0/histogram_terminal_cost.csv": "0741dedc12c97e15bd1cf543e84d65110d50d0915fb96419c15a5ad8dae224ae",
+        "dynamic_slope0/histogram_utilization_S2.csv": "2d475c54c44edd175ad1aea454f2aea32789f98b68e756402f96b971a6075f88",
+        "dynamic_slope0/histogram_utilization_S4.csv": "2b2d0dfc2991a180a1fc21402360171abb0b27109f2e12001d5a9dc6dd21944e",
+        "dynamic_slope0/histogram_utilization_S5.csv": "2b2d0dfc2991a180a1fc21402360171abb0b27109f2e12001d5a9dc6dd21944e",
+        "dynamic_slope0/histogram_utilization_S6.csv": "8299b44c1bbb1b67737fa2f3cbffc2c018a6d30225fc4aae8c91e6464ea48ee6",
+        "dynamic_slope0/runs.csv": "09b570156879538ac359fcc44098a8c1555705e3aad2a48025355fd8e67612ec",
+        "dynamic_slope0/summary.json": "632df66ec89093e0e3db956a42486d558b4deda5ea54deae6a75404a43cbc013",
+        "naive_slope0.05/histogram_terminal_cost.csv": "7699292f3bdd6eba0e57a1d166ba2c64b3345f38306ed416f2ea295fd8f59984",
+        "naive_slope0.05/histogram_utilization_S2.csv": "9ba9c3d2857471cf9041fe5c2391026e0dd21412d836f1ae9b0590e0921f94d8",
+        "naive_slope0.05/histogram_utilization_S4.csv": "c440301560dce5cd590864e71573254b817cf84854c9426074385dfb062ec0a5",
+        "naive_slope0.05/histogram_utilization_S5.csv": "2a996e04f3a3f5cdb96515b3a1c14f6a9ad418b56406b44b6e7d843508515ddf",
+        "naive_slope0.05/histogram_utilization_S6.csv": "87e5dcb889ebbb4ec445f1c1c142da267a551eda08b582c8fbd741eb34187528",
+        "naive_slope0.05/runs.csv": "52122f6c890a266bebe92bee931b198e3da7056de0c272c0346c75953f2e43e6",
+        "naive_slope0.05/summary.json": "f8982b73415eaab59dbacc7ec43000cef1ac8c5c5251cab31dd313eee0a0b109",
+        "naive_slope0/histogram_terminal_cost.csv": "09c00f84382a2c15bde790fee9c0d00ddf505ffde1430737ce9b61fd68e7b0ee",
+        "naive_slope0/histogram_utilization_S2.csv": "9ba9c3d2857471cf9041fe5c2391026e0dd21412d836f1ae9b0590e0921f94d8",
+        "naive_slope0/histogram_utilization_S4.csv": "c440301560dce5cd590864e71573254b817cf84854c9426074385dfb062ec0a5",
+        "naive_slope0/histogram_utilization_S5.csv": "2a996e04f3a3f5cdb96515b3a1c14f6a9ad418b56406b44b6e7d843508515ddf",
+        "naive_slope0/histogram_utilization_S6.csv": "87e5dcb889ebbb4ec445f1c1c142da267a551eda08b582c8fbd741eb34187528",
+        "naive_slope0/runs.csv": "fd3c256a21689c4f45ac45754ef98ff13e8bdb0cfc05927ab16f13b8d7e343cc",
+        "naive_slope0/summary.json": "0bc0bec1e6fd56e71ff330ea6af39ddef86d0bd974e06a0033449d6253ef50ae",
+    },
+}
+
+
+class TestOutputDigests:
+    """Outputs stay byte-identical to the recorded table unless a change declares otherwise."""
+
+    @pytest.mark.parametrize("source", ["paper_s5", "wide-market"])
+    def test_outputs_match_the_recorded_digests(self, tmp_path, monkeypatch, source):
+        out = tmp_path / "o"
+        if source == "paper_s5":
+            argv = ("compare", "paper_s5.json", "--slopes", "0,0.1", "--runs", "8", "--seed", "42",
+                    "--parallelism", "2", "--export-events")
+        else:
+            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+            from workloads import wide_market_doc
+
+            path = tmp_path / "wide.json"
+            path.write_text(json.dumps(wide_market_doc(3)))
+            argv = ("compare", str(path), "--slopes", "0,0.05", "--runs", "4", "--seed", "42")
+        assert run_cli(*argv, "--out", str(out)) == 0
+        actual = digest_table(out)
+        assert actual == OUTPUT_DIGESTS[source], (
+            f"outputs of {source} changed; the actual table:\n{json.dumps(actual, indent=4)}")
 
 
 class TestValidateCommand:

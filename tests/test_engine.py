@@ -248,11 +248,11 @@ class TestBatchDeterminism:
     def test_single_run_batch_equals_run_once(self, paper_scenario, tmp_path):
         once = run_once((paper_scenario,), 0, 42)[0]
         sink = PickleSink(tmp_path)
-        [output] = run_batch((paper_scenario,), 1, 42, log_sink=sink)[0]
+        [result] = run_batch((paper_scenario,), 1, 42, log_sink=sink)[0]
         assert sink.logs(1) == [(once.log,)]
-        assert output.result == once.result and output.log == ()
-        [output] = run_batch((paper_scenario,), 1, 42)[0]
-        assert output.result == once.result and output.log == ()
+        assert result == once.result
+        [result] = run_batch((paper_scenario,), 1, 42)[0]
+        assert result == once.result
 
     def test_parallelism_invariance(self, paper_scenario, tmp_path):
         sinks = PickleSink(tmp_path / "serial"), PickleSink(tmp_path / "parallel")
@@ -260,7 +260,7 @@ class TestBatchDeterminism:
             sink.directory.mkdir()
         serial = run_batch((paper_scenario,), 8, 42, parallelism=1, log_sink=sinks[0])[0]
         parallel = run_batch((paper_scenario,), 8, 42, parallelism=2, log_sink=sinks[1])[0]
-        assert [o.result.run_index for o in serial] == list(range(8))
+        assert [r.run_index for r in serial] == list(range(8))
         assert serial == parallel
         serial_logs = sinks[0].logs(8)
         assert serial_logs == sinks[1].logs(8)
