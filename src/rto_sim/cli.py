@@ -251,12 +251,10 @@ def load_scenario(path: str | Path) -> ScenarioFile:
 
 
 def _fmt(value: Any) -> str:
+    if isinstance(value, float):  # first: nearly every value written is one
+        return format(value, ".9g")
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".9g")
     return str(value)
 
 
@@ -330,33 +328,29 @@ def write_summary_json(path: Path, config: Mapping[str, Any],
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
-def _event_detail(record, lead_times: Mapping[str, float]) -> str:
-    payload = record.payload
-    if record.kind == PR_GENERATION:
-        return "items=" + "|".join(f"{pid}:{q}" for pid, q in payload.items.items())
-    if record.kind == PR_HANDLING:
-        contracted = "|".join(sorted(payload.contract_terms))
-        return (f"contracted={contracted};rfq_items=" + "|".join(payload.rfq_items)
-                + ";rfq_suppliers=" + "|".join(payload.rfq_suppliers))
-    if record.kind == RFQ_RESPONSE:
-        rates = "|".join(f"{pid}:{_fmt(rate)}" for pid, rate in sorted(payload.items()))
-        return f"rates={rates};lead_time={_fmt(lead_times[record.supplier_id])}"
-    if record.kind == PO_GENERATION:
-        assign = "|".join(f"{pid}:{a.supplier_id}:{a.provenance}:{_fmt(a.unit_cost)}"
-                          for pid, a in sorted(payload.items.items()))
-        return f"cost={_fmt(payload.total_cost)};po_count={len(payload.suppliers_used)};assign={assign}"
-    return ""
-
-
 def write_events_csv(path: Path, log: Sequence, lead_times: Mapping[str, float]) -> None:
-    lines = ["time,kind,pr_id,vessel_id,category_id,supplier_id,detail"]
-    for record in log:
-        lines.append(",".join([
-            _fmt(record.time), record.kind,
-            record.pr_id or "", record.vessel_id or "", record.category_id or "",
-            record.supplier_id or "", _event_detail(record, lead_times),
-        ]))
-    _write_text(path, lines)
+    """One line per record, each formatted in one pass; the detail field renders its payload."""
+    lead = {supplier_id: _fmt(days) for supplier_id, days in lead_times.items()}
+    lines = ["time,kind,pr_id,vessel_id,category_id,supplier_id,detail\n"]
+    for kind, time, pr_id, vessel_id, category_id, supplier_id, payload in log:
+        if kind == PR_GENERATION:
+            detail = "items=" + "|".join([f"{pid}:{q}" for pid, q in payload.items.items()])
+        elif kind == PR_HANDLING:
+            detail = (f"contracted={'|'.join(sorted(payload.contract_terms))};rfq_items="
+                      f"{'|'.join(payload.rfq_items)};rfq_suppliers={'|'.join(payload.rfq_suppliers)}")
+        elif kind == RFQ_RESPONSE:
+            # a quoted rate is always a float, which _fmt formats alike
+            rates = "|".join([f"{pid}:{rate:.9g}" for pid, rate in sorted(payload.items())])
+            detail = f"rates={rates};lead_time={lead[supplier_id]}"
+        elif kind == PO_GENERATION:
+            assign = "|".join([f"{pid}:{a.supplier_id}:{a.provenance}:{_fmt(a.unit_cost)}"
+                               for pid, a in sorted(payload.items.items())])
+            detail = f"cost={_fmt(payload.total_cost)};po_count={len(payload.suppliers_used)};assign={assign}"
+        else:
+            detail = ""
+        lines.append(f"{_fmt(time)},{kind},{pr_id or ''},{vessel_id or ''},{category_id or ''},"
+                     f"{supplier_id or ''},{detail}\n")
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 def _temporary(path: Path) -> Path:

@@ -14,26 +14,8 @@ import math
 from .domain import Category, Requisition, Vessel
 
 __all__ = [
-    "inventory_level",
-    "propensity",
     "build_requisition",
 ]
-
-
-def inventory_level(q0: int, depletion_rate: float, t: float, t_last: float) -> float:
-    """Linear depletion since the last restock, clamped at zero so it stays a valid stock level."""
-    if t < t_last:
-        raise ValueError("query time precedes last replenishment")
-    return max(0.0, q0 - depletion_rate * (t - t_last))
-
-
-def propensity(q0: int, level: float) -> float:
-    """Inclusion probability: the depleted fraction of baseline stock."""
-    if q0 <= 0:
-        raise ValueError("baseline stock must be positive")
-    if level < 0 or level > q0:
-        raise ValueError("level outside [0, q0]")
-    return (q0 - level) / q0
 
 
 def build_requisition(vessel: Vessel, category: Category, last_replenished: dict[str, float],
@@ -49,12 +31,14 @@ def build_requisition(vessel: Vessel, category: Category, last_replenished: dict
     untouched when the draw comes up empty.
     """
     items: dict[str, int] = {}
-    for product in category.products:
-        level = inventory_level(product.baseline_stock, product.depletion_rate,
-                                t, last_replenished[product.id])
-        p = propensity(product.baseline_stock, level)
-        if rng.random() < p:
-            items[product.id] = math.ceil(product.baseline_stock - level)
+    for product_id, q0, depletion_rate in category.stock_terms:
+        # the stock level depletes linearly since the last restock, clamped at
+        # zero as max(0.0, level) would; the inclusion probability is the
+        # depleted fraction of q0
+        level = q0 - depletion_rate * (t - last_replenished[product_id])
+        level = level if level > 0.0 else 0.0
+        if rng.random() < (q0 - level) / q0:
+            items[product_id] = math.ceil(q0 - level)
     if not items:
         return None
     for product_id in items:

@@ -1,18 +1,20 @@
 """Core data model shared by every part of the simulator.
 
-All types are plain dataclasses, immutable after construction, and safe to
-share across concurrent replications.  Collections are normalized (sorted by
+All types are plain dataclasses or, for the records built per event and per
+order, NamedTuples; all are immutable after construction and safe to share
+across concurrent replications.  Collections are normalized (sorted by
 id) on construction so downstream iteration order never depends on input
 order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .hazards import ConstantBaseline, HazardSpec, WeibullBaseline
 
@@ -76,6 +78,11 @@ class Category:
     def product_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.products)
 
+    @functools.cached_property
+    def stock_terms(self) -> tuple[tuple[str, int, float], ...]:
+        """(id, baseline_stock, depletion_rate) of each product, in product order."""
+        return tuple((p.id, p.baseline_stock, p.depletion_rate) for p in self.products)
+
 
 @dataclass(frozen=True)
 class Catalog:
@@ -130,8 +137,7 @@ class Requisition:
                 )
 
 
-@dataclass(frozen=True)
-class AllocatedItem:
+class AllocatedItem(NamedTuple):
     supplier_id: str
     unit_cost: float
     quantity: int
@@ -158,8 +164,7 @@ class Allocation:
         return tuple(sorted({a.supplier_id for a in self.items.values()}))
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One executed simulation event; the run log is an append-only list of these."""
 
     kind: str

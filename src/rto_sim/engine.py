@@ -27,14 +27,15 @@ import os
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import demand, hazards
 from .domain import Allocation, Category, EventRecord, PolicyKind, Requisition, Scenario, SpotModel
-from .hazards import sample_exponential_delay
+from .hazards import exponential_delay, sample_exponential_delay
 from .market import ContractBook, make_quote, scope_quote
 from .metrics import RunResult, record_allocation, utilization
 from .policy import Decision, allocate_batch, build_cost_matrix, decide_rfq_scope
@@ -65,6 +66,10 @@ PO_GENERATION = "po_generation"
 TERMINATION = "termination"
 
 
+# the state word types numpy's bit generators ask for -> (the dtype, its little-endian form)
+_WORD_TYPES = {t: (np.dtype(t), np.dtype(t).newbyteorder("<")) for t in (np.uint32, np.uint64)}
+
+
 class _DigestSeed(np.random.bit_generator.ISeedSequence):
     """A 256-bit digest handed to a bit generator as its initial state words."""
 
@@ -74,12 +79,15 @@ class _DigestSeed(np.random.bit_generator.ISeedSequence):
         self.digest = digest
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        dtype = np.dtype(dtype)
+        types = _WORD_TYPES.get(dtype)
+        dtype, little = types if types is not None else (np.dtype(dtype), np.dtype(dtype).newbyteorder("<"))
         if n_words * dtype.itemsize > len(self.digest):
             raise ValueError(f"a {len(self.digest) * 8}-bit digest cannot fill "
                              f"{n_words} words of {dtype.itemsize * 8} bits")
-        # little-endian words, so every host draws the same numbers
-        return np.frombuffer(self.digest, dtype.newbyteorder("<"), n_words).astype(dtype)
+        # little-endian words, so every host draws the same numbers; they are
+        # copied only into a word type of another byte order
+        words = np.frombuffer(self.digest, little, n_words)
+        return words if little == dtype else words.astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -102,13 +110,28 @@ class RngPlan:
         return np.random.Generator(np.random.PCG64(_DigestSeed(key)))
 
 
-@dataclass(frozen=True)
-class HandlingRecord:
+class HandlingRecord(NamedTuple):
     """Handling payload: the contract snapshot and the decided RFQ scope."""
 
     contract_terms: Mapping[str, Mapping[str, float]]
     rfq_items: tuple[str, ...]
     rfq_suppliers: tuple[str, ...]
+
+
+class _Uniforms:
+    """A stream's uniforms, read from its Generator 64 doubles at a time.
+
+    `random()` returns, in order, the doubles that scalar `Generator.random()`
+    calls would, since `Generator.random(n)` draws its n doubles one by one
+    alike.  What the stream's one reader leaves of the last block is never
+    drawn from.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, generator: np.random.Generator):
+        blocks = iter(lambda: generator.random(64).tolist(), [])  # a Generator gives no empty block
+        self.random: Callable[[], float] = chain.from_iterable(blocks).__next__
 
 
 @dataclass(frozen=True)
@@ -172,9 +195,8 @@ class _Cell:
         for _, _, decision in self.orders:
             terminal_cost += record_allocation(volumes, allocations[decision])
         if collect_log:
-            self.log = [EventRecord(kind=PO_GENERATION, time=r.time, pr_id=r.pr_id,
-                                    payload=allocations[r.payload]) if r.kind == PO_GENERATION else r
-                        for r in self.log]
+            self.log = [EventRecord(PO_GENERATION, r.time, r.pr_id, None, None, None, allocations[r.payload])
+                        if r.kind == PO_GENERATION else r for r in self.log]
             # records were appended per requisition in walk order; the stable
             # sort keeps that order among equal times
             self.log.sort(key=attrgetter("time"))
@@ -208,8 +230,8 @@ def _triggers(world: Scenario, run_index: int, plan) -> Iterator[tuple[Category,
         for category_id in sorted(vessel.hazards):
             category = categories[category_id]
             entity = f"{vessel.id}:{category_id}"
-            gaps = plan.stream(run_index, "pr-gap", entity)
-            contents = plan.stream(run_index, "pr-items", entity)
+            gaps = _Uniforms(plan.stream(run_index, "pr-gap", entity))
+            contents = _Uniforms(plan.stream(run_index, "pr-items", entity))
             spec = vessel.hazards[category_id]
             last_replenished = dict.fromkeys(category.product_ids, 0.0)
             count = 0
@@ -265,17 +287,19 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
             empty_draws += 1
             continue
         n_pr += 1
-        d = plan.stream(run_index, "pr-delays", requisition.id)
-        handled_at = (requisition.created_at + sample_exponential_delay(delays.creation_to_approval, d)
-                      + sample_exponential_delay(delays.approval_to_handling, d))
-        to_po = sample_exponential_delay(delays.handling_to_po, d)
+        u = plan.stream(run_index, "pr-delays", requisition.id).random(3).tolist()
+        handled_at = (requisition.created_at + exponential_delay(delays.creation_to_approval, u[0])
+                      + exponential_delay(delays.approval_to_handling, u[1]))
+        to_po = exponential_delay(delays.handling_to_po, u[2])
         terms = None
         if handled_at < horizon:
             terms = book.terms_snapshot(requisition.items, category.eligible_suppliers, handled_at)
         if collect_log:
-            generated = EventRecord(kind=PR_GENERATION, time=requisition.created_at,
-                                    pr_id=requisition.id, vessel_id=requisition.vessel_id,
-                                    category_id=category.id, payload=requisition)
+            # records are built positionally, in EventRecord's field order (kind,
+            # time, pr_id, vessel_id, category_id, supplier_id, payload): a
+            # keyword call costs about twice as much, once per event
+            generated = EventRecord(PR_GENERATION, requisition.created_at, requisition.id,
+                                    requisition.vessel_id, category.id, None, requisition)
         # the requisition's one RFQ round, drawn when a cell first quotes: eligible
         # supplier -> (response time, its base rates or None past the horizon)
         responses: dict[str, tuple[float, dict[str, float] | None]] = {}
@@ -290,11 +314,9 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
             scope_items = decide_rfq_scope(requisition, terms, cell.policy)
             scope_suppliers = category.eligible_suppliers if scope_items else ()
             if collect_log:
-                cell.log.append(EventRecord(kind=PR_HANDLING, time=handled_at, pr_id=requisition.id,
-                                            vessel_id=requisition.vessel_id, category_id=category.id,
-                                            payload=HandlingRecord(contract_terms=terms,
-                                                                   rfq_items=scope_items,
-                                                                   rfq_suppliers=scope_suppliers)))
+                cell.log.append(EventRecord(PR_HANDLING, handled_at, requisition.id, requisition.vessel_id,
+                                            category.id, None,
+                                            HandlingRecord(terms, scope_items, scope_suppliers)))
             # the decision and the solver read only the scope, the slope when
             # something is quoted, and the overhead: a contract-only decision
             # solves alike under either basis at any slope
@@ -321,9 +343,8 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
             for supplier_id, quote in quotes.items():
                 cell.n_rfq[supplier_id] += 1
                 if collect_log:
-                    cell.log.append(EventRecord(kind=RFQ_RESPONSE, time=responses[supplier_id][0],
-                                                pr_id=requisition.id, supplier_id=supplier_id,
-                                                payload=quote))
+                    cell.log.append(EventRecord(RFQ_RESPONSE, responses[supplier_id][0], requisition.id,
+                                                None, None, supplier_id, quote))
             if po_at >= horizon:
                 continue
             if index is None:
@@ -333,8 +354,7 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                                                  competition_basis=cell.spot.competition_basis))
             cell.orders.append((po_at, n_pr, index))
             if collect_log:
-                cell.log.append(EventRecord(kind=PO_GENERATION, time=po_at, pr_id=requisition.id,
-                                            payload=index))
+                cell.log.append(EventRecord(PO_GENERATION, po_at, requisition.id, None, None, None, index))
 
     allocations = allocate_batch(pending)
     return tuple(cell.output(world, commitments, run_index, n_pr, empty_draws, allocations, collect_log)

@@ -19,6 +19,7 @@ __all__ = [
     "CovariateTerm",
     "HazardSpec",
     "sample_gap",
+    "exponential_delay",
     "sample_exponential_delay",
 ]
 
@@ -59,9 +60,6 @@ class CovariateTerm:
     period: float
     phase: float = 0.0
 
-    def value(self, t: float) -> float:
-        return self.amplitude * math.cos(_TWO_PI * t / self.period + self.phase)
-
 
 @dataclass(frozen=True)
 class HazardSpec:
@@ -72,24 +70,36 @@ class HazardSpec:
         """Upper bound of exp(sum of covariate terms); finite because the terms are bounded cosines."""
         return self._modulation_bound
 
+    # both sums add left to right, as sum() did before Python 3.12 compensated
+    # its rounding, so a scenario draws the same gaps on every Python version
     @functools.cached_property
     def _modulation_bound(self) -> float:  # sample_gap reads it on every gap
-        return math.exp(sum(abs(c.coefficient) * abs(c.amplitude) for c in self.covariates))
+        total = 0.0
+        for c in self.covariates:
+            total += abs(c.coefficient) * abs(c.amplitude)
+        return math.exp(total)
+
+    @functools.cached_property
+    def _terms(self) -> tuple[tuple[float, float, float, float], ...]:
+        return tuple((c.coefficient, c.amplitude, c.period, c.phase) for c in self.covariates)
 
     def log_modulation(self, t: float) -> float:
-        return sum(c.coefficient * c.value(t) for c in self.covariates)
+        total = 0.0
+        for coefficient, amplitude, period, phase in self._terms:
+            total += coefficient * (amplitude * math.cos(_TWO_PI * t / period + phase))
+        return total
 
 
-def _unit_exponential(rng) -> float:
-    """A mean-1 exponential draw, by inverse transform on U in (0, 1]."""
-    return -math.log(1.0 - rng.random())
+def exponential_delay(mean: float, u: float) -> float:
+    """Exponential waiting time with the given mean, by inverse transform of a uniform draw u in [0, 1)."""
+    if mean <= 0.0:
+        raise ValueError("delay mean must be positive")
+    return mean * -math.log(1.0 - u)
 
 
 def sample_exponential_delay(mean: float, rng) -> float:
-    """Exponential waiting time with the given mean."""
-    if mean <= 0.0:
-        raise ValueError("delay mean must be positive")
-    return mean * _unit_exponential(rng)
+    """Exponential waiting time with the given mean, from the stream's next uniform."""
+    return exponential_delay(mean, rng.random())
 
 
 def _inverse_cumulative(baseline: ConstantBaseline | WeibullBaseline, cum: float) -> float:
@@ -124,17 +134,18 @@ def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng) -> float | 
     """
     if t_last >= horizon:
         return None
-    bound = spec._modulation_bound
+    bound, baseline, covariates = spec._modulation_bound, spec.baseline, spec.covariates
+    random = rng.random
     cum = 0.0  # baseline cumulative hazard at the latest proposal; the proposals' own is bound * cum
     for _ in range(PROPOSAL_BUDGET):
-        cum += _unit_exponential(rng) / bound
-        t = t_last + _inverse_cumulative(spec.baseline, cum)
+        cum += -math.log(1.0 - random()) / bound  # a unit exponential, as exponential_delay draws it
+        t = t_last + _inverse_cumulative(baseline, cum)
         if t > horizon:
             return None
-        if not spec.covariates:
+        if not covariates:
             return t
         modulation = math.exp(spec.log_modulation(t))
         _check_dominated(modulation, bound)
-        if rng.random() * bound <= modulation:
+        if random() * bound <= modulation:
             return t
     raise RuntimeError(f"thinning found no event in {PROPOSAL_BUDGET} proposals under covariate bound {bound!r}")

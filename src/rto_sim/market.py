@@ -51,18 +51,18 @@ def _seasonal_rate(params: SpotRate, period: float, t: float) -> float:
 
 
 def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str,
-               response_time: float, rng, *, category_product_ids: Iterable[str]) -> dict[str, float]:
+               response_time: float, rng, *, category_product_ids: Sequence[str]) -> dict[str, float]:
     """One supplier's RFQ response: the base unit rate of every requested item.
 
     A rate is the seasonal curve plus Gaussian noise, floored at 0.01.  Noise
-    is drawn once per product of `category_product_ids` in that order, so a
+    is drawn once per product of `category_product_ids`, in that order and in
+    one call, which draws what one scalar call per product would, so a
     dedicated (request, supplier) stream gives an item the same rate whatever
     else is requested.
     """
     noise: dict[str, float] = {}
     if model.noise_sd > 0.0:
-        for product_id in category_product_ids:
-            noise[product_id] = rng.standard_normal()
+        noise = dict(zip(category_product_ids, rng.standard_normal(len(category_product_ids)).tolist()))
     unit_rates: dict[str, float] = {}
     for product_id in requisition.items:
         rate = _seasonal_rate(model.rates[(product_id, supplier_id)], model.period, response_time)

@@ -374,8 +374,8 @@ def allocate_batch(decisions: Sequence[Decision]) -> list[Allocation]:
 
     allocations = []
     for (items, units, _, po_overhead, _), chosen in zip(decisions, priced):
-        allocated = {item: AllocatedItem(supplier_id=option[1], unit_cost=rate, quantity=q,
-                                         provenance=_PROVENANCES[option[2]])
+        # positional: (supplier_id, unit_cost, quantity, provenance), at half a keyword call's cost
+        allocated = {item: AllocatedItem(option[1], rate, q, _PROVENANCES[option[2]])
                      for item, (option, rate), q in zip(items, chosen, units)}
         n_orders = len({option[1] for option, _ in chosen})
         allocations.append(Allocation(items=allocated, overhead_cost=po_overhead * (n_orders - 1)))

@@ -9,6 +9,7 @@ import types
 import typing
 from typing import Any, Sequence
 
+import numpy as np
 import pytest
 
 from rto_sim.cli import (
@@ -49,17 +50,23 @@ def u_for_delay(delay: float, mean: float) -> float:
 
 
 class StubRng:
-    """Scripted stand-in for a numpy Generator: pops queued draws."""
+    """Scripted stand-in for a numpy Generator: pops queued draws, one or `size` at a time."""
 
     def __init__(self, uniforms=(), normals=()):
         self.uniforms = list(uniforms)
         self.normals = list(normals)
 
-    def random(self) -> float:
-        return self.uniforms.pop(0)
+    def random(self, size=None):
+        return self.uniforms.pop(0) if size is None else _take(self.uniforms, size)
 
-    def standard_normal(self) -> float:
-        return self.normals.pop(0)
+    def standard_normal(self, size=None):
+        return self.normals.pop(0) if size is None else _take(self.normals, size)
+
+
+def _take(queue: list, size: int) -> np.ndarray:
+    """The next `size` scripted draws as an array, or as many as are left."""
+    taken, queue[:size] = queue[:size], []
+    return np.array(taken, dtype=float)
 
 
 class FakePlan:

@@ -3,12 +3,14 @@
 These stay deliberately naive: the allocation oracle enumerates every
 assignment outright, the reference solver searches supplier subsets and
 full assignments in Python loops, the Weibull CDF is the textbook closed
-form, the hazard is evaluated pointwise from its definition, and the
-replication reference drives one scenario through a future-event queue.
-The first four must not share code with the production solver or samplers
-they check; the replication reference checks the engine's timing, ordering
-and horizon cut, so it calls the same model layers as the engine, but keeps
-its own contract commitments.
+form, the hazard is evaluated pointwise from its definition, the stock
+level and inclusion probability are the replenishment model's formulas with
+their preconditions checked, and the replication reference drives one
+scenario through a future-event queue.
+The first five must not share code with the production solver, samplers
+and requisition builder they check; the replication reference checks the
+engine's timing, ordering and horizon cut, so it calls the same model layers
+as the engine, but keeps its own contract commitments.
 """
 
 from __future__ import annotations
@@ -204,6 +206,22 @@ def weibull_cdf(shape: float, scale: float, x: float) -> float:
     if x < 0:
         raise ValueError("x must be non-negative")
     return 1.0 - math.exp(-((x / scale) ** shape))
+
+
+def inventory_level(q0: int, depletion_rate: float, t: float, t_last: float) -> float:
+    """Linear depletion since the last restock, clamped at zero so it stays a valid stock level."""
+    if t < t_last:
+        raise ValueError("query time precedes last replenishment")
+    return max(0.0, q0 - depletion_rate * (t - t_last))
+
+
+def propensity(q0: int, level: float) -> float:
+    """Inclusion probability: the depleted fraction of baseline stock."""
+    if q0 <= 0:
+        raise ValueError("baseline stock must be positive")
+    if level < 0 or level > q0:
+        raise ValueError("level outside [0, q0]")
+    return (q0 - level) / q0
 
 
 def _baseline_value(baseline: ConstantBaseline | WeibullBaseline, elapsed: float) -> float:

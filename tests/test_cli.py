@@ -893,6 +893,12 @@ class TestBenchmarkTrace:
         assert out["rc"] == 0
         for layer in ("hazards.sample_gap", "demand.build_requisition", "market.make_quote"):
             assert out["layers"][f"{layer}.calls"][0] > 0, layer
+        # the walk keeps one sample_gap call per gap and one build_requisition
+        # call per trigger: each of paper_s5's 3 clocks, in each of the 3 runs,
+        # ends on the one gap that falls past the horizon
+        gaps = out["layers"]["hazards.sample_gap.calls"][0]
+        assert gaps == out["layers"]["demand.build_requisition.calls"][0] + 9
+        assert out["layers"]["hazards.sample_gap.none_frac"][0] * gaps == pytest.approx(9)
         # the engine builds each decision with policy.build_cost_matrix, then solves
         # each replication's in one policy.allocate_batch call, which no span
         # covers, so the single-decision solver spans stay empty

@@ -8,11 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import StubRng
-from rto_sim.demand import (
-    build_requisition,
-    inventory_level,
-    propensity,
-)
+from oracles import inventory_level, propensity
+from rto_sim.demand import build_requisition
 from rto_sim.domain import Category, Product, Vessel
 from rto_sim.hazards import HazardSpec, WeibullBaseline, sample_gap
 
@@ -67,6 +64,28 @@ class TestPropensity:
 
 
 class TestBuildRequisition:
+    @given(q0=st.integers(min_value=1, max_value=10_000),
+           rate=st.floats(min_value=1e-3, max_value=100.0),
+           restock=st.floats(min_value=0.0, max_value=1000.0),
+           elapsed=st.floats(min_value=0.0, max_value=1000.0))
+    def test_inclusion_follows_the_oracle_formulas(self, q0, rate, restock, elapsed):
+        # build_requisition computes the level and the inclusion probability
+        # inline; a draw just below p must include the product, a draw of p not
+        t = restock + elapsed
+        category = make_category(("P1", q0, rate))
+        vessel = Vessel(id="V", hazards={"cat": VESSEL_SPEC})
+        level = inventory_level(q0, rate, t, restock)
+        p = propensity(q0, level)
+        if p > 0.0:
+            last_replenished = {"P1": restock}
+            req = build_requisition(vessel, category, last_replenished, t, StubRng([math.nextafter(p, 0.0)]),
+                                    pr_id="r")
+            assert req is not None and req.items == {"P1": math.ceil(q0 - level)}
+            assert last_replenished == {"P1": t}
+        last_replenished = {"P1": restock}
+        assert build_requisition(vessel, category, last_replenished, t, StubRng([p]), pr_id="r") is None
+        assert last_replenished == {"P1": restock}
+
     def test_full_stock_never_requests(self):
         category = make_category(("P1", 50, 1.0), ("P2", 80, 2.0))
         last_replenished = fresh(category)

@@ -125,6 +125,26 @@ class TestRngPlan:
         with pytest.raises(ValueError):
             seed.generate_state(5, np.uint64)
 
+    @pytest.mark.parametrize("purpose, entity", [
+        ("pr-gap", "V1:consumables"), ("pr-items", "V2:consumables"),
+        ("pr-delays", "V1:consumables:0"), ("rfq", "V3:consumables:4|B"),
+    ])
+    def test_block_reads_draw_the_scalar_doubles(self, purpose, entity):
+        # the engine reads a clock's streams in blocks, a requisition's delays in
+        # one random(3) and a quote's noise in one standard_normal(k): each must
+        # give exactly the doubles that one scalar call per draw gives
+        def twins():
+            plan = RngPlan(2024)
+            return plan.stream(7, purpose, entity), plan.stream(7, purpose, entity)
+
+        blocks, scalar = twins()
+        reader = engine._Uniforms(blocks)
+        assert [reader.random() for _ in range(200)] == [scalar.random() for _ in range(200)]  # 4 blocks
+        blocks, scalar = twins()
+        assert blocks.random(3).tolist() == [scalar.random() for _ in range(3)]
+        blocks, scalar = twins()
+        assert blocks.standard_normal(3).tolist() == [scalar.standard_normal() for _ in range(3)]
+
     def test_adjacent_keys_look_independent(self):
         plan = RngPlan(42)
         first = np.array([plan.stream(run, "pr-gap", "V:cat").random() for run in range(2000)])

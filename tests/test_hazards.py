@@ -94,6 +94,16 @@ class TestExponentialDelay:
             sample_exponential_delay(0.0, StubRng([0.5]))
 
 
+class TestCovariateSums:
+    def test_terms_add_left_to_right_on_every_python(self):
+        # from Python 3.12 on, sum() compensates float rounding and would give
+        # 0.6 here, so the same scenario would draw other gaps there
+        spec = HazardSpec(ConstantBaseline(rate=1.0),
+                          covariates=tuple(CovariateTerm(c, 1.0, 365.0) for c in (0.1, 0.2, 0.3)))
+        assert spec.log_modulation(0.0) == (0.1 + 0.2) + 0.3
+        assert spec.modulation_bound() == math.exp((0.1 + 0.2) + 0.3)
+
+
 class TestSampleGap:
     def test_constant_rate_closed_form(self):
         spec = HazardSpec(ConstantBaseline(rate=0.5))
