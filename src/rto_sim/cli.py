@@ -297,12 +297,12 @@ def write_runs_csv(path: Path, results: Sequence[RunResult]) -> None:
 
 def write_histogram_csv(path: Path, values: Sequence[float], bins: int) -> None:
     lo, hi = min(values), max(values)
-    rows = [(lo, hi, len(values))]  # numpy would widen a zero-width range to +-0.5
+    rows = [(_fmt(lo), _fmt(hi), len(values))]  # numpy would widen a zero-width range to +-0.5
     if hi > lo:
         counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-        rows = zip(edges.tolist(), edges[1:].tolist(), counts.tolist())
-    _write_text(path, ["bin_left,bin_right,count",
-                       *(f"{_fmt(left)},{_fmt(right)},{count}" for left, right, count in rows)])
+        edges = [format(edge, ".9g") for edge in edges.tolist()]  # each edge formatted once, as _fmt would
+        rows = zip(edges, edges[1:], counts.tolist())
+    _write_text(path, ["bin_left,bin_right,count", *(f"{left},{right},{count}" for left, right, count in rows)])
 
 
 def write_summary_json(path: Path, config: Mapping[str, Any],

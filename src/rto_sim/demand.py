@@ -43,6 +43,5 @@ def build_requisition(vessel: Vessel, category: Category, last_replenished: dict
         return None
     for product_id in items:
         last_replenished[product_id] = t
-    return Requisition(id=pr_id, vessel_id=vessel.id, category_id=category.id,
-                       created_at=t, items=items)
+    return Requisition(pr_id, vessel.id, category.id, t, items)  # items in product order, each >= 1
 

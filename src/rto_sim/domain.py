@@ -1,10 +1,10 @@
 """Core data model shared by every part of the simulator.
 
-All types are plain dataclasses or, for the records built per event and per
-order, NamedTuples; all are immutable after construction and safe to share
-across concurrent replications.  Collections are normalized (sorted by
-id) on construction so downstream iteration order never depends on input
-order.
+All types are plain dataclasses or, for the records built per requisition,
+event and order, NamedTuples; all are immutable after construction and safe
+to share across concurrent replications.  The dataclasses' collections are
+normalized (sorted by id) on construction so downstream iteration order
+never depends on input order.
 """
 
 from __future__ import annotations
@@ -118,23 +118,17 @@ class Contract:
     volume_commitment: int = 0  # units owed over the window
 
 
-@dataclass(frozen=True)
-class Requisition:
-    """One vessel request: included products of a single category with restock quantities."""
+class Requisition(NamedTuple):
+    """One vessel request: included products of a single category with restock quantities.
+
+    Items come in product-id order, each quantity at least 1, as `demand.build_requisition` builds them.
+    """
 
     id: str
     vessel_id: str
     category_id: str
     created_at: float
     items: Mapping[str, int]  # product id -> quantity, present iff included
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", dict(sorted(self.items.items())))
-        for product_id, quantity in self.items.items():
-            if quantity < 1:
-                raise ScenarioValidationError(
-                    "zero quantity for included item", f"requisition[{self.id}].items[{product_id}]"
-                )
 
 
 class AllocatedItem(NamedTuple):
@@ -144,8 +138,7 @@ class AllocatedItem(NamedTuple):
     provenance: str  # "contract" | "spot"
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Final supplier assignment for one requisition, one supplier per item; one order per supplier used."""
 
     items: Mapping[str, AllocatedItem]  # product id -> assignment

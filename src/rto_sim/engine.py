@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import demand, hazards
-from .domain import Allocation, Category, EventRecord, PolicyKind, Requisition, Scenario, SpotModel
+from .domain import Allocation, Category, EventRecord, Requisition, Scenario, SpotModel
 from .hazards import exponential_delay, sample_exponential_delay
 from .market import ContractBook, make_quote, scope_quote
 from .metrics import RunResult, record_allocation, utilization
@@ -175,19 +175,20 @@ def _check_grid(scenarios: Sequence[Scenario]) -> Scenario:
 
 @dataclass
 class _Cell:
-    """One grid cell's tally over a run: handlings, responses per supplier, orders and log."""
+    """One grid cell: what it decides by, and its tally over a run (orders and log)."""
 
-    policy: PolicyKind
+    scope: int  # its policy's index among the grid's distinct policies, which share a scope
+    slope: float
+    overhead: float
     spot: SpotModel
-    n_rfq: dict[str, int]
-    n_hl: int = 0
     # (order time, requisition index, decision index)
     orders: list[tuple[float, int, int]] = field(default_factory=list)
     # a po_generation record's payload is its decision index until the output
     log: list[EventRecord] = field(default_factory=list)
 
-    def output(self, world: Scenario, commitments: Mapping[str, int], run_index: int, n_pr: int,
-               empty_draws: int, allocations: Sequence[Allocation], collect_log: bool) -> RunOutput:
+    def output(self, world: Scenario, commitments: Mapping[str, int], run_index: int, n_pr: int, n_hl: int,
+               n_rfq: Mapping[str, int], empty_draws: int, allocations: Sequence[Allocation],
+               collect_log: bool) -> RunOutput:
         """The cell's result; orders accrue in order time, so the cost sum adds as an event clock would."""
         volumes = dict.fromkeys(commitments, 0)
         terminal_cost = 0.0
@@ -209,9 +210,9 @@ class _Cell:
             utilizations={s: utilization(volumes[s], k) for s, k in commitments.items() if k > 0},
             deviations={s: volumes[s] - k for s, k in commitments.items()},
             n_pr=n_pr,
-            n_hl=self.n_hl,
+            n_hl=n_hl,
             n_po=len(self.orders),
-            n_rfq=self.n_rfq,
+            n_rfq=dict(n_rfq),
             in_flight=n_pr - len(self.orders),
             empty_draws=empty_draws,
         )
@@ -255,13 +256,14 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     The renewal clocks are walked once.  A material requisition draws its
     creation-to-approval, approval-to-handling and handling-to-order delays,
     in that order, and snapshots the contract terms at handling; then every
-    cell decides it at once.  A non-empty RFQ scope asks every eligible
-    supplier, so the RFQ round is drawn once, when a cell first quotes: each
-    eligible supplier's stream, in supplier order, gives its response time
-    and, before the horizon, the quote's base rates, to which each cell
-    applies its own per-item markup.  The order follows the last response in
-    the scope, or handling when the scope is empty, by the handling-to-order
-    delay.  Cells with the same RFQ scope, the same slope when it is not
+    cell decides it at once, cells of one policy by one RFQ scope, decided
+    once per requisition.  A non-empty RFQ scope asks every eligible
+    supplier, so the RFQ round is drawn once, when any cell quotes, and its
+    responses are counted per policy: each eligible supplier's stream, in
+    supplier order, gives its response time and, before the horizon, the
+    quote's base rates, to which each cell applies its own per-item markup.
+    The order follows the last response in the scope, or handling when the
+    scope is empty, by the handling-to-order delay.  Cells with the same RFQ scope, the same slope when it is not
     empty and the same order overhead share one set of scoped quotes and,
     once one orders before the horizon, one decision.  The decisions are
     solved in one `allocate_batch` call after the walk, and each cell's
@@ -275,11 +277,14 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     book = ContractBook(world.contracts)
     suppliers = [s.id for s in world.suppliers]
     product_ids = {c.id: c.product_ids for c in world.catalog.categories}  # a property builds its tuple
-    cells = [_Cell(s.policy, s.spot, n_rfq=dict.fromkeys(suppliers, 0)) for s in scenarios]
+    policies = list(dict.fromkeys(s.policy for s in scenarios))  # the distinct ones, each deciding one scope
+    n_rfq = [dict.fromkeys(suppliers, 0) for _ in policies]  # responses per supplier, per policy
+    cells = [_Cell(policies.index(s.policy), s.spot.competition_slope, s.policy.po_overhead, s.spot)
+             for s in scenarios]
     commitments: dict[str, int] = {}  # in supplier order: the contracts are sorted by supplier
     for contract in world.contracts:
         commitments[contract.supplier_id] = commitments.get(contract.supplier_id, 0) + contract.volume_commitment
-    n_pr = empty_draws = 0
+    n_pr = n_hl = empty_draws = 0
     pending: list[Decision] = []  # the decisions that order before the horizon, in walk order
 
     for category, requisition in _triggers(world, run_index, plan):
@@ -291,74 +296,76 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
         handled_at = (requisition.created_at + exponential_delay(delays.creation_to_approval, u[0])
                       + exponential_delay(delays.approval_to_handling, u[1]))
         to_po = exponential_delay(delays.handling_to_po, u[2])
-        terms = None
-        if handled_at < horizon:
-            terms = book.terms_snapshot(requisition.items, category.eligible_suppliers, handled_at)
         if collect_log:
             # records are built positionally, in EventRecord's field order (kind,
             # time, pr_id, vessel_id, category_id, supplier_id, payload): a
             # keyword call costs about twice as much, once per event
             generated = EventRecord(PR_GENERATION, requisition.created_at, requisition.id,
                                     requisition.vessel_id, category.id, None, requisition)
-        # the requisition's one RFQ round, drawn when a cell first quotes: eligible
-        # supplier -> (response time, its base rates or None past the horizon)
-        responses: dict[str, tuple[float, dict[str, float] | None]] = {}
+            for cell in cells:
+                cell.log.append(generated)
+        if handled_at >= horizon:
+            continue
+        n_hl += 1
+        terms = book.terms_snapshot(requisition.items, category.eligible_suppliers, handled_at)
+        scopes = [decide_rfq_scope(requisition, terms, policy) for policy in policies]
+        if collect_log:
+            handlings = [EventRecord(PR_HANDLING, handled_at, requisition.id, requisition.vessel_id, category.id,
+                                     None, HandlingRecord(terms, items, items and category.eligible_suppliers))
+                         for items in scopes]
+        if any(scopes):
+            # the requisition's one RFQ round: every eligible supplier's response
+            # time, and the base rates of those before the horizon
+            times: dict[str, float] = {}
+            bases: dict[str, dict[str, float]] = {}
+            for supplier_id in category.eligible_suppliers:
+                stream = plan.stream(run_index, "rfq", f"{requisition.id}|{supplier_id}")
+                response_at = times[supplier_id] = handled_at + sample_exponential_delay(
+                    delays.rfq_mean(supplier_id), stream)
+                if response_at < horizon:
+                    bases[supplier_id] = make_quote(world.spot, requisition, supplier_id, response_at, stream,
+                                                    category_product_ids=product_ids[category.id])
+            quoted_at = max(times.values(), default=handled_at) + to_po  # after the last response
+            for counts, scope_items in zip(n_rfq, scopes):
+                if scope_items:
+                    for supplier_id in bases:
+                        counts[supplier_id] += 1
         decisions: dict[tuple, list] = {}  # decision key -> its cells' shared decision
 
         for cell in cells:
+            scope_items = scopes[cell.scope]
             if collect_log:
-                cell.log.append(generated)
-            if terms is None:
-                continue
-            cell.n_hl += 1
-            scope_items = decide_rfq_scope(requisition, terms, cell.policy)
-            scope_suppliers = category.eligible_suppliers if scope_items else ()
-            if collect_log:
-                cell.log.append(EventRecord(PR_HANDLING, handled_at, requisition.id, requisition.vessel_id,
-                                            category.id, None,
-                                            HandlingRecord(terms, scope_items, scope_suppliers)))
+                cell.log.append(handlings[cell.scope])
             # the decision and the solver read only the scope, the slope when
             # something is quoted, and the overhead: a contract-only decision
             # solves alike under either basis at any slope
-            key = (scope_items, cell.spot.competition_slope if scope_items else None, cell.policy.po_overhead)
+            key = (scope_items, cell.slope if scope_items else None, cell.overhead)
             decision = decisions.get(key)
             if decision is None:
-                if scope_items and not responses:
-                    for supplier_id in category.eligible_suppliers:
-                        stream = plan.stream(run_index, "rfq", f"{requisition.id}|{supplier_id}")
-                        response_at = handled_at + sample_exponential_delay(delays.rfq_mean(supplier_id),
-                                                                            stream)
-                        base = None
-                        if response_at < horizon:
-                            base = make_quote(world.spot, requisition, supplier_id, response_at, stream,
-                                              category_product_ids=product_ids[category.id])
-                        responses[supplier_id] = (response_at, base)
-                asked = responses if scope_items else {}
-                quotes = {supplier_id: scope_quote(base, requisition, scope_items, cell.spot)
-                          for supplier_id, (_, base) in asked.items() if base is not None}
-                last = max((response_at for response_at, _ in asked.values()), default=handled_at)
-                # [quotes in scope order, order time, index in pending once it orders]
-                decision = decisions[key] = [quotes, last + to_po, None]
-            quotes, po_at, index = decision
-            for supplier_id, quote in quotes.items():
-                cell.n_rfq[supplier_id] += 1
-                if collect_log:
-                    cell.log.append(EventRecord(RFQ_RESPONSE, responses[supplier_id][0], requisition.id,
-                                                None, None, supplier_id, quote))
+                quotes, po_at = {}, handled_at + to_po
+                if scope_items:
+                    quotes, po_at = scope_quote(bases, requisition, scope_items, cell.spot), quoted_at
+                # [quotes in supplier order, order time, index in pending once it orders, response records]
+                decision = decisions[key] = [quotes, po_at, None, collect_log and [
+                    EventRecord(RFQ_RESPONSE, times[supplier_id], requisition.id, None, None, supplier_id, quote)
+                    for supplier_id, quote in quotes.items()]]
+            quotes, po_at, index, responses = decision
+            if collect_log:
+                cell.log += responses
             if po_at >= horizon:
                 continue
             if index is None:
                 index = decision[2] = len(pending)
-                pending.append(build_cost_matrix(requisition, terms, quotes, cell.policy.po_overhead,
-                                                 competition_slope=cell.spot.competition_slope,
+                pending.append(build_cost_matrix(requisition, terms, quotes, cell.overhead,
+                                                 competition_slope=cell.slope,
                                                  competition_basis=cell.spot.competition_basis))
             cell.orders.append((po_at, n_pr, index))
             if collect_log:
                 cell.log.append(EventRecord(PO_GENERATION, po_at, requisition.id, None, None, None, index))
 
     allocations = allocate_batch(pending)
-    return tuple(cell.output(world, commitments, run_index, n_pr, empty_draws, allocations, collect_log)
-                 for cell in cells)
+    return tuple(cell.output(world, commitments, run_index, n_pr, n_hl, n_rfq[cell.scope], empty_draws,
+                             allocations, collect_log) for cell in cells)
 
 
 def _run_span(args) -> list[tuple[RunResult, ...]]:

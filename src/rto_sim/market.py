@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .domain import Contract, Requisition, SpotModel, SpotRate
+from .domain import Contract, Requisition, SpotModel
 
 __all__ = [
     "ContractBook",
@@ -46,10 +46,6 @@ class ContractBook:
         return snapshot
 
 
-def _seasonal_rate(params: SpotRate, period: float, t: float) -> float:
-    return params.baseline + params.amplitude * math.cos(2.0 * math.pi * t / period + params.phase)
-
-
 def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str,
                response_time: float, rng, *, category_product_ids: Sequence[str]) -> dict[str, float]:
     """One supplier's RFQ response: the base unit rate of every requested item.
@@ -60,20 +56,23 @@ def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str,
     dedicated (request, supplier) stream gives an item the same rate whatever
     else is requested.
     """
+    rates, noise_sd = model.rates, model.noise_sd
     noise: dict[str, float] = {}
-    if model.noise_sd > 0.0:
+    if noise_sd > 0.0:
         noise = dict(zip(category_product_ids, rng.standard_normal(len(category_product_ids)).tolist()))
+    angle = 2.0 * math.pi * response_time / model.period  # of every curve, before its phase
     unit_rates: dict[str, float] = {}
     for product_id in requisition.items:
-        rate = _seasonal_rate(model.rates[(product_id, supplier_id)], model.period, response_time)
-        rate += model.noise_sd * noise.get(product_id, 0.0)
+        curve = rates[(product_id, supplier_id)]
+        rate = curve.baseline + curve.amplitude * math.cos(angle + curve.phase)
+        rate += noise_sd * noise.get(product_id, 0.0)
         unit_rates[product_id] = max(rate, MIN_SPOT_RATE)
     return unit_rates
 
 
-def scope_quote(base: Mapping[str, float], requisition: Requisition, items: Sequence[str],
-                model: SpotModel) -> dict[str, float]:
-    """Base rates cut to an RFQ item scope, with the per_item competition markup.
+def scope_quote(bases: Mapping[str, Mapping[str, float]], requisition: Requisition, items: Sequence[str],
+                model: SpotModel) -> dict[str, dict[str, float]]:
+    """Each supplier's base rates (supplier -> item -> rate) cut to an RFQ item scope, marked up.
 
     Under per_item a rate rises linearly with the quantity requested.  The
     per_supplier_total markup depends on the allocation; the solver adds it,
@@ -83,4 +82,5 @@ def scope_quote(base: Mapping[str, float], requisition: Requisition, items: Sequ
         raise ValueError("RFQ issued with an empty item scope")
     quantities = requisition.items
     slope = model.competition_slope if model.competition_basis == "per_item" else 0.0
-    return {item: base[item] + slope * quantities[item] for item in items}
+    return {supplier_id: {item: base[item] + slope * quantities[item] for item in items}
+            for supplier_id, base in bases.items()}

@@ -74,7 +74,8 @@ def build_cost_matrix(requisition: Requisition,
     """
     items = requisition.items
     quoted = sorted(quotes.items())
-    options = [[(rate, supplier_id, 0) for supplier_id, rate in sorted(contract_terms.get(item, {}).items())]
+    options = [([(rate, supplier_id, 0) for supplier_id, rate in sorted(terms.items())]
+                if (terms := contract_terms.get(item)) else [])
                + [(quote[item], supplier_id, 1) for supplier_id, quote in quoted if item in quote]
                for item in items]
     slope = competition_slope if competition_basis == "per_supplier_total" else 0.0
@@ -325,13 +326,15 @@ def allocate_batch(decisions: Sequence[Decision]) -> list[Allocation]:
     markup depends on the allocation; otherwise a decision without a slope
     searches supplier subsets (items decouple given the subset) and one with
     a slope evaluates full assignments.  The fast path runs decision by
-    decision; the rest are searched together, the subset search stacked per
-    (pool size, item count) and the enumeration per item count, in chunks of
-    at most _STACK_CELLS cells, each decision's result bit for bit that of
-    solving it alone.  Raises for the first malformed decision, else for a
-    search with no finite order total.
+    decision, a one-item decision's before its supplier pool is built; the
+    rest are searched together, the subset search stacked per (pool size,
+    item count) and the enumeration per item count, in chunks of at most
+    _STACK_CELLS cells, each decision's result bit for bit that of solving it
+    alone.  Raises for the first malformed decision, else for a search with
+    no finite order total.
     """
-    priced: list[_Priced | None] = [None] * len(decisions)
+    allocations: list[Allocation | None] = [None] * len(decisions)
+    priced: dict[int, _Priced] = {}  # decision index -> its solution, for the decisions not yet allocated
     by_structure: dict[tuple[int, int], list[int]] = {}  # (pool size, item count) -> subset searches
     by_items: dict[int, list[int]] = {}  # item count -> enumerations
     for index, (items, units, options, po_overhead, slope) in enumerate(decisions):
@@ -339,6 +342,13 @@ def allocate_batch(decisions: Sequence[Decision]) -> list[Allocation]:
             raise ValueError("empty cost matrix")
         if not (math.isfinite(po_overhead) and po_overhead >= 0):
             raise ValueError(f"po_overhead must be finite and non-negative, got {po_overhead!r}")
+        if len(items) == 1 and 0 < len(options[0]) <= MAX_SUPPLIERS_PER_CATEGORY and units[0] >= 1:
+            # one item from a pool inside the bound: the fast path's test below, before the pool is built
+            first = min(options[0])
+            if not (slope > 0.0 and first[2]):
+                allocated = {items[0]: AllocatedItem(first[1], first[0], units[0], _PROVENANCES[first[2]])}
+                allocations[index] = Allocation(allocated, po_overhead * 0)
+                continue
         if not all(options) or min(units) < 1:
             for item, item_options, q in zip(items, options, units):
                 if not item_options:
@@ -372,13 +382,13 @@ def allocate_batch(decisions: Sequence[Decision]) -> list[Allocation]:
         for index, found in zip(indices, _enumerate_assignments([decisions[i] for i in indices])):
             priced[index] = found
 
-    allocations = []
-    for (items, units, _, po_overhead, _), chosen in zip(decisions, priced):
+    for index, chosen in priced.items():
+        items, units, _, po_overhead, _ = decisions[index]
         # positional: (supplier_id, unit_cost, quantity, provenance), at half a keyword call's cost
         allocated = {item: AllocatedItem(option[1], rate, q, _PROVENANCES[option[2]])
                      for item, (option, rate), q in zip(items, chosen, units)}
         n_orders = len({option[1] for option, _ in chosen})
-        allocations.append(Allocation(items=allocated, overhead_cost=po_overhead * (n_orders - 1)))
+        allocations[index] = Allocation(allocated, po_overhead * (n_orders - 1))
     return allocations
 
 

@@ -5,8 +5,9 @@ assignment outright, the reference solver searches supplier subsets and
 full assignments in Python loops, the Weibull CDF is the textbook closed
 form, the hazard is evaluated pointwise from its definition, the stock
 level and inclusion probability are the replenishment model's formulas with
-their preconditions checked, and the replication reference drives one
-scenario through a future-event queue.
+their preconditions checked, the summary reduces one metric's values alone,
+and the replication reference drives one scenario through a future-event
+queue.
 The first five must not share code with the production solver, samplers
 and requisition builder they check; the replication reference checks the
 engine's timing, ordering and horizon cut, so it calls the same model layers
@@ -19,7 +20,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from rto_sim.hazards import (
     sample_gap,
 )
 from rto_sim.market import ContractBook, make_quote, scope_quote
-from rto_sim.metrics import RunResult, record_allocation, utilization
+from rto_sim.metrics import QUANTILE_LEVELS, DistributionSummary, RunResult, record_allocation, utilization
 from rto_sim.policy import (
     ASSIGNMENT_ENUMERATION_LIMIT,
     CONTRACT,
@@ -222,6 +223,24 @@ def propensity(q0: int, level: float) -> float:
     if level < 0 or level > q0:
         raise ValueError("level outside [0, q0]")
     return (q0 - level) / q0
+
+
+def summarize_values(values: Sequence[float]) -> DistributionSummary:
+    """Moment and quantile summary of one metric: the reference for `summarize_batch`'s rows."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise ValueError("cannot summarize an empty batch")
+    lo, hi = float(arr.min()), float(arr.max())
+    levels = np.array(QUANTILE_LEVELS, dtype=float) / 100.0
+    quantiles = {level: float(q) for level, q in zip(QUANTILE_LEVELS, np.quantile(arr, levels))}
+    return DistributionSummary(
+        count=int(arr.size),
+        mean=float(arr.mean()),
+        std=float(arr.std()),
+        minimum=lo,
+        maximum=hi,
+        quantiles=quantiles,
+    )
 
 
 def _baseline_value(baseline: ConstantBaseline | WeibullBaseline, elapsed: float) -> float:
@@ -412,7 +431,8 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             base = make_quote(spot, requisition, event.supplier_id, time,
                               state.quote_streams.pop(event.supplier_id),
                               category_product_ids=category.product_ids)
-            quote = scope_quote(base, requisition, state.scope_items, spot)
+            scoped = scope_quote({event.supplier_id: base}, requisition, state.scope_items, spot)
+            quote = scoped[event.supplier_id]
             state.quotes[event.supplier_id] = quote
             state.awaiting -= 1
             if collect_log:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import StubRng
@@ -113,11 +113,29 @@ class TestBuildRequisition:
         assert req.items == {"P2": 60}
         assert last_replenished == {"P1": 0.0, "P2": 30.0, "P3": 30.0}
 
-    def test_quantities_at_least_one(self):
-        category = make_category(("P1", 10, 0.01))
+    # a hundredth of a unit depleted still orders one
+    @example(stock=[(10, 0.01, 0.0)], t=1.0, draws=[0.0])
+    @given(stock=st.lists(st.tuples(st.integers(min_value=1, max_value=10_000),
+                                    st.floats(min_value=1e-3, max_value=100.0),
+                                    st.floats(min_value=0.0, max_value=1000.0)), min_size=1, max_size=12),
+           t=st.floats(min_value=0.0, max_value=2000.0),
+           draws=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=12, max_size=12))
+    def test_quantities_at_least_one(self, stock, t, draws):
+        # Requisition neither sorts nor checks its items: build_requisition gives
+        # them in the category's product order, each at least 1
+        ids = [f"P{i}" for i in reversed(range(len(stock)))]  # Category sorts its products
+        category = make_category(*((pid, q0, rate) for pid, (q0, rate, _) in zip(ids, stock)))
+        last_replenished = {pid: min(restock, t) for pid, (_, _, restock) in zip(ids, stock)}
+        levels = {p.id: inventory_level(p.baseline_stock, p.depletion_rate, t, last_replenished[p.id])
+                  for p in category.products}
         vessel = Vessel(id="V", hazards={"cat": VESSEL_SPEC})
-        req = build_requisition(vessel, category, fresh(category), 1.0, StubRng([0.0]), pr_id="r")
-        assert req is not None and req.items["P1"] == 1
+        req = build_requisition(vessel, category, last_replenished, t, StubRng(draws), pr_id="r")
+        if req is None:
+            return
+        assert list(req.items) == [pid for pid in category.product_ids if pid in req.items]
+        q0 = {p.id: p.baseline_stock for p in category.products}
+        assert req.items == {pid: math.ceil(q0[pid] - levels[pid]) for pid in req.items}
+        assert all(type(q) is int and q >= 1 for q in req.items.values())
 
     @given(level_hi=st.floats(min_value=0.0, max_value=100.0),
            drop=st.floats(min_value=0.0, max_value=100.0),

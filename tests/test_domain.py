@@ -91,10 +91,6 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError, match="empty validity window"):
             validate_scenario(scenario)
 
-    def test_zero_quantity_for_included_item(self):
-        with pytest.raises(ScenarioValidationError, match="zero quantity for included item"):
-            Requisition(id="x", vessel_id="V", category_id="c", created_at=1.0, items={"P": 0})
-
     def test_nonpositive_horizon(self, paper_scenario):
         with pytest.raises(ScenarioValidationError, match="horizon"):
             validate_scenario(dataclasses.replace(paper_scenario, horizon=0.0))
@@ -336,12 +332,6 @@ class TestNormalization:
         assert shuffled.vessels == paper_scenario.vessels
         assert shuffled.suppliers == paper_scenario.suppliers
 
-    def test_requisition_items_sorted_on_construction(self):
-        items = {"P3": 1, "P1": 4, "P2": 2}
-        req = Requisition(id="r", vessel_id="V", category_id="c", created_at=1.0, items=items)
-        assert list(req.items.items()) == [("P1", 4), ("P2", 2), ("P3", 1)]
-        items["P4"] = 5  # the requisition holds its own copy
-        assert list(req.items) == ["P1", "P2", "P3"]
 
 
 class TestRoundTrip:

@@ -483,6 +483,29 @@ class TestGrid:
             assert run_once((cell, cell), run_index, 42) == (alone, alone)
             assert len(calls) == solved_alone > 0
 
+    def test_one_scope_per_policy_per_handled_requisition(self, paper_scenario, monkeypatch):
+        calls = []
+        decide = engine.decide_rfq_scope
+        monkeypatch.setattr(engine, "decide_rfq_scope",
+                            lambda req, terms, policy: calls.append((req.id, policy)) or decide(req, terms, policy))
+        # both policies at three slopes, and naive at another order overhead
+        naive = grid(paper_scenario, (0.01,), policies=("naive",))[0]
+        other = dataclasses.replace(naive, policy=dataclasses.replace(naive.policy,
+                                                                      po_overhead=naive.policy.po_overhead + 25.0))
+        cells = (*grid(paper_scenario, (0.0, 0.01, 0.1)), other)
+        policies = {cell.policy for cell in cells}
+        assert len(policies) == 3
+        for run_index in range(3):
+            calls.clear()
+            outputs = run_once(cells, run_index, 42)
+            n_hl = outputs[0].result.n_hl
+            assert n_hl > 0 and all(o.result.n_hl == n_hl for o in outputs)
+            assert len(calls) == len(policies) * n_hl
+            assert len(set(calls)) == len(calls)  # each (requisition, policy) once
+            assert {policy for _, policy in calls} == policies
+            for cell, output in zip(cells, outputs):
+                assert run_once((cell,), run_index, 42) == (output,)
+
     def test_contract_only_decisions_are_shared_across_slopes(self, monkeypatch):
         # naive quotes nothing when every item is contracted, and a
         # contract-only matrix solves alike at any slope, per_supplier_total

@@ -154,40 +154,42 @@ class TestScopeQuote:
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0)
         req = requisition({"P1": 10, "P2": 5, "P3": 50})
         base = self.base_quote(spot, req)
-        quote = scope_quote(base, req, ("P3",), spot)
-        assert quote == {"P3": base["P3"]}
+        quotes = scope_quote({"B": base}, req, ("P3",), spot)
+        assert quotes == {"B": {"P3": base["P3"]}}
 
     def test_empty_scope_rejected(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0)
         req = requisition({"P1": 4})
         with pytest.raises(ValueError, match="empty item scope"):
-            scope_quote(self.base_quote(spot, req), req, (), spot)
+            scope_quote({"B": self.base_quote(spot, req)}, req, (), spot)
 
     def test_zero_slope_unchanged(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0, competition_slope=0.0)
         req = requisition({"P1": 50})
         base = self.base_quote(spot, req)
-        quote = scope_quote(base, req, ("P1",), spot)
+        quote = scope_quote({"B": base}, req, ("P1",), spot)["B"]
         assert quote["P1"] == base["P1"] == pytest.approx(7.0)
 
     def test_mild_competition(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0, competition_slope=0.01)
         req = requisition({"P1": 50})
-        quote = scope_quote(self.base_quote(spot, req), req, ("P1",), spot)
+        quote = scope_quote({"B": self.base_quote(spot, req)}, req, ("P1",), spot)["B"]
         assert quote["P1"] == pytest.approx(7.5)  # 7.0 + 0.01*50
 
     def test_per_item_competition_applied(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0, competition_slope=0.10)
         req = requisition({"P1": 50})
-        quote = scope_quote(self.base_quote(spot, req), req, ("P1",), spot)
+        quote = scope_quote({"B": self.base_quote(spot, req)}, req, ("P1",), spot)["B"]
         assert quote["P1"] == pytest.approx(12.0)  # 7.0 + 0.1*50
 
     def test_high_competition(self):
         spot = flat_model(competition_slope=0.10)
-        base = {"P": 10.0, "Q": 10.0}
-        quote = scope_quote(base, requisition({"P": 50, "Q": 5}), ("P", "Q"), spot)
-        # each line is marked up by its own quantity
-        assert quote == pytest.approx({"P": 15.0, "Q": 10.5})
+        bases = {"S": {"P": 10.0, "Q": 10.0}, "T": {"P": 12.0, "Q": 11.0}}
+        quotes = scope_quote(bases, requisition({"P": 50, "Q": 5}), ("P", "Q"), spot)
+        # each line is marked up by its own quantity, every supplier's alike
+        assert list(quotes) == ["S", "T"]
+        assert quotes["S"] == pytest.approx({"P": 15.0, "Q": 10.5})
+        assert quotes["T"] == pytest.approx({"P": 17.0, "Q": 11.5})
 
     @given(q1=st.integers(min_value=1, max_value=1000),
            extra=st.integers(min_value=1, max_value=1000),
@@ -197,7 +199,7 @@ class TestScopeQuote:
         base = {"P": 10.0}
 
         def rate(q):
-            return scope_quote(base, requisition({"P": q}), ("P",), spot)["P"]
+            return scope_quote({"S": base}, requisition({"P": q}), ("P",), spot)["S"]["P"]
 
         assert rate(q1) < rate(q1 + extra)
 
@@ -206,5 +208,5 @@ class TestScopeQuote:
                                    competition_basis="per_supplier_total")
         req = requisition({"P1": 50})
         base = self.base_quote(spot, req)
-        quote = scope_quote(base, req, ("P1",), spot)
+        quote = scope_quote({"B": base}, req, ("P1",), spot)["B"]
         assert quote["P1"] == base["P1"] == pytest.approx(7.0)

@@ -1,17 +1,27 @@
 """Accounting and batch-summary tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rto_sim.domain import AllocatedItem, Allocation
 from conftest import count_local_maxima
+from oracles import summarize_values
 from rto_sim.cli import write_histogram_csv
 from rto_sim.metrics import (
+    RunResult,
     record_allocation,
-    summarize_values,
+    summarize_batch,
     utilization,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def allocation(items, overhead=0.0):
@@ -93,6 +103,49 @@ class TestSummaries:
             summarize_values([])
 
 
+class TestSummarizeBatch:
+    # numpy sums in blocks of 8 and 128 values, so sizes on either side of both
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 1000])
+    def test_each_row_is_the_one_metric_summary_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        commitments = {"A": 150, "C": 40}
+        results = []
+        for run in range(n):
+            volumes = {s: int(v) for s, v in zip(commitments, rng.integers(0, 400, size=2))}
+            results.append(RunResult(
+                run_index=run,
+                terminal_cost=float(rng.lognormal(9.0, 1.5)),
+                volumes=volumes,
+                utilizations={s: volumes[s] / k for s, k in commitments.items()},
+                deviations={s: volumes[s] - k for s, k in commitments.items()},
+                n_pr=int(rng.integers(0, 60)),
+                n_hl=int(rng.integers(0, 60)),
+                n_po=int(rng.integers(0, 60)),
+                n_rfq={s: int(rng.integers(0, 200)) for s in ("A", "B", "C")},
+                in_flight=int(rng.integers(0, 5)),
+                empty_draws=int(rng.integers(0, 30)),
+            ))
+        metrics = {name: [getattr(r, name) for r in results]
+                   for name in ("terminal_cost", "n_pr", "n_hl", "n_po", "in_flight", "empty_draws")}
+        for s in commitments:
+            metrics[f"volume_{s}"] = [r.volumes[s] for r in results]
+            metrics[f"deviation_{s}"] = [r.deviations[s] for r in results]
+        for s in commitments:
+            metrics[f"utilization_{s}"] = [r.utilizations[s] for r in results]
+        for s in ("A", "B", "C"):
+            metrics[f"n_rfq_{s}"] = [r.n_rfq[s] for r in results]
+
+        summaries = summarize_batch(results)
+        assert list(summaries) == list(metrics)
+        for name, values in metrics.items():
+            # repr tells every float apart, -0.0 from 0.0 too
+            assert repr(summaries[name]) == repr(summarize_values(values)), name
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            summarize_batch([])
+
+
 class TestLocalMaxima:
     def test_flat_has_no_peak(self):
         assert count_local_maxima([3, 3, 3, 3]) == 0
@@ -124,3 +177,13 @@ class TestRunLevelConsistency:
             assert result.deviations[supplier] == pytest.approx(k * (u - 1.0), abs=1e-9)
         total = sum(rec.payload.total_cost for rec in out.log if rec.kind == PO_GENERATION)
         assert total == result.terminal_cost  # exact float equality, no drift
+
+
+def test_summaries_leave_numpy_ma_unimported():
+    # np.quantile's first call imports numpy.ma, some 9 ms of every command
+    code = ("import sys\n"
+            "from rto_sim.metrics import RunResult, summarize_batch\n"
+            "summarize_batch([RunResult(i, 1.5 * i, {'A': i}, {'A': i / 3}, {'A': i - 3}, 1, 1, 1, {'A': 1}, 0, 0)\n"
+            "                 for i in range(9)])\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})

@@ -6,7 +6,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import OracleInstance, exhaustive_allocation, reference_allocate_min_cost
@@ -29,7 +29,8 @@ CONTRACT_RATE, SPOT_QUOTE = 0, 1
 
 
 def requisition(items):
-    return Requisition(id="r", vessel_id="V", category_id="cat", created_at=1.0, items=items)
+    """A requisition as build_requisition gives one: items in product order."""
+    return Requisition(id="r", vessel_id="V", category_id="cat", created_at=1.0, items=dict(sorted(items.items())))
 
 
 class TestBuildCostMatrix:
@@ -533,6 +534,50 @@ class TestAllocateBatch:
         assert peak < 3 * 2 ** 20
 
 
+_ONE_ITEM_OPTIONS = st.lists(
+    st.tuples(st.one_of(st.sampled_from([1.0, 2.0, 2.5]), st.floats(min_value=0.01, max_value=1e4)),
+              st.sampled_from("ABCDEFGHIJKL"), st.sampled_from([CONTRACT_RATE, SPOT_QUOTE])),
+    min_size=1, max_size=12, unique_by=lambda option: option[1:])  # one option per (supplier, rank)
+
+
+class TestOneItemDecisions:
+    """A one-item decision is solved with one min, before its supplier pool is built."""
+
+    # rates tied across suppliers; one supplier's contract and spot options at
+    # equal rates; the cheapest option a contract rate or a spot quote, at slope
+    # 0 and above
+    @example(options=[(2.0, "B", SPOT_QUOTE), (2.0, "A", SPOT_QUOTE)], q=3, overhead=10.0, slope=0.0)
+    @example(options=[(2.0, "A", SPOT_QUOTE), (2.0, "A", CONTRACT_RATE)], q=3, overhead=10.0, slope=0.0)
+    @example(options=[(2.0, "A", SPOT_QUOTE), (2.0, "A", CONTRACT_RATE)], q=3, overhead=10.0, slope=0.1)
+    @example(options=[(1.0, "B", SPOT_QUOTE), (2.0, "A", CONTRACT_RATE)], q=20, overhead=0.0, slope=0.1)
+    @example(options=[(1.0, "B", SPOT_QUOTE), (2.0, "A", CONTRACT_RATE)], q=5, overhead=0.0, slope=0.1)
+    @example(options=[(1.0, "B", CONTRACT_RATE), (2.0, "A", SPOT_QUOTE)], q=5, overhead=0.0, slope=0.1)
+    @settings(max_examples=300, deadline=None)
+    @given(options=_ONE_ITEM_OPTIONS, q=st.integers(min_value=1, max_value=1000),
+           overhead=st.floats(min_value=0.0, max_value=100.0),
+           slope=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)))
+    def test_matches_the_reference(self, options, q, overhead, slope):
+        decision = Decision(("P1",), (q,), [options], overhead, slope)
+        (alone,) = policy.allocate_batch([decision])
+        assert _bits(alone) == _bits(reference_allocate_min_cost(decision))
+        # and alike beside a decision that searches
+        _, beside = policy.allocate_batch([_overflow_free_split(), decision])
+        assert _bits(beside) == _bits(alone)
+
+    @pytest.mark.parametrize("decision, error, message", [
+        (Decision(("P1",), (1,), [[]], 10.0), InfeasibleAllocationError, "no admissible supplier for item 'P1'"),
+        (Decision(("P1",), (0,), [[(5.0, "A", SPOT_QUOTE)]], 10.0), ValueError,
+         "quantity for item 'P1' must be at least 1"),
+        (Decision(("P1",), (0,), [[]], 10.0), InfeasibleAllocationError, "no admissible supplier"),
+        (Decision(("P1",), (1,), [[(5.0, "A", SPOT_QUOTE)]], -1.0), ValueError, "po_overhead must be finite"),
+        (Decision(("P1",), (0,), [[]], math.nan), ValueError, "po_overhead must be finite"),
+    ], ids=["no-option", "zero-quantity", "no-option-before-quantity", "negative-overhead",
+            "nan-overhead-first"])
+    def test_malformed_decisions_raise_as_before(self, decision, error, message):
+        with pytest.raises(error, match=message):
+            policy.allocate_batch([decision])
+
+
 class TestDecideRfqScope:
     def test_all_contracted_naive_skips_rfq(self):
         req = requisition({"P1": 1, "P2": 1})
@@ -644,3 +689,9 @@ def _total_basis_brute_force(decision):
         if best is None or total < best:
             best = total
     return best
+
+
+def _overflow_free_split() -> Decision:
+    # each item's cheapest option comes from another supplier, so the subset search runs
+    return Decision(("P1", "P2"), (1, 1), [[(5.0, "X", SPOT_QUOTE), (20.0, "Y", SPOT_QUOTE)],
+                                           [(20.0, "X", SPOT_QUOTE), (5.0, "Y", SPOT_QUOTE)]], 10.0)
