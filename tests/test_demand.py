@@ -113,16 +113,25 @@ class TestBuildRequisition:
         assert req.items == {"P2": 60}
         assert last_replenished == {"P1": 0.0, "P2": 30.0, "P3": 30.0}
 
-    # a hundredth of a unit depleted still orders one
-    @example(stock=[(10, 0.01, 0.0)], t=1.0, draws=[0.0])
-    @given(stock=st.lists(st.tuples(st.integers(min_value=1, max_value=10_000),
-                                    st.floats(min_value=1e-3, max_value=100.0),
-                                    st.floats(min_value=0.0, max_value=1000.0)), min_size=1, max_size=12),
-           t=st.floats(min_value=0.0, max_value=2000.0),
-           draws=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=12, max_size=12))
-    def test_quantities_at_least_one(self, stock, t, draws):
-        # Requisition neither sorts nor checks its items: build_requisition gives
-        # them in the category's product order, each at least 1
+    def test_quantities_at_least_one(self):
+        category = make_category(("P1", 10, 0.01))
+        vessel = Vessel(id="V", hazards={"cat": VESSEL_SPEC})
+        req = build_requisition(vessel, category, fresh(category), 1.0, StubRng([0.0]), pr_id="r")
+        assert req is not None and req.items["P1"] == 1
+
+    # Requisition neither sorts nor checks its items: build_requisition gives
+    # them in the category's product order, each at least 1, over drawn stock
+    # states of up to 12 products listed out of order
+    _stock_states = dict(
+        stock=st.lists(st.tuples(st.integers(min_value=1, max_value=10_000),
+                                 st.floats(min_value=1e-3, max_value=100.0),
+                                 st.floats(min_value=0.0, max_value=1000.0)), min_size=1, max_size=12),
+        t=st.floats(min_value=0.0, max_value=2000.0),
+        draws=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=12, max_size=12))
+
+    @staticmethod
+    def _drawn_requisition(stock, t, draws):
+        """The category, each product's level at t, and the requisition the draws give (or None)."""
         ids = [f"P{i}" for i in reversed(range(len(stock)))]  # Category sorts its products
         category = make_category(*((pid, q0, rate) for pid, (q0, rate, _) in zip(ids, stock)))
         last_replenished = {pid: min(restock, t) for pid, (_, _, restock) in zip(ids, stock)}
@@ -130,9 +139,21 @@ class TestBuildRequisition:
                   for p in category.products}
         vessel = Vessel(id="V", hazards={"cat": VESSEL_SPEC})
         req = build_requisition(vessel, category, last_replenished, t, StubRng(draws), pr_id="r")
+        return category, levels, req
+
+    @given(**_stock_states)
+    def test_items_in_category_product_order(self, stock, t, draws):
+        category, _, req = self._drawn_requisition(stock, t, draws)
+        if req is not None:
+            assert list(req.items) == [pid for pid in category.product_ids if pid in req.items]
+
+    # a hundredth of a unit depleted still orders one
+    @example(stock=[(10, 0.01, 0.0)], t=1.0, draws=[0.0])
+    @given(**_stock_states)
+    def test_no_zero_quantity_for_included_item(self, stock, t, draws):
+        category, levels, req = self._drawn_requisition(stock, t, draws)
         if req is None:
             return
-        assert list(req.items) == [pid for pid in category.product_ids if pid in req.items]
         q0 = {p.id: p.baseline_stock for p in category.products}
         assert req.items == {pid: math.ceil(q0[pid] - levels[pid]) for pid in req.items}
         assert all(type(q) is int and q >= 1 for q in req.items.values())
