@@ -384,15 +384,16 @@ class _Staged:
 def _staged() -> Iterator[_Staged]:
     """Yield a command's staging; when its block ends, rename every staged file into place.
 
-    On failure only the temporary files go, then the directories the command created,
-    newest first (one still not empty stays): a file already in place is never touched.
+    On failure, an interrupt included, only the temporary files go, then the directories
+    the command created, newest first (one still not empty stays): a file already in
+    place is never touched.
     """
     staged = _Staged()
     try:
         yield staged
         for path in staged.final_paths():
             os.replace(_temporary(path), path)
-    except Exception:
+    except BaseException:  # cleans up, then re-raises
         for path in staged.final_paths():
             with contextlib.suppress(OSError):
                 _temporary(path).unlink()
@@ -636,7 +637,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="scenario JSON file (bundled names resolve too)")
         p.add_argument("--runs", type=_at_least_one, default=None, help="number of replications")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--parallelism", type=_at_least_one, default=None, help="worker processes")
+        p.add_argument("--parallelism", type=_at_least_one, default=None,
+                       help="processes that simulate runs, this one included")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--export-events", action="store_true", default=None,
                        help="write per-run event logs")

@@ -23,11 +23,14 @@ demand (common random numbers).
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import multiprocessing.sharedctypes  # noqa: F401 - imported with the module, not in a batch's wall time
+import multiprocessing.synchronize  # noqa: F401
 import os
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+import signal
 from dataclasses import dataclass, field, fields
 from itertools import chain
+from multiprocessing.connection import wait
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -368,8 +371,9 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
                              allocations, collect_log) for cell in cells)
 
 
-def _run_span(args) -> list[tuple[RunResult, ...]]:
-    scenarios, master_seed, indices, log_sink = args
+def _run_span(task, indices: Iterable[int]) -> list[tuple[RunResult, ...]]:
+    """The results of runs `indices`, in order; a failing run raises a BatchRunError naming it."""
+    scenarios, master_seed, log_sink = task
     out = []
     for run_index in indices:
         try:
@@ -382,6 +386,155 @@ def _run_span(args) -> list[tuple[RunResult, ...]]:
     return out
 
 
+def _mp_context():
+    """Where a parallel batch starts its processes: the default start method; tests swap in others."""
+    return multiprocessing.get_context()
+
+
+class _Chunks:
+    """The chunks of a batch, of `size` runs each, and the counter every process claims them from.
+
+    `state` is one shared int array under one lock: the next unclaimed chunk,
+    then per chunk the slot of the process that claimed it (the caller is 1,
+    children 2 on, 0 while unclaimed).  Stopping moves the counter past the
+    last chunk under the same lock, so once a chunk has failed no claim
+    succeeds.
+    """
+
+    def __init__(self, ctx, n_runs: int, size: int):
+        self.n_runs, self.size = n_runs, size
+        self.count = -(-n_runs // size)
+        self.state = ctx.Array("i", 1 + self.count)
+
+    def span(self, index: int) -> range:
+        return range(index * self.size, min((index + 1) * self.size, self.n_runs))
+
+    def claim(self, slot: int, timeout: float | None = None) -> int | None:
+        """The next chunk, now claimed by `slot`; None once none is left or the batch stopped.
+
+        Raises TimeoutError when the lock is not free within `timeout` seconds.
+        """
+        lock = self.state.get_lock()
+        if not lock.acquire(timeout=timeout):
+            raise TimeoutError
+        try:
+            state = self.state.get_obj()
+            index = state[0]
+            if index == self.count:
+                return None
+            state[0] = index + 1
+            state[1 + index] = slot
+            return index
+        finally:
+            lock.release()
+
+    def stop(self) -> None:
+        with self.state.get_lock():
+            self.state.get_obj()[0] = self.count
+
+    # read without the lock, which a dead process may hold
+    def all_claimed(self) -> bool:
+        return self.state.get_obj()[0] == self.count
+
+    def claimed_by(self, slot: int) -> list[int]:
+        return [i for i, owner in enumerate(self.state.get_obj()[1:]) if owner == slot]
+
+
+def _child(chunks: _Chunks, slot: int, task, conn) -> None:
+    """A child's share of a batch: send (chunk, results or BatchRunError) as each chunk ends, then None."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's, which ends its children
+    with conn:
+        while (index := chunks.claim(slot)) is not None:
+            try:
+                conn.send((index, _run_span(task, chunks.span(index))))
+            except BatchRunError as exc:
+                chunks.stop()
+                conn.send((index, exc))
+        conn.send(None)
+
+
+def _fan_out(task, n_runs: int, size: int, processes: int) -> list[list[tuple[RunResult, ...]]]:
+    """Every chunk's results, in chunk order, from the caller and `processes - 1` children.
+
+    Each process, the caller included, claims its next chunk from the shared
+    counter as it ends the last one; a child sends each chunk's results as it
+    ends it, and the caller reads them between its own runs, so a child never
+    waits on the caller for long.  On any exception in the caller every child
+    is ended and reaped before the exception propagates.
+    """
+    ctx = _mp_context()
+    chunks = _Chunks(ctx, n_runs, size)
+    results: list = [None] * chunks.count
+    failures: dict[int, BatchRunError] = {}
+    started = []  # (process, the read end of its pipe)
+    children = {}  # the read end of each child's pipe -> (its slot, its process), until its final None
+
+    def collect(timeout: float | None) -> None:
+        """Take in what the children have sent, waiting up to `timeout` for the first message."""
+        for conn in wait(list(children), timeout):
+            slot, process = children[conn]
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):  # it ended without its final None: it died
+                process.join()
+                unreturned = [i for i in range(chunks.count) if results[i] is None and i not in failures]
+                lost = [i for i in chunks.claimed_by(slot) if i in unreturned] or unreturned
+                if lost:
+                    raise BatchRunError(chunks.span(lost[0])[0],
+                                        f"a child process died with exit code {process.exitcode}") from None
+                message = None
+            if message is None:
+                del children[conn]
+            elif isinstance(message[1], BatchRunError):
+                failures[message[0]] = message[1]
+            else:
+                results[message[0]] = message[1]
+
+    try:
+        for slot in range(2, processes + 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            process = ctx.Process(target=_child, args=(chunks, slot, task, writer), daemon=True)
+            process.start()
+            writer.close()  # so the reader sees the end of the file when the child ends
+            started.append((process, reader))
+            children[reader] = (slot, process)
+        while True:
+            try:
+                index = chunks.claim(1, timeout=0.1)
+            except TimeoutError:  # the lock is busy, or held by a child that died claiming
+                collect(0)  # raises if one died with chunks unreturned
+                if chunks.all_claimed():
+                    break
+                continue
+            if index is None:
+                break
+            chunk = []
+            for run_index in chunks.span(index):
+                try:
+                    chunk += _run_span(task, (run_index,))
+                except BatchRunError as exc:
+                    failures[index] = exc
+                    chunks.stop()
+                    break
+                if children:
+                    collect(0)
+            else:
+                results[index] = chunk
+        while children:
+            collect(None)
+    except BaseException:
+        for process, _ in started:
+            process.terminate()
+        raise
+    finally:
+        for process, reader in started:
+            process.join()
+            reader.close()
+    if failures:  # the first failing run in index order among the chunks that ran
+        raise failures[min(failures)]
+    return results
+
+
 def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
               *, parallelism: int = 1,
               log_sink: Callable[[int, tuple[tuple[EventRecord, ...], ...]], None] | None = None,
@@ -392,13 +545,18 @@ def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
     rules are those of run_once.  Logs are collected only for a `log_sink`:
     the process that simulates a run calls `log_sink(run_index, logs)`, one
     log per scenario, as soon as the run ends, in the serial path and in
-    workers alike, so no log is returned or held; above parallelism 1 the
-    sink must pickle, and chunks of runs call it concurrently.  A sink that
+    child processes alike, so no log is returned or held; above parallelism
+    1 the sink must pickle, and processes call it concurrently.  A sink that
     raises fails its run.  Results are bit-identical for a fixed
     (grid, master_seed) whatever the parallelism degree: runs derive their
     randomness from their index alone and are merged back in index order.
-    A worker process that dies aborts the batch with a BatchRunError naming
-    the first run of the chunk it lost.
+
+    Above parallelism 1 the calling process is one of the processes that
+    simulate, and each claims the next chunk of runs from a shared counter.
+    A failed run stops the claims; chunks already claimed run to their end,
+    and the error names the first failing run in index order among them.  A
+    child process that dies aborts the batch with a BatchRunError naming the
+    first run of the lowest chunk it claimed and never returned.
     """
     _check_grid(scenarios)
     if n_runs < 1:
@@ -406,41 +564,16 @@ def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
 
-    # a worker beyond the CPU or chunk count would only idle, yet cost a fork;
-    # chunks are sized for the workers that can run, four each
-    workers = min(parallelism, os.cpu_count() or 1)
-    chunk = max(1, -(-n_runs // (workers * 4)))
-    spans = [list(range(start, min(start + chunk, n_runs))) for start in range(0, n_runs, chunk)]
-    jobs = [(tuple(scenarios), master_seed, span, log_sink) for span in spans]
-    workers = min(workers, len(jobs))
-    runs: list[tuple[RunResult, ...]] = []  # index order: spans are contiguous and merged in order
-    if workers == 1:
-        for job in jobs:
-            runs.extend(_run_span(job))
+    # a process beyond the CPU or chunk count would only idle, yet cost a
+    # start; chunks are sized for the processes that can run, eight each
+    processes = min(parallelism, os.cpu_count() or 1)
+    size = max(1, -(-n_runs // (processes * 8)))
+    processes = min(processes, -(-n_runs // size))
+    task = (tuple(scenarios), master_seed, log_sink)
+    if processes == 1:
+        runs = _run_span(task, range(n_runs))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # a chunk is handed out only when a worker is free, so a failure
-            # leaves no queued chunk to run, only those already running
-            futures = []
-            running: set = set()
-            for job in jobs:
-                if len(running) == workers:
-                    done, running = wait(running, return_when=FIRST_COMPLETED)
-                    if any(future.exception() is not None for future in done):
-                        break
-                try:
-                    future = pool.submit(_run_span, job)
-                except BrokenProcessPool as exc:  # reported below unless an earlier chunk was lost
-                    future = Future()
-                    future.set_exception(exc)
-                futures.append(future)
-                running.add(future)
-            for span, future in zip(spans, futures):  # the first failing chunk in index order
-                try:
-                    runs.extend(future.result())
-                except BrokenProcessPool as exc:
-                    raise BatchRunError(span[0], f"a worker process died: {exc}") from exc
-
+        runs = list(chain.from_iterable(_fan_out(task, n_runs, size, processes)))
     return tuple(zip(*runs))
 
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import collections.abc
+import dataclasses
 import math
+import os
+import pickle
 import random
 import types
 import typing
+from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -81,6 +85,30 @@ class FakePlan:
         if key in self.scripts:
             return self.scripts[key]
         return self._plan.stream(run_index, purpose, entity)
+
+
+@dataclasses.dataclass(frozen=True)
+class PickleSink:
+    """A picklable log sink: each run's logs land in `<directory>/<run_index>.pickle`.
+
+    It lives here, not in a test module, so that a child process started by
+    `spawn` or `forkserver` imports no more than this to unpickle it.
+    """
+
+    directory: Path
+
+    def __call__(self, run_index, logs):
+        (self.directory / f"{run_index}.pickle").write_bytes(pickle.dumps((os.getpid(), logs)))
+
+    def _read(self, n_runs):
+        return [pickle.loads((self.directory / f"{i}.pickle").read_bytes()) for i in range(n_runs)]
+
+    def logs(self, n_runs):
+        return [logs for _, logs in self._read(n_runs)]
+
+    def pids(self, n_runs):
+        """The processes that simulated the runs."""
+        return {pid for pid, _ in self._read(n_runs)}
 
 
 @pytest.fixture(scope="session")

@@ -499,8 +499,8 @@ class TestEventExport:
 
     @pytest.fixture(autouse=True)
     def eight_cpus(self, monkeypatch):
-        # the pool is capped at the CPU count; pin it, so that on a 1-CPU host
-        # a parallel batch still goes to the forked pool
+        # the processes are capped at the CPU count; pin it, so that on a
+        # 1-CPU host a parallel batch still starts a child
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
@@ -542,6 +542,30 @@ class TestEventExport:
         assert run_cli(*command, "--runs", "8") == 1
         assert "run 3 failed: RuntimeError('boom')" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("parallelism", [
+        1, pytest.param(2, marks=pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                                    reason="children must inherit the patched run_once")),
+    ])
+    def test_interrupted_run_leaves_no_partial_file_or_directory(self, tmp_path, monkeypatch, parallelism):
+        # the interrupt comes in the calling process, which simulates too;
+        # a child's runs are slow, so the caller reaches run 3 or a later one
+        caller, real = os.getpid(), engine.run_once
+
+        def interrupted(scenarios, run_index, master_seed, **kwargs):
+            if os.getpid() != caller:
+                time.sleep(0.1)
+            elif run_index >= 3:
+                raise KeyboardInterrupt
+            return real(scenarios, run_index, master_seed, **kwargs)
+
+        monkeypatch.setattr(engine, "run_once", interrupted)
+        out = tmp_path / "new" / "o"
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("run", "paper_s5.json", "--runs", "6", "--seed", "1", "--export-events",
+                    "--parallelism", str(parallelism), "--out", str(out))
+        assert list(tmp_path.iterdir()) == []  # no .tmp file, and no directory the command created
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("parallelism", [1, 2])
@@ -676,7 +700,7 @@ class TestCompareCommand:
 
     def test_event_logs_identical_across_parallelism(self, tmp_path):
         # every file, event logs included, whether the logs are written by one
-        # process or by worker processes; no temporary log is left
+        # process or by two; no temporary log is left
         outputs = []
         for parallelism in (1, 2):
             out = tmp_path / f"par{parallelism}"

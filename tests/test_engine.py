@@ -4,8 +4,8 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
-from concurrent.futures import Future
-from pathlib import Path
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from scipy import stats
 
 from conftest import (
     FakePlan,
+    PickleSink,
     StubRng,
     U_MEAN,
     random_scenario,
@@ -54,42 +55,55 @@ def grid(base, slopes, policies=("naive", "dynamic")):
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class PickleSink:
-    """A picklable log sink: each run's logs land in `<directory>/<run_index>.pickle`."""
-
-    directory: Path
-
-    def __call__(self, run_index, logs):
-        (self.directory / f"{run_index}.pickle").write_bytes(pickle.dumps(logs))
-
-    def logs(self, n_runs):
-        return [pickle.loads((self.directory / f"{i}.pickle").read_bytes()) for i in range(n_runs)]
+FORK = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                          reason="children must inherit the patched functions")
 
 
-class InlineExecutor:
-    """Runs each submitted chunk at once in this process; records the pool size and chunk starts."""
+class Forking:
+    """A batch's process context that forks, so children inherit this process's patches; records the children."""
 
-    sizes: list[int] = []
-    started: list[int] = []
+    def __init__(self):
+        self.context = multiprocessing.get_context("fork")
+        self.processes = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __getattr__(self, name):
+        return getattr(self.context, name)
 
-    def __enter__(self):
-        return self
+    def Process(self, *args, **kwargs):
+        process = self.context.Process(*args, **kwargs)
+        self.processes.append(process)
+        return process
 
-    def __exit__(self, *exc_info):
-        return False
 
-    def submit(self, fn, job):
-        self.started.append(job[2][0])
-        future = Future()
-        try:
-            future.set_result(fn(job))
-        except Exception as exc:  # noqa: BLE001 - handed to the caller, as a pool would
-            future.set_exception(exc)
-        return future
+@pytest.fixture
+def forking(monkeypatch):
+    """Parallel batches fork on two CPUs; returns the record of their children."""
+    context = Forking()
+    monkeypatch.setattr(engine, "_mp_context", lambda: context)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return context
+
+
+def started_chunks(monkeypatch, directory):
+    """Record the runs of each chunk a process starts in `directory`; returns the reader of the record.
+
+    The reader gives, in chunk order, each started chunk's index and runs.
+    """
+    real = engine._Chunks.span
+
+    def span(self, index):
+        runs = real(self, index)
+        with open(directory / str(index), "x") as record:  # a chunk started twice fails the batch
+            record.write(f"{runs.start} {runs.stop}")
+        return runs
+
+    def read():
+        records = sorted((int(path.name), path.read_text().split()) for path in directory.iterdir())
+        return [(index, range(int(start), int(stop))) for index, (start, stop) in records]
+
+    monkeypatch.setattr(engine._Chunks, "span", span)
+    return read
+
 
 class TestRngPlan:
     def test_reproducible_streams(self):
@@ -261,8 +275,8 @@ class TestEventWiring:
 class TestBatchDeterminism:
     @pytest.fixture(autouse=True)
     def eight_cpus(self, monkeypatch):
-        # the pool is capped at the CPU count; pin it, so that on a 1-CPU host
-        # a parallel batch still goes to the (patched or forked) pool
+        # the processes are capped at the CPU count; pin it, so that on a
+        # 1-CPU host a parallel batch still starts a child
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
     def test_single_run_batch_equals_run_once(self, paper_scenario, tmp_path):
@@ -314,79 +328,131 @@ class TestBatchDeterminism:
             engine_mod.run_batch((paper_scenario,), 4, 42)
         assert err.value.run_index == 2
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers must inherit the patched run_once")
-    def test_dead_worker_reports_lost_chunk(self, paper_scenario, monkeypatch):
-        import rto_sim.engine as engine_mod
-
-        real = engine_mod.run_once
+    @FORK
+    def test_dead_worker_reports_lost_chunk(self, paper_scenario, monkeypatch, forking, tmp_path):
+        # the caller runs chunks too, so only a child may exit; the caller's
+        # runs are slow, so the child surely claims one
+        caller, real = os.getpid(), engine.run_once
 
         def dying(scenarios, run_index, master_seed, **kwargs):
-            if run_index == 0:
+            if os.getpid() != caller:
+                (tmp_path / "lost").write_text(str(run_index))
                 os._exit(1)
+            time.sleep(0.05)
             return real(scenarios, run_index, master_seed, **kwargs)
 
-        monkeypatch.setattr(engine_mod, "run_once", dying)
+        monkeypatch.setattr(engine, "run_once", dying)
         with pytest.raises(BatchRunError) as err:
-            engine_mod.run_batch(grid(paper_scenario, (0.0,)), 4, 42, parallelism=2)
-        assert err.value.run_index == 0
-        assert "worker process died" in err.value.message
+            engine.run_batch(grid(paper_scenario, (0.0,)), 4, 42, parallelism=2)
+        assert err.value.run_index == int((tmp_path / "lost").read_text())
+        assert err.value.message == "a child process died with exit code 1"
 
-    def test_pool_never_exceeds_the_chunk_count(self, paper_scenario, monkeypatch):
-        import rto_sim.engine as engine_mod
-
-        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", InlineExecutor)
-        InlineExecutor.sizes.clear()
-        outputs = engine_mod.run_batch((paper_scenario,), 2, 42, parallelism=8)[0]
-        assert InlineExecutor.sizes == [2]
+    @FORK
+    def test_pool_never_exceeds_the_chunk_count(self, paper_scenario, monkeypatch, forking):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        outputs = engine.run_batch((paper_scenario,), 2, 42, parallelism=8)[0]
+        assert len(forking.processes) == 1  # two processes for two chunks, the caller one of them
         assert outputs == run_batch((paper_scenario,), 2, 42)[0]
 
-    def test_pool_never_exceeds_the_cpu_count(self, paper_scenario, monkeypatch):
-        import rto_sim.engine as engine_mod
-
-        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", InlineExecutor)
+    @FORK
+    def test_pool_never_exceeds_the_cpu_count(self, paper_scenario, monkeypatch, forking):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        InlineExecutor.sizes.clear()
-        outputs = engine_mod.run_batch((paper_scenario,), 40, 42, parallelism=1000)[0]
-        assert InlineExecutor.sizes == [3]
+        outputs = engine.run_batch((paper_scenario,), 40, 42, parallelism=1000)[0]
+        assert len(forking.processes) == 2
         assert outputs == run_batch((paper_scenario,), 40, 42)[0]
 
-    def test_chunks_are_sized_for_the_workers_that_run(self, paper_scenario, monkeypatch):
-        # 2 CPUs run a parallelism of 64 on 2 workers: 8 chunks of 5 runs, not 40 of 1
-        import rto_sim.engine as engine_mod
-
-        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        InlineExecutor.sizes.clear()
-        InlineExecutor.started.clear()
-        outputs = engine_mod.run_batch((paper_scenario,), 40, 42, parallelism=64)[0]
-        assert InlineExecutor.sizes == [2]
-        assert InlineExecutor.started == list(range(0, 40, 5))
+    @FORK
+    def test_chunks_are_sized_for_the_workers_that_run(self, paper_scenario, monkeypatch, forking, tmp_path):
+        # 2 CPUs run a parallelism of 64 as the caller and one child: 14 chunks
+        # of at most 3 runs, eight per process, each claimed once
+        started = started_chunks(monkeypatch, tmp_path)
+        outputs = engine.run_batch((paper_scenario,), 40, 42, parallelism=64)[0]
+        assert len(forking.processes) == 1
+        assert started() == [(i, range(start, min(start + 3, 40))) for i, start in enumerate(range(0, 40, 3))]
         assert outputs == run_batch((paper_scenario,), 40, 42)[0]
 
-    @pytest.mark.parametrize("failing, reported, n_started",
-                             [((0,), 0, 2), ((3,), 3, 4), ((1, 0), 0, 2)])
-    def test_failure_stops_handing_out_chunks(self, paper_scenario, monkeypatch,
-                                             failing, reported, n_started):
-        # 8 one-run chunks on 2 workers, each ending as soon as it is handed
-        # out: chunks go out in pairs, the pair holding a failure is the last
-        # one, and the first failing chunk in index order is reported
-        import rto_sim.engine as engine_mod
-
-        real = engine_mod.run_once
+    @FORK
+    @pytest.mark.parametrize("failing, reported", [({0: 0.0}, 0), ({3: 0.0}, 3), ({0: 0.2, 1: 0.0}, 0)])
+    def test_failure_stops_the_claims(self, paper_scenario, monkeypatch, forking, tmp_path, failing, reported):
+        # 8 one-run chunks on two processes; a failing run fails after its
+        # delay, the others take 50 ms, so no process ends a chunk while
+        # another's fails: chunks up to the first failing one start, and at
+        # most the one that the other process claimed as it failed, never a
+        # later one.  In the last case run 1 fails first, and run 0 is reported
+        real = engine.run_once
 
         def exploding(scenarios, run_index, master_seed, **kwargs):
             if run_index in failing:
+                time.sleep(failing[run_index])
                 raise RuntimeError("boom")
+            time.sleep(0.05)
             return real(scenarios, run_index, master_seed, **kwargs)
 
-        monkeypatch.setattr(engine_mod, "run_once", exploding)
-        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", InlineExecutor)
-        InlineExecutor.started.clear()
+        monkeypatch.setattr(engine, "run_once", exploding)
+        started = started_chunks(monkeypatch, tmp_path)
         with pytest.raises(BatchRunError) as err:
-            engine_mod.run_batch((paper_scenario,), 8, 42, parallelism=2)
-        assert err.value.run_index == reported
-        assert InlineExecutor.started == list(range(n_started))
+            engine.run_batch((paper_scenario,), 8, 42, parallelism=2)
+        assert err.value.run_index == reported  # the first failing run in index order
+        first = min(failing)
+        assert [index for index, _ in started()] in (list(range(first + 1)), list(range(first + 2)))
+
+    @FORK
+    @pytest.mark.parametrize("where, fault, raised", [
+        ("child", RuntimeError, BatchRunError),
+        ("caller", RuntimeError, BatchRunError),
+        ("child", signal.SIGKILL, BatchRunError),
+        ("caller", KeyboardInterrupt, KeyboardInterrupt),
+    ])
+    def test_no_process_outlives_a_failed_batch(self, paper_scenario, monkeypatch, forking, where, fault, raised):
+        # the faulty process faults in its first run, while the other is in
+        # mid-chunk; the other's 20 runs would take 5 s to end on their own
+        caller, real = os.getpid(), engine.run_once
+
+        def faulty(scenarios, run_index, master_seed, **kwargs):
+            if (os.getpid() == caller) == (where == "caller"):
+                time.sleep(0.1)
+                if fault == signal.SIGKILL:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise fault("boom")
+            time.sleep(0.25)
+            return real(scenarios, run_index, master_seed, **kwargs)
+
+        monkeypatch.setattr(engine, "run_once", faulty)
+        started = time.monotonic()
+        with pytest.raises(raised):
+            engine.run_batch((paper_scenario,), 20, 42, parallelism=2)
+        assert time.monotonic() - started < 3
+        assert len(forking.processes) == 1
+        for process in forking.processes:  # reaped by the batch, not by active_children() below
+            with pytest.raises(ProcessLookupError):
+                os.kill(process.pid, 0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("method", [m for m in ("spawn", "forkserver")
+                                        if m in multiprocessing.get_all_start_methods()])
+    def test_any_start_method_gives_the_serial_batch(self, paper_scenario, monkeypatch, tmp_path, method):
+        cells = grid(paper_scenario, (0.0, 0.1))
+        serial_sink, sink = PickleSink(tmp_path / "serial"), PickleSink(tmp_path / method)
+        serial_sink.directory.mkdir()
+        sink.directory.mkdir()
+        serial = run_batch(cells, 6, 42, log_sink=serial_sink)
+        real = engine.run_once
+
+        def after_a_child_run(*args, **kwargs):
+            # a fresh child runs the real run_once; the caller's first run waits
+            # for the child's first log, so the child surely simulates
+            deadline = time.monotonic() + 60
+            while not any(sink.directory.iterdir()) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_once", after_a_child_run)
+        monkeypatch.setattr(engine, "_mp_context", lambda: multiprocessing.get_context(method))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run_batch(cells, 6, 42, parallelism=2, log_sink=sink) == serial
+        assert sink.logs(6) == serial_sink.logs(6)
+        assert len(sink.pids(6)) == 2
+        assert multiprocessing.active_children() == []
 
     def test_batch_error_pickles_its_fields(self):
         err = pickle.loads(pickle.dumps(BatchRunError(7, "ValueError('a: b')")))
