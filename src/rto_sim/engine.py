@@ -392,22 +392,27 @@ def _mp_context():
 
 
 class _Chunks:
-    """The chunks of a batch, of `size` runs each, and the counter every process claims them from.
+    """The chunks of a batch and the counter every process claims them from.
 
-    `state` is one shared int array under one lock: the next unclaimed chunk,
-    then per chunk the slot of the process that claimed it (the caller is 1,
-    children 2 on, 0 while unclaimed).  Stopping moves the counter past the
-    last chunk under the same lock, so once a chunk has failed no claim
-    succeeds.
+    Guided self-scheduling (Polychronopoulos & Kuck, IEEE TC 1987): each
+    chunk holds 1/`share` of the runs that no earlier chunk holds, rounded
+    up, so chunks shrink as the batch goes and the processes end it within
+    about one run of each other.  `state` is one shared int array under one
+    lock: the next unclaimed chunk, then per chunk the slot of the process
+    that claimed it (the caller is 1, children 2 on, 0 while unclaimed).
+    Stopping moves the counter past the last chunk under the same lock, so
+    once a chunk has failed no claim succeeds.
     """
 
-    def __init__(self, ctx, n_runs: int, size: int):
-        self.n_runs, self.size = n_runs, size
-        self.count = -(-n_runs // size)
+    def __init__(self, ctx, n_runs: int, share: int):
+        self.starts = [0]
+        while self.starts[-1] < n_runs:
+            self.starts.append(self.starts[-1] + -(-(n_runs - self.starts[-1]) // share))
+        self.count = len(self.starts) - 1
         self.state = ctx.Array("i", 1 + self.count)
 
     def span(self, index: int) -> range:
-        return range(index * self.size, min((index + 1) * self.size, self.n_runs))
+        return range(self.starts[index], self.starts[index + 1])
 
     def claim(self, slot: int, timeout: float | None = None) -> int | None:
         """The next chunk, now claimed by `slot`; None once none is left or the batch stopped.
@@ -453,7 +458,7 @@ def _child(chunks: _Chunks, slot: int, task, conn) -> None:
         conn.send(None)
 
 
-def _fan_out(task, n_runs: int, size: int, processes: int) -> list[list[tuple[RunResult, ...]]]:
+def _fan_out(task, n_runs: int, processes: int) -> list[list[tuple[RunResult, ...]]]:
     """Every chunk's results, in chunk order, from the caller and `processes - 1` children.
 
     Each process, the caller included, claims its next chunk from the shared
@@ -463,7 +468,7 @@ def _fan_out(task, n_runs: int, size: int, processes: int) -> list[list[tuple[Ru
     is ended and reaped before the exception propagates.
     """
     ctx = _mp_context()
-    chunks = _Chunks(ctx, n_runs, size)
+    chunks = _Chunks(ctx, n_runs, 8 * processes)  # the first chunks hold about 1/8 of a process's share
     results: list = [None] * chunks.count
     failures: dict[int, BatchRunError] = {}
     started = []  # (process, the read end of its pipe)
@@ -552,7 +557,8 @@ def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
     randomness from their index alone and are merged back in index order.
 
     Above parallelism 1 the calling process is one of the processes that
-    simulate, and each claims the next chunk of runs from a shared counter.
+    simulate, and each claims the next chunk of runs from a shared counter;
+    chunks shrink as the batch goes, so the processes end it together.
     A failed run stops the claims; chunks already claimed run to their end,
     and the error names the first failing run in index order among them.  A
     child process that dies aborts the batch with a BatchRunError naming the
@@ -564,16 +570,13 @@ def run_batch(scenarios: Sequence[Scenario], n_runs: int, master_seed: int,
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
 
-    # a process beyond the CPU or chunk count would only idle, yet cost a
-    # start; chunks are sized for the processes that can run, eight each
-    processes = min(parallelism, os.cpu_count() or 1)
-    size = max(1, -(-n_runs // (processes * 8)))
-    processes = min(processes, -(-n_runs // size))
+    # a process beyond the CPU or run count would only idle, yet cost a start
+    processes = min(parallelism, os.cpu_count() or 1, n_runs)
     task = (tuple(scenarios), master_seed, log_sink)
     if processes == 1:
         runs = _run_span(task, range(n_runs))
     else:
-        runs = list(chain.from_iterable(_fan_out(task, n_runs, size, processes)))
+        runs = list(chain.from_iterable(_fan_out(task, n_runs, processes)))
     return tuple(zip(*runs))
 
 

@@ -48,6 +48,10 @@ from rto_sim.domain import (
 from rto_sim.hazards import CovariateTerm, HazardSpec, WeibullBaseline
 
 
+FORK = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                          reason="children must inherit the patched run_once")
+
+
 @pytest.fixture
 def scenario_doc(paper_file):
     return dump_scenario(paper_file)
@@ -503,6 +507,11 @@ class TestEventExport:
         # 1-CPU host a parallel batch still starts a child
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
+    @pytest.fixture
+    def forking(self, monkeypatch):
+        # children fork whatever the default start method, so they inherit a patched run_once
+        monkeypatch.setattr(engine, "_mp_context", lambda: multiprocessing.get_context("fork"))
+
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_peak_memory_does_not_grow_with_runs(self, tmp_path, parallelism):
         def peak(runs):
@@ -519,10 +528,9 @@ class TestEventExport:
         assert peak(200) - peak(50) < 2**20
 
     @pytest.mark.parametrize("parallelism", [
-        1, pytest.param(2, marks=pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                                    reason="workers must inherit the patched run_once")),
+        1, pytest.param(2, marks=FORK),
     ])
-    def test_failed_run_leaves_earlier_logs_and_no_partial_ones(self, tmp_path, capsys, monkeypatch,
+    def test_failed_run_leaves_earlier_logs_and_no_partial_ones(self, tmp_path, capsys, monkeypatch, forking,
                                                                parallelism):
         out = tmp_path / "o"
         command = ("run", "paper_s5.json", "--seed", "1", "--export-events",
@@ -544,10 +552,10 @@ class TestEventExport:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     @pytest.mark.parametrize("parallelism", [
-        1, pytest.param(2, marks=pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                                    reason="children must inherit the patched run_once")),
+        1, pytest.param(2, marks=FORK),
     ])
-    def test_interrupted_run_leaves_no_partial_file_or_directory(self, tmp_path, monkeypatch, parallelism):
+    def test_interrupted_run_leaves_no_partial_file_or_directory(self, tmp_path, monkeypatch, forking,
+                                                                 parallelism):
         # the interrupt comes in the calling process, which simulates too;
         # a child's runs are slow, so the caller reaches run 3 or a later one
         caller, real = os.getpid(), engine.run_once

@@ -351,7 +351,7 @@ class TestBatchDeterminism:
     def test_pool_never_exceeds_the_chunk_count(self, paper_scenario, monkeypatch, forking):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         outputs = engine.run_batch((paper_scenario,), 2, 42, parallelism=8)[0]
-        assert len(forking.processes) == 1  # two processes for two chunks, the caller one of them
+        assert len(forking.processes) == 1  # two processes for two one-run chunks, the caller one of them
         assert outputs == run_batch((paper_scenario,), 2, 42)[0]
 
     @FORK
@@ -363,12 +363,15 @@ class TestBatchDeterminism:
 
     @FORK
     def test_chunks_are_sized_for_the_workers_that_run(self, paper_scenario, monkeypatch, forking, tmp_path):
-        # 2 CPUs run a parallelism of 64 as the caller and one child: 14 chunks
-        # of at most 3 runs, eight per process, each claimed once
+        # 2 CPUs run a parallelism of 64 as the caller and one child; each
+        # chunk holds 1/16 of the runs left, rounded up: 26 chunks, each
+        # claimed once
         started = started_chunks(monkeypatch, tmp_path)
         outputs = engine.run_batch((paper_scenario,), 40, 42, parallelism=64)[0]
         assert len(forking.processes) == 1
-        assert started() == [(i, range(start, min(start + 3, 40))) for i, start in enumerate(range(0, 40, 3))]
+        sizes = [3] * 3 + [2] * 8 + [1] * 15
+        starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+        assert started() == [(i, range(starts[i], starts[i + 1])) for i in range(len(sizes))]
         assert outputs == run_batch((paper_scenario,), 40, 42)[0]
 
     @FORK
