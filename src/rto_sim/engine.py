@@ -394,14 +394,16 @@ def _mp_context():
 class _Chunks:
     """The chunks of a batch and the counter every process claims them from.
 
-    Guided self-scheduling (Polychronopoulos & Kuck, IEEE TC 1987): each
-    chunk holds 1/`share` of the runs that no earlier chunk holds, rounded
-    up, so chunks shrink as the batch goes and the processes end it within
-    about one run of each other.  `state` is one shared int array under one
-    lock: the next unclaimed chunk, then per chunk the slot of the process
-    that claimed it (the caller is 1, children 2 on, 0 while unclaimed).
-    Stopping moves the counter past the last chunk under the same lock, so
-    once a chunk has failed no claim succeeds.
+    Each chunk holds 1/`share` of the runs that no earlier chunk holds,
+    rounded up: guided self-scheduling (Polychronopoulos & Kuck, IEEE TC
+    1987), which takes the process count as `share`; a larger one makes the
+    first chunks smaller.  Chunks shrink as the batch goes, so the
+    processes end it within about one run of each other.
+    `state` is one shared int array under one lock: the next unclaimed
+    chunk, then per chunk the slot of the process that claimed it (the
+    caller is 1, children 2 on, 0 while unclaimed).  Stopping moves the
+    counter past the last chunk under the same lock, so once a chunk has
+    failed no claim succeeds.
     """
 
     def __init__(self, ctx, n_runs: int, share: int):
