@@ -203,7 +203,7 @@ def parse_scenario(doc: Any) -> ScenarioFile:
     """Build a ScenarioFile from a decoded JSON document; errors carry field paths."""
     doc = _expect(doc, "")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version is None or _integer(version, "schema_version") != SCHEMA_VERSION:
         raise ScenarioFormatError(f"unsupported schema version {version!r}", "schema_version")
     scenario = _decode_object(Scenario, doc, "", extra=_FILE_KEYS)
     file_members = [m for m in _members(ScenarioFile) if m.name != "scenario"]
@@ -251,11 +251,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, float):  # first: nearly every value written is one
-        return format(value, ".9g")
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
+    return format(value, ".9g") if isinstance(value, float) else str(value)
 
 
 def _round9(obj: Any) -> Any:
@@ -263,8 +259,6 @@ def _round9(obj: Any) -> Any:
         return float(format(obj, ".9g"))
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round9(v) for v in obj]
     return obj
 
 
@@ -652,7 +646,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="run a policy/slope grid under common random numbers")
     add_common(cmp_p)
     cmp_p.add_argument("--policies", type=_distinct_list("policy", _policy_kind),
-                       default="naive,dynamic", help="comma-separated policy list")
+                       default=",".join(POLICY_KINDS), help="comma-separated policy list")
     cmp_p.add_argument("--slopes", type=_distinct_list("slope", _slope), default=None,
                        help="comma-separated competition slopes")
     cmp_p.set_defaults(func=cmd_compare)

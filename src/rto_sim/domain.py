@@ -74,7 +74,7 @@ class Category:
         object.__setattr__(self, "products", tuple(sorted(self.products, key=lambda p: p.id)))
         object.__setattr__(self, "eligible_suppliers", tuple(sorted(self.eligible_suppliers)))
 
-    @property
+    @functools.cached_property
     def product_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.products)
 
@@ -265,7 +265,7 @@ def _validate_hazard(spec: HazardSpec, path: str) -> None:
         for name in ("coefficient", "amplitude", "phase"):
             _check(_finite(getattr(cov, name)), f"covariate {name} must be finite", f"{cpath}.{name}")
     try:
-        spec.modulation_bound()
+        spec.modulation_bound
     except OverflowError:
         raise ScenarioValidationError("covariate bound exp(sum |coefficient*amplitude|) overflows",
                                       f"{path}.covariates") from None

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import demand, hazards
 from .domain import Allocation, Category, EventRecord, Requisition, Scenario, SpotModel
-from .hazards import exponential_delay, sample_exponential_delay
+from .hazards import exponential_delay
 from .market import ContractBook, make_quote, scope_quote
 from .metrics import RunResult, record_allocation, utilization
 from .policy import Decision, allocate_batch, build_cost_matrix, decide_rfq_scope
@@ -279,7 +279,6 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     delays = world.delays
     book = ContractBook(world.contracts)
     suppliers = [s.id for s in world.suppliers]
-    product_ids = {c.id: c.product_ids for c in world.catalog.categories}  # a property builds its tuple
     policies = list(dict.fromkeys(s.policy for s in scenarios))  # the distinct ones, each deciding one scope
     n_rfq = [dict.fromkeys(suppliers, 0) for _ in policies]  # responses per supplier, per policy
     cells = [_Cell(policies.index(s.policy), s.spot.competition_slope, s.policy.po_overhead, s.spot)
@@ -312,10 +311,6 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
         n_hl += 1
         terms = book.terms_snapshot(requisition.items, category.eligible_suppliers, handled_at)
         scopes = [decide_rfq_scope(requisition, terms, policy) for policy in policies]
-        if collect_log:
-            handlings = [EventRecord(PR_HANDLING, handled_at, requisition.id, requisition.vessel_id, category.id,
-                                     None, HandlingRecord(terms, items, items and category.eligible_suppliers))
-                         for items in scopes]
         if any(scopes):
             # the requisition's one RFQ round: every eligible supplier's response
             # time, and the base rates of those before the horizon
@@ -323,48 +318,48 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
             bases: dict[str, dict[str, float]] = {}
             for supplier_id in category.eligible_suppliers:
                 stream = plan.stream(run_index, "rfq", f"{requisition.id}|{supplier_id}")
-                response_at = times[supplier_id] = handled_at + sample_exponential_delay(
-                    delays.rfq_mean(supplier_id), stream)
+                response_at = times[supplier_id] = handled_at + exponential_delay(
+                    delays.rfq_mean(supplier_id), stream.random())
                 if response_at < horizon:
                     bases[supplier_id] = make_quote(world.spot, requisition, supplier_id, response_at, stream,
-                                                    category_product_ids=product_ids[category.id])
+                                                    category_product_ids=category.product_ids)
             quoted_at = max(times.values(), default=handled_at) + to_po  # after the last response
             for counts, scope_items in zip(n_rfq, scopes):
                 if scope_items:
                     for supplier_id in bases:
                         counts[supplier_id] += 1
-        decisions: dict[tuple, list] = {}  # decision key -> its cells' shared decision
-
+        decisions: dict[tuple, tuple] = {}  # decision key -> (its order or None, the records its cells share)
         for cell in cells:
             scope_items = scopes[cell.scope]
-            if collect_log:
-                cell.log.append(handlings[cell.scope])
             # the decision and the solver read only the scope, the slope when
             # something is quoted, and the overhead: a contract-only decision
             # solves alike under either basis at any slope
             key = (scope_items, cell.slope if scope_items else None, cell.overhead)
-            decision = decisions.get(key)
-            if decision is None:
+            decided = decisions.get(key)
+            if decided is None:
                 quotes, po_at = {}, handled_at + to_po
                 if scope_items:
                     quotes, po_at = scope_quote(bases, requisition, scope_items, cell.spot), quoted_at
-                # [quotes in supplier order, order time, index in pending once it orders, response records]
-                decision = decisions[key] = [quotes, po_at, None, collect_log and [
-                    EventRecord(RFQ_RESPONSE, times[supplier_id], requisition.id, None, None, supplier_id, quote)
-                    for supplier_id, quote in quotes.items()]]
-            quotes, po_at, index, responses = decision
+                order = records = None
+                if po_at < horizon:  # (order time, requisition index, index in pending)
+                    order = (po_at, n_pr, len(pending))
+                    pending.append(build_cost_matrix(requisition, terms, quotes, cell.overhead,
+                                                     competition_slope=cell.slope,
+                                                     competition_basis=cell.spot.competition_basis))
+                if collect_log:  # the handling record holds the scope, which is part of the key
+                    records = [EventRecord(PR_HANDLING, handled_at, requisition.id, requisition.vessel_id, category.id,
+                                           None, HandlingRecord(terms, scope_items,
+                                                                scope_items and category.eligible_suppliers))]
+                    records += [EventRecord(RFQ_RESPONSE, times[supplier_id], requisition.id, None, None,
+                                            supplier_id, quote) for supplier_id, quote in quotes.items()]
+                    if order is not None:
+                        records.append(EventRecord(PO_GENERATION, po_at, requisition.id, None, None, None, order[2]))
+                decided = decisions[key] = (order, records)
+            order, records = decided
+            if order is not None:
+                cell.orders.append(order)
             if collect_log:
-                cell.log += responses
-            if po_at >= horizon:
-                continue
-            if index is None:
-                index = decision[2] = len(pending)
-                pending.append(build_cost_matrix(requisition, terms, quotes, cell.overhead,
-                                                 competition_slope=cell.slope,
-                                                 competition_basis=cell.spot.competition_basis))
-            cell.orders.append((po_at, n_pr, index))
-            if collect_log:
-                cell.log.append(EventRecord(PO_GENERATION, po_at, requisition.id, None, None, None, index))
+                cell.log += records
 
     allocations = allocate_batch(pending)
     return tuple(cell.output(world, commitments, run_index, n_pr, n_hl, n_rfq[cell.scope], empty_draws,

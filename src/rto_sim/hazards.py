@@ -20,7 +20,6 @@ __all__ = [
     "HazardSpec",
     "sample_gap",
     "exponential_delay",
-    "sample_exponential_delay",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -66,14 +65,11 @@ class HazardSpec:
     baseline: ConstantBaseline | WeibullBaseline
     covariates: tuple[CovariateTerm, ...] = ()
 
-    def modulation_bound(self) -> float:
-        """Upper bound of exp(sum of covariate terms); finite because the terms are bounded cosines."""
-        return self._modulation_bound
-
     # both sums add left to right, as sum() did before Python 3.12 compensated
     # its rounding, so a scenario draws the same gaps on every Python version
     @functools.cached_property
-    def _modulation_bound(self) -> float:  # sample_gap reads it on every gap
+    def modulation_bound(self) -> float:  # sample_gap reads it on every gap
+        """Upper bound of exp(sum of covariate terms); finite because the terms are bounded cosines."""
         total = 0.0
         for c in self.covariates:
             total += abs(c.coefficient) * abs(c.amplitude)
@@ -95,11 +91,6 @@ def exponential_delay(mean: float, u: float) -> float:
     if mean <= 0.0:
         raise ValueError("delay mean must be positive")
     return mean * -math.log(1.0 - u)
-
-
-def sample_exponential_delay(mean: float, rng) -> float:
-    """Exponential waiting time with the given mean, from the stream's next uniform."""
-    return exponential_delay(mean, rng.random())
 
 
 def _inverse_cumulative(baseline: ConstantBaseline | WeibullBaseline, cum: float) -> float:
@@ -134,11 +125,11 @@ def sample_gap(spec: HazardSpec, t_last: float, horizon: float, rng) -> float | 
     """
     if t_last >= horizon:
         return None
-    bound, baseline, covariates = spec._modulation_bound, spec.baseline, spec.covariates
+    bound, baseline, covariates = spec.modulation_bound, spec.baseline, spec.covariates
     random = rng.random
     cum = 0.0  # baseline cumulative hazard at the latest proposal; the proposals' own is bound * cum
     for _ in range(PROPOSAL_BUDGET):
-        cum += -math.log(1.0 - random()) / bound  # a unit exponential, as exponential_delay draws it
+        cum += exponential_delay(1.0, random()) / bound
         t = t_last + _inverse_cumulative(baseline, cum)
         if t > horizon:
             return None

@@ -17,15 +17,18 @@ MIN_SPOT_RATE = 0.01  # floor keeps Gaussian noise from producing negative price
 
 
 class ContractBook:
-    """Immutable (product, supplier, time) index over a contract list."""
+    """Immutable (product, supplier, time) index over a contract list.
+
+    The contracts of one (product, supplier) must not overlap in time, as
+    `validate` enforces, so at most one is active at any time and their
+    order does not matter.
+    """
 
     def __init__(self, contracts: Iterable[Contract]):
         self._by_pair: dict[tuple[str, str], list[Contract]] = {}
         for contract in contracts:
             for product_id in contract.product_rates:
                 self._by_pair.setdefault((product_id, contract.supplier_id), []).append(contract)
-        for spans in self._by_pair.values():
-            spans.sort(key=lambda c: c.valid_from)
 
     def terms_snapshot(self, product_ids: Iterable[str], supplier_ids: Iterable[str],
                        t: float) -> dict[str, dict[str, float]]:

@@ -101,9 +101,8 @@ _ENUMERATION_BLOCK = 1 << 14
 # price.  So a chunk's working arrays stay under 3 MB (1.5 MB measured at
 # one item, 2.4 MB at two, from a pool of 12)
 _STACK_CELLS = 1 << 14
-# a block or decision of this many cells is evaluated alone, an enumeration
-# block on its cached arrays as they are: stacking would save one call's fixed
-# cost of some 25 us, but copy and offset each of its cells
+# a block or decision of this many cells forms a chunk of its own: stacking
+# it would save only one call's fixed cost of some 25 us
 _ALONE_CELLS = _STACK_CELLS // 4
 
 
@@ -274,23 +273,16 @@ def _enumerate_assignments(decisions: Sequence[Decision]) -> list[_Priced]:
         block_of_row = np.repeat(np.arange(len(chunk)), rows)
         starts = np.cumsum(rows) - rows
         n_cells = rows * n_pool
-        if len(chunk) == 1:
-            # a lone block reads its cached arrays as they are, and its decision's columns
-            (option, cell, position, extra_orders), = layouts
-            cell = cell.reshape(n_items, -1)
-            base = first[0]
-        else:
-            # each block's option columns, moved to its decision's, and its (row,
-            # supplier) volume cells, moved past those of the blocks before it
-            option = np.concatenate([layout[0] for layout in layouts], axis=1)
-            option += np.array(first)[block_of_row]
-            cell = np.concatenate([layout[1].reshape(n_items, -1) for layout in layouts], axis=1)
-            cell += (np.cumsum(n_cells) - n_cells)[block_of_row]
-            position = np.concatenate([layout[2] for layout in layouts])
-            extra_orders = np.concatenate([layout[3] for layout in layouts])
-            base = 0
-        volume = np.bincount(cell.ravel(), weights=spot_units[base:][option].ravel(), minlength=n_cells.sum())
-        rate = cost[base:][option] + markup[base:][option] * volume[cell]
+        # each block's option columns, moved to its decision's, and its (row,
+        # supplier) volume cells, moved past those of the blocks before it
+        option = np.concatenate([layout[0] for layout in layouts], axis=1)
+        option += np.array(first)[block_of_row]
+        cell = np.concatenate([layout[1].reshape(n_items, -1) for layout in layouts], axis=1)
+        cell += (np.cumsum(n_cells) - n_cells)[block_of_row]
+        position = np.concatenate([layout[2] for layout in layouts])
+        extra_orders = np.concatenate([layout[3] for layout in layouts])
+        volume = np.bincount(cell.ravel(), weights=spot_units[option].ravel(), minlength=n_cells.sum())
+        rate = cost[option] + markup[option] * volume[cell]
         # bit-identical to a scalar loop: the overhead first, then each
         # item's rate * q in item order
         total = np.array(overhead)[block_of_row] * extra_orders
@@ -308,7 +300,7 @@ def _enumerate_assignments(decisions: Sequence[Decision]) -> list[_Priced]:
             winners = np.flatnonzero(tied & (position == earliest[block_of_row]))
             winners = winners[np.searchsorted(winners, starts)]
         for d, key, picks, prices in zip(owner, zip(least.tolist(), position[winners].tolist()),
-                                         (option[:, winners].T + base).tolist(), rate[:, winners].T.tolist()):
+                                         option[:, winners].T.tolist(), rate[:, winners].T.tolist()):
             # a later block wins only on a smaller key, so a full tie keeps the earlier row
             if best[d] is None or key < best[d][0]:
                 best[d] = (key, picks, prices)

@@ -49,7 +49,7 @@ U_MEAN = 1.0 - 1.0 / math.e
 
 
 def u_for_delay(delay: float, mean: float) -> float:
-    """Uniform draw that makes sample_exponential_delay(mean, ...) return `delay`."""
+    """Uniform draw that makes exponential_delay(mean, u) return `delay`."""
     return 1.0 - math.exp(-delay / mean)
 
 

@@ -47,7 +47,7 @@ from rto_sim.hazards import (
     ConstantBaseline,
     HazardSpec,
     WeibullBaseline,
-    sample_exponential_delay,
+    exponential_delay,
     sample_gap,
 )
 from rto_sim.market import ContractBook, make_quote, scope_quote
@@ -384,8 +384,8 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             pending[pr_id] = _PendingPR(requisition=requisition)
             delay_streams[pr_id] = plan.stream(run_index, "pr-delays", pr_id)
             d = delay_streams[pr_id]
-            handling_at = (time + sample_exponential_delay(scenario.delays.creation_to_approval, d)
-                           + sample_exponential_delay(scenario.delays.approval_to_handling, d))
+            handling_at = (time + exponential_delay(scenario.delays.creation_to_approval, d.random())
+                           + exponential_delay(scenario.delays.approval_to_handling, d.random()))
             schedule(handling_at, PR_HANDLING, pr_id=pr_id)
             if collect_log:
                 log.append(EventRecord(kind=PR_GENERATION, time=time, pr_id=pr_id,
@@ -411,16 +411,15 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
                                                               rfq_items=scope_items,
                                                               rfq_suppliers=scope_suppliers)))
             if not scope_items:
-                po_at = time + sample_exponential_delay(scenario.delays.handling_to_po,
-                                                        delay_streams[event.pr_id])
+                po_at = time + exponential_delay(scenario.delays.handling_to_po,
+                                                 delay_streams[event.pr_id].random())
                 schedule(po_at, PO_GENERATION, pr_id=event.pr_id)
                 continue
             state.awaiting = len(scope_suppliers)
             for supplier_id in scope_suppliers:
                 stream = plan.stream(run_index, "rfq", f"{event.pr_id}|{supplier_id}")
                 state.quote_streams[supplier_id] = stream
-                response_at = time + sample_exponential_delay(
-                    scenario.delays.rfq_mean(supplier_id), stream)
+                response_at = time + exponential_delay(scenario.delays.rfq_mean(supplier_id), stream.random())
                 schedule(response_at, RFQ_RESPONSE, pr_id=event.pr_id, supplier_id=supplier_id)
 
         elif event.kind == RFQ_RESPONSE:
@@ -439,8 +438,8 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
                 log.append(EventRecord(kind=RFQ_RESPONSE, time=time, pr_id=event.pr_id,
                                        supplier_id=event.supplier_id, payload=quote))
             if state.awaiting == 0:
-                po_at = time + sample_exponential_delay(scenario.delays.handling_to_po,
-                                                        delay_streams[event.pr_id])
+                po_at = time + exponential_delay(scenario.delays.handling_to_po,
+                                                 delay_streams[event.pr_id].random())
                 schedule(po_at, PO_GENERATION, pr_id=event.pr_id)
 
         elif event.kind == PO_GENERATION:

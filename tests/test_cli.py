@@ -126,6 +126,12 @@ MALFORMED = [
     (("output",), {"directory": "out", "histogram_bins": 10**12},
      "output.histogram_bins: output.histogram_bins must be at most 1000000"),
     (("schema_version",), 99, "schema_version: unsupported schema version 99"),
+    # True and 1.0 compare equal to 1; a fourth element suffixes a row's test
+    # id, so the row above keeps its own
+    (("schema_version",), True, "schema_version: expected an integer", "bool"),
+    (("schema_version",), 1.0, "schema_version: expected an integer", "float"),
+    (("schema_version",), "1", "schema_version: expected an integer", "string"),
+    (("schema_version",), DELETE, "schema_version: unsupported schema version None", "missing"),
     (("spot", "rates", 0, "baseline"), 10**400, "spot.rates[0].baseline: number too large for a float"),
     (("horizon_days",), 10**400, "horizon_days: number too large for a float"),
 ]
@@ -136,8 +142,8 @@ class TestCodecConformance:
     def paper_doc(self):
         return json.loads(bundled_scenario_path("paper_s5.json").read_text())
 
-    @pytest.mark.parametrize("path, value, message", MALFORMED,
-                             ids=[".".join(map(str, row[0])) for row in MALFORMED])
+    @pytest.mark.parametrize("path, value, message", [row[:3] for row in MALFORMED],
+                             ids=["-".join([".".join(map(str, row[0])), *row[3:]]) for row in MALFORMED])
     def test_malformed_document_message(self, paper_doc, path, value, message):
         with pytest.raises(ScenarioFormatError) as err:
             parse_scenario(mutated(paper_doc, path, value))

@@ -39,7 +39,7 @@ from rto_sim.engine import (
     run_batch,
     run_once,
 )
-from rto_sim.hazards import sample_exponential_delay
+from rto_sim.hazards import exponential_delay
 from rto_sim.market import MIN_SPOT_RATE
 
 GAP_40 = u_for_delay(40.0, 100.0)  # first trigger at day 40 under rate 0.01
@@ -231,11 +231,10 @@ class TestEventWiring:
     @pytest.mark.parametrize("cut_at", ["trigger", "response", "order"])
     def test_event_exactly_at_horizon_is_cut(self, cut_at):
         # termination wins the tie: an event at t == horizon never executes
-        trigger = 0.0 + sample_exponential_delay(100.0, StubRng([GAP_40]))
-        handled = (trigger + sample_exponential_delay(2.0, StubRng([U_MEAN]))
-                   + sample_exponential_delay(5.0, StubRng([U_MEAN])))
-        responded = handled + sample_exponential_delay(2.5, StubRng([U_MEAN]))
-        ordered = handled + sample_exponential_delay(0.1, StubRng([U_MEAN]))
+        trigger = 0.0 + exponential_delay(100.0, GAP_40)
+        handled = trigger + exponential_delay(2.0, U_MEAN) + exponential_delay(5.0, U_MEAN)
+        responded = handled + exponential_delay(2.5, U_MEAN)
+        ordered = handled + exponential_delay(0.1, U_MEAN)
         horizon = {"trigger": trigger, "response": responded, "order": ordered}[cut_at]
         # the uncontracted product goes through one RFQ round with S1
         scenario = single_product_scenario(contracted=cut_at != "response", horizon=horizon)

@@ -19,7 +19,7 @@ from rto_sim.hazards import (
     CovariateTerm,
     HazardSpec,
     WeibullBaseline,
-    sample_exponential_delay,
+    exponential_delay,
     sample_gap,
 )
 
@@ -79,19 +79,19 @@ class TestHazardValue:
 
 class TestExponentialDelay:
     def test_forced_draw_hits_mean(self):
-        assert sample_exponential_delay(2.0, StubRng([U_MEAN])) == pytest.approx(2.0)
+        assert exponential_delay(2.0, U_MEAN) == pytest.approx(2.0)
 
     def test_boundary_draw_gives_zero(self):
-        assert sample_exponential_delay(5.0, StubRng([0.0])) == 0.0
+        assert exponential_delay(5.0, 0.0) == 0.0
 
     def test_law_of_large_numbers(self):
         rng = stream(123)
-        draws = [sample_exponential_delay(0.1, rng) for _ in range(100_000)]
+        draws = [exponential_delay(0.1, rng.random()) for _ in range(100_000)]
         assert 0.099 <= np.mean(draws) <= 0.101
 
     def test_nonpositive_mean_rejected(self):
         with pytest.raises(ValueError):
-            sample_exponential_delay(0.0, StubRng([0.5]))
+            exponential_delay(0.0, 0.5)
 
 
 class TestCovariateSums:
@@ -101,7 +101,7 @@ class TestCovariateSums:
         spec = HazardSpec(ConstantBaseline(rate=1.0),
                           covariates=tuple(CovariateTerm(c, 1.0, 365.0) for c in (0.1, 0.2, 0.3)))
         assert spec.log_modulation(0.0) == (0.1 + 0.2) + 0.3
-        assert spec.modulation_bound() == math.exp((0.1 + 0.2) + 0.3)
+        assert spec.modulation_bound == math.exp((0.1 + 0.2) + 0.3)
 
 
 class TestSampleGap:
@@ -222,7 +222,7 @@ class TestSampleGap:
         # proposal rate that bound implies, the first acceptance is ~1e10 draws away
         spec = HazardSpec(WeibullBaseline(shape=1.5, scale=12.0),
                           covariates=(CovariateTerm(20.0, 1.0, 365.0, phase=math.pi),))
-        message = f"{PROPOSAL_BUDGET} proposals under covariate bound {spec.modulation_bound()!r}"
+        message = f"{PROPOSAL_BUDGET} proposals under covariate bound {spec.modulation_bound!r}"
         with pytest.raises(RuntimeError, match=re.escape(message)):
             sample_gap(spec, 0.0, 365.0, stream(0))
 

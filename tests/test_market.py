@@ -17,6 +17,9 @@ from rto_sim.market import (
 )
 
 
+PRODUCTS = ("P1", "P2", "P3")
+
+
 @pytest.fixture
 def book(paper_scenario):
     return ContractBook(paper_scenario.contracts)
@@ -60,6 +63,33 @@ class TestContractLookup:
     def test_snapshot_contains_only_active_terms(self, book):
         snap = book.terms_snapshot(["P1", "P2", "P3"], ["A", "B", "C"], 200.0)
         assert snap == {"P3": {"C": 12.0}}
+
+    @given(draws=st.lists(st.tuples(st.sampled_from("ABC"), st.sets(st.sampled_from(PRODUCTS), min_size=1),
+                                    st.integers(0, 40), st.integers(1, 20)), max_size=12),
+           times=st.lists(st.floats(-5.0, 70.0), max_size=8), shuffler=st.randoms())
+    def test_lookup_does_not_depend_on_contract_order(self, draws, times, shuffler):
+        # validate forbids overlapping windows of one (product, supplier), so
+        # at most one contract is active at any time, in whatever order listed
+        contracts = []
+        for supplier, products, start, length in draws:
+            if not any(c.supplier_id == supplier and products & c.product_rates.keys()
+                       and c.valid_from < start + length and start < c.valid_until for c in contracts):
+                rates = {p: len(contracts) + 1 + int(p[1]) / 10 for p in sorted(products)}  # distinct per contract
+                contracts.append(Contract(supplier_id=supplier, product_rates=rates, valid_from=float(start),
+                                          valid_until=float(start + length)))
+        shuffler.shuffle(contracts)
+        book = ContractBook(contracts)
+        edges = {t for c in contracts for t in (c.valid_from, c.valid_until)}
+        for t in [*times, *edges, *(math.nextafter(edge, -math.inf) for edge in edges)]:
+            expected = []  # a brute-force scan, in the snapshot's product and supplier order
+            for product in PRODUCTS:
+                active = [c for supplier in "ABC" for c in contracts if c.supplier_id == supplier
+                          and product in c.product_rates and c.valid_from <= t < c.valid_until]
+                assert len({c.supplier_id for c in active}) == len(active)
+                if active:
+                    expected.append((product, [(c.supplier_id, c.product_rates[product]) for c in active]))
+            snapshot = book.terms_snapshot(PRODUCTS, "ABC", t)
+            assert [(product, list(terms.items())) for product, terms in snapshot.items()] == expected
 
 
 def flat_model(baseline=10.0, amplitude=0.0, phase=0.0, noise_sd=0.0, **kwargs):
