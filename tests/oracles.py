@@ -243,6 +243,17 @@ def summarize_values(values: Sequence[float]) -> DistributionSummary:
     )
 
 
+def batch_metrics(results: Sequence[RunResult]) -> dict[str, list[float]]:
+    """Every per-run metric `summarize_batch` summarizes, by its name: its values in run order."""
+    metrics = {name: [getattr(r, name) for r in results]
+               for name in ("terminal_cost", "n_pr", "n_hl", "n_po", "in_flight", "empty_draws")}
+    for prefix, attribute in (("volume", "volumes"), ("deviation", "deviations"),
+                              ("utilization", "utilizations"), ("n_rfq", "n_rfq")):
+        for supplier_id in sorted(getattr(results[0], attribute)):
+            metrics[f"{prefix}_{supplier_id}"] = [getattr(r, attribute)[supplier_id] for r in results]
+    return metrics
+
+
 def _baseline_value(baseline: ConstantBaseline | WeibullBaseline, elapsed: float) -> float:
     if isinstance(baseline, ConstantBaseline):
         return baseline.rate

@@ -5,22 +5,25 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The heavyweight fixtures
 per module and shared by every criterion that needs them.
 """
 
+import json
 import math
 import os
 import random
 import time
 from dataclasses import replace
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from conftest import count_local_maxima, random_scenario
-from oracles import OracleInstance, exhaustive_allocation, weibull_cdf
+from oracles import OracleInstance, batch_metrics, exhaustive_allocation, weibull_cdf
 from rto_sim.cli import load_scenario, main
 from rto_sim.engine import audit_event_log, run_batch, run_once
 from rto_sim.hazards import HazardSpec, WeibullBaseline, sample_gap
+from rto_sim.metrics import summarize_batch
 from rto_sim.policy import Decision, allocate_min_cost
 
 POOL = min(4, os.cpu_count() or 1)
@@ -227,6 +230,47 @@ def test_c1_steep_spot_rates_over_utilize_supplier_c_only(grid_1k):
            f"dynamic {mean_u[('dynamic', '0.1', 'C')]:.3f}; naive mean u_C by slope: "
            + ", ".join(f"{mean_u[('naive', token, 'C')]:.3f}" for token, _ in SLOPES)
            + f"; largest mean u_A or u_B {max(others):.3f}")
+
+
+# The grid's distributions against a committed reference: 20,000 runs per cell
+# at another seed (tests/make_paper_grid_reference.py).  A change that only
+# redraws the random streams keeps every check; one that moves the model
+# fails some.  Bonferroni over every mean and quantile check, at seed 42
+K0_REFERENCE = Path(__file__).resolve().parent / "data" / "paper_grid_reference.json"
+K0_LEVEL = 0.001
+K0_QUANTILES = (5, 50, 95)
+
+
+def test_k0_grid_matches_its_reference(grid_1k):
+    reference = json.loads(K0_REFERENCE.read_text(encoding="utf-8"))
+    cells = reference["cells"]
+    n_checks = sum(len(metrics) for metrics in cells.values()) * (1 + len(K0_QUANTILES))
+    alpha = K0_LEVEL / n_checks
+    z = stats.norm.ppf(1 - alpha / 2)
+    failures = []
+    for (policy, token), (results, _) in grid_1k.items():
+        cell = cells[f"{policy}_slope{token}"]
+        values = batch_metrics(results)
+        assert values.keys() == summarize_batch(results).keys() == cell.keys()
+        n = len(results)
+        for name, ref in cell.items():
+            x = np.sort(values[name])
+            # the two samples are independent: a z-interval on the difference of means
+            half = z * math.sqrt(x.var(ddof=1) / n + ref["sd"] ** 2 / reference["runs"])
+            if abs(x.mean() - ref["mean"]) > half:
+                failures.append(f"{policy}_slope{token} {name} mean {x.mean():.6g} vs {ref['mean']:.6g} "
+                                f"+- {half:.3g}")
+            for level in K0_QUANTILES:
+                # X_(l) <= q < X_(u) holds w.p. P(l <= B < u), B ~ Binomial(n, p) (David & Nagaraja,
+                # Order Statistics, 7.1), and at least that for a discrete metric
+                low, high = stats.binom.interval(1 - alpha, n, level / 100)
+                lo, hi = x[max(int(low), 1) - 1], x[min(int(high), n - 1)]
+                if not lo <= ref[f"p{level}"] <= hi:
+                    failures.append(f"{policy}_slope{token} {name} p{level} {ref[f'p{level}']:.6g} "
+                                    f"outside [{lo:.6g}, {hi:.6g}]")
+    report("K0 grid matches its reference", not failures,
+           f"{n_checks - len(failures)} of {n_checks} checks pass at family-wise level {K0_LEVEL}"
+           + "".join(f"; {failure}" for failure in failures[:10]))
 
 
 def test_a7_determinism_across_parallelism(tmp_path):
