@@ -29,7 +29,7 @@ import multiprocessing.synchronize  # noqa: F401
 import os
 import signal
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, islice
 from multiprocessing.connection import wait
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -121,20 +121,25 @@ class HandlingRecord(NamedTuple):
     rfq_suppliers: tuple[str, ...]
 
 
-class _Uniforms:
-    """A stream's uniforms, read from its Generator 64 doubles at a time.
+class _Draws:
+    """A stream's draws of one kind, read from its Generator 64 doubles at a time.
 
-    `random()` returns, in order, the doubles that scalar `Generator.random()`
-    calls would, since `Generator.random(n)` draws its n doubles one by one
-    alike.  What the stream's one reader leaves of the last block is never
-    drawn from.
+    `block` is the Generator's method for the kind (`random`,
+    `standard_normal`).  The reader gives, in order, the doubles that one
+    scalar call of it per draw would, since a block of n draws its n doubles
+    one by one alike: `random()` the next one (the samplers call a Generator
+    so), `take(n)` the next n as a list.  What the stream's one reader leaves
+    of the last block is never drawn from.
     """
 
-    __slots__ = ("random",)
+    __slots__ = ("random", "_draws")
 
-    def __init__(self, generator: np.random.Generator):
-        blocks = iter(lambda: generator.random(64).tolist(), [])  # a Generator gives no empty block
-        self.random: Callable[[], float] = chain.from_iterable(blocks).__next__
+    def __init__(self, block: Callable[[int], np.ndarray]):
+        self._draws = chain.from_iterable(iter(lambda: block(64).tolist(), []))  # a Generator gives no empty block
+        self.random: Callable[[], float] = self._draws.__next__
+
+    def take(self, n: int) -> list[float]:
+        return list(islice(self._draws, n))
 
 
 @dataclass(frozen=True)
@@ -222,20 +227,35 @@ class _Cell:
         return RunOutput(result=result, log=tuple(self.log))
 
 
-def _triggers(world: Scenario, run_index: int, plan) -> Iterator[tuple[Category, Requisition | None]]:
-    """Every renewal trigger before the horizon and its requisition, None when it drew nothing.
+def _triggers(world: Scenario, run_index: int, plan
+              ) -> Iterator[tuple[Category, Requisition | None, list[float], list[float]]]:
+    """Every renewal trigger before the horizon: its requisition, None when it drew nothing, and its draws.
 
     The (vessel, category) clocks are walked one after another, each to the
-    horizon; a clock resets on every trigger, material or not.
+    horizon; a clock resets on every trigger, material or not.  A clock keys
+    four streams by its entity: `pr-gap` and `pr-items` give its triggers and
+    their contents, and every material requisition, in trigger order, takes
+    its timing uniforms from `pr-timing` (three delays, then one response per
+    eligible supplier) and, when the spot model is noisy, its quote normals
+    from `quote-noise` (one per eligible supplier and category product,
+    supplier-major).  It takes them whether or not it is handled or quoted,
+    so no cell's numbers depend on the cells beside it.  An empty draw takes
+    none.
     """
     horizon = world.horizon
+    noisy = world.spot.noise_sd > 0.0
     categories = {c.id: c for c in world.catalog.categories}
     for vessel in world.vessels:
         for category_id in sorted(vessel.hazards):
             category = categories[category_id]
             entity = f"{vessel.id}:{category_id}"
-            gaps = _Uniforms(plan.stream(run_index, "pr-gap", entity))
-            contents = _Uniforms(plan.stream(run_index, "pr-items", entity))
+            gaps = _Draws(plan.stream(run_index, "pr-gap", entity).random)
+            contents = _Draws(plan.stream(run_index, "pr-items", entity).random)
+            timings = _Draws(plan.stream(run_index, "pr-timing", entity).random)
+            normals = _Draws(plan.stream(run_index, "quote-noise", entity).standard_normal)
+            n_suppliers = len(category.eligible_suppliers)
+            n_timings = 3 + n_suppliers
+            n_normals = n_suppliers * len(category.product_ids) if noisy else 0
             spec = vessel.hazards[category_id]
             last_replenished = dict.fromkeys(category.product_ids, 0.0)
             count = 0
@@ -243,9 +263,11 @@ def _triggers(world: Scenario, run_index: int, plan) -> Iterator[tuple[Category,
             while t is not None and t < horizon:
                 requisition = demand.build_requisition(vessel, category, last_replenished, t,
                                                        contents, pr_id=f"{entity}:{count}")
-                if requisition is not None:
+                if requisition is None:
+                    yield category, None, [], []
+                else:
                     count += 1
-                yield category, requisition
+                    yield category, requisition, timings.take(n_timings), normals.take(n_normals)
                 t = hazards.sample_gap(spec, t, horizon, gaps)
 
 
@@ -256,19 +278,22 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
 
     `scenarios` may differ only in `policy` and `spot.competition_slope`
     (ValueError otherwise); one output is returned per scenario, in order.
-    The renewal clocks are walked once.  A material requisition draws its
+    The renewal clocks are walked once, and each material requisition comes
+    with its draws from its clock's streams (`_triggers`): its
     creation-to-approval, approval-to-handling and handling-to-order delays,
-    in that order, and snapshots the contract terms at handling; then every
+    each eligible supplier's response delay and, when noisy, each one's
+    quote noise.  It snapshots the contract terms at handling; then every
     cell decides it at once, cells of one policy by one RFQ scope, decided
     once per requisition.  A non-empty RFQ scope asks every eligible
-    supplier, so the RFQ round is drawn once, when any cell quotes, and its
-    responses are counted per policy: each eligible supplier's stream, in
-    supplier order, gives its response time and, before the horizon, the
-    quote's base rates, to which each cell applies its own per-item markup.
+    supplier, so the RFQ round is built once, when any cell quotes, and its
+    responses are counted per policy: each eligible supplier responds after
+    its response delay and, before the horizon, quotes base rates from its
+    slice of the noise, to which each cell applies its own per-item markup.
     The order follows the last response in the scope, or handling when the
-    scope is empty, by the handling-to-order delay.  Cells with the same RFQ scope, the same slope when it is not
-    empty and the same order overhead share one set of scoped quotes and,
-    once one orders before the horizon, one decision.  The decisions are
+    scope is empty, by the handling-to-order delay.  Cells with the same RFQ
+    scope, the same slope when it is not empty and the same order overhead
+    share one set of scoped quotes and, once one orders before the horizon,
+    one decision.  The decisions are
     solved in one `allocate_batch` call after the walk, and each cell's
     orders and log records point at theirs by index until then.  A cell's
     log, when collected, is its records in time order, termination last.
@@ -289,12 +314,11 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     n_pr = n_hl = empty_draws = 0
     pending: list[Decision] = []  # the decisions that order before the horizon, in walk order
 
-    for category, requisition in _triggers(world, run_index, plan):
+    for category, requisition, u, noise in _triggers(world, run_index, plan):
         if requisition is None:
             empty_draws += 1
             continue
         n_pr += 1
-        u = plan.stream(run_index, "pr-delays", requisition.id).random(3).tolist()
         handled_at = (requisition.created_at + exponential_delay(delays.creation_to_approval, u[0])
                       + exponential_delay(delays.approval_to_handling, u[1]))
         to_po = exponential_delay(delays.handling_to_po, u[2])
@@ -316,12 +340,13 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
             # time, and the base rates of those before the horizon
             times: dict[str, float] = {}
             bases: dict[str, dict[str, float]] = {}
-            for supplier_id in category.eligible_suppliers:
-                stream = plan.stream(run_index, "rfq", f"{requisition.id}|{supplier_id}")
+            n_products = len(category.product_ids)
+            for j, supplier_id in enumerate(category.eligible_suppliers):
                 response_at = times[supplier_id] = handled_at + exponential_delay(
-                    delays.rfq_mean(supplier_id), stream.random())
+                    delays.rfq_mean(supplier_id), u[3 + j])
                 if response_at < horizon:
-                    bases[supplier_id] = make_quote(world.spot, requisition, supplier_id, response_at, stream,
+                    bases[supplier_id] = make_quote(world.spot, requisition, supplier_id, response_at,
+                                                    noise[j * n_products:(j + 1) * n_products],
                                                     category_product_ids=category.product_ids)
             quoted_at = max(times.values(), default=handled_at) + to_po  # after the last response
             for counts, scope_items in zip(n_rfq, scopes):

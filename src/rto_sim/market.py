@@ -49,26 +49,23 @@ class ContractBook:
         return snapshot
 
 
-def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str,
-               response_time: float, rng, *, category_product_ids: Sequence[str]) -> dict[str, float]:
+def make_quote(model: SpotModel, requisition: Requisition, supplier_id: str, response_time: float,
+               noise: Sequence[float], *, category_product_ids: Sequence[str]) -> dict[str, float]:
     """One supplier's RFQ response: the base unit rate of every requested item.
 
-    A rate is the seasonal curve plus Gaussian noise, floored at 0.01.  Noise
-    is drawn once per product of `category_product_ids`, in that order and in
-    one call, which draws what one scalar call per product would, so a
-    dedicated (request, supplier) stream gives an item the same rate whatever
-    else is requested.
+    A rate is the seasonal curve plus `noise_sd` times a standard normal,
+    floored at 0.01.  `noise` holds one normal per product of
+    `category_product_ids`, in that order, and is read only when noise_sd >
+    0, so an item gets the same rate whatever else is requested.
     """
     rates, noise_sd = model.rates, model.noise_sd
-    noise: dict[str, float] = {}
-    if noise_sd > 0.0:
-        noise = dict(zip(category_product_ids, rng.standard_normal(len(category_product_ids)).tolist()))
+    normals = dict(zip(category_product_ids, noise)) if noise_sd > 0.0 else {}
     angle = 2.0 * math.pi * response_time / model.period  # of every curve, before its phase
     unit_rates: dict[str, float] = {}
     for product_id in requisition.items:
         curve = rates[(product_id, supplier_id)]
         rate = curve.baseline + curve.amplitude * math.cos(angle + curve.phase)
-        rate += noise_sd * noise.get(product_id, 0.0)
+        rate += noise_sd * normals.get(product_id, 0.0)
         unit_rates[product_id] = max(rate, MIN_SPOT_RATE)
     return unit_rates
 

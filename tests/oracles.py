@@ -292,7 +292,11 @@ class _PendingPR:
     contract_terms: Mapping[str, Mapping[str, float]] | None = None
     scope_items: tuple[str, ...] = ()
     quotes: dict[str, dict[str, float]] = field(default_factory=dict)
-    quote_streams: dict[str, np.random.Generator] = field(default_factory=dict)
+    # drawn at generation: the three processing delays' uniforms, then per
+    # eligible supplier its response uniform and its quote noise
+    delay_draws: list[float] = field(default_factory=list)
+    response_draws: dict[str, float] = field(default_factory=dict)
+    noise: dict[str, list[float]] = field(default_factory=dict)
     awaiting: int = 0
 
 
@@ -304,8 +308,12 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
     calls the same demand, market, policy and metrics layers, which have
     oracles of their own.  Initialization schedules the termination marker and
     the first request trigger per (vessel, category).  A trigger samples the
-    request content, always reschedules the next trigger from the trigger
-    time, and, when material, schedules handling after the
+    request content and always reschedules the next trigger from the trigger
+    time.  When material, it draws, one scalar call per number, from its
+    clock's `pr-timing` stream three delay uniforms and one response uniform
+    per eligible supplier, and, when the spot model is noisy, from its
+    clock's `quote-noise` stream one normal per eligible supplier and
+    category product; then it schedules handling after the
     creation-to-approval plus approval-to-handling delays.  Handling snapshots
     active contract terms, decides the RFQ scope, and either schedules the
     order directly or one response per quoted supplier.  The last pending
@@ -335,6 +343,8 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
 
     gap_streams: dict[tuple[str, str], np.random.Generator] = {}
     item_streams: dict[tuple[str, str], np.random.Generator] = {}
+    timing_streams: dict[tuple[str, str], np.random.Generator] = {}
+    noise_streams: dict[tuple[str, str], np.random.Generator] = {}
     last_replenished: dict[tuple[str, str], dict[str, float]] = {}
     pr_counters: dict[tuple[str, str], int] = {}
     vessels = {v.id: v for v in scenario.vessels}
@@ -345,6 +355,8 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             entity = f"{vessel.id}:{category_id}"
             gap_streams[pair] = plan.stream(run_index, "pr-gap", entity)
             item_streams[pair] = plan.stream(run_index, "pr-items", entity)
+            timing_streams[pair] = plan.stream(run_index, "pr-timing", entity)
+            noise_streams[pair] = plan.stream(run_index, "quote-noise", entity)
             last_replenished[pair] = {p.id: 0.0 for p in categories[category_id].products}
             pr_counters[pair] = 0
             t = sample_gap(vessel.hazards[category_id], 0.0, horizon, gap_streams[pair])
@@ -352,7 +364,6 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
                 schedule(t, PR_GENERATION, vessel_id=vessel.id, category_id=category_id)
 
     pending: dict[str, _PendingPR] = {}
-    delay_streams: dict[str, np.random.Generator] = {}
     commitments: dict[str, int] = {}
     for contract in scenario.contracts:
         commitments[contract.supplier_id] = commitments.get(contract.supplier_id, 0) + contract.volume_commitment
@@ -392,11 +403,16 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
                 continue
             pr_counters[pair] += 1
             n_pr += 1
-            pending[pr_id] = _PendingPR(requisition=requisition)
-            delay_streams[pr_id] = plan.stream(run_index, "pr-delays", pr_id)
-            d = delay_streams[pr_id]
-            handling_at = (time + exponential_delay(scenario.delays.creation_to_approval, d.random())
-                           + exponential_delay(scenario.delays.approval_to_handling, d.random()))
+            timing, normals = timing_streams[pair], noise_streams[pair]
+            state = pending[pr_id] = _PendingPR(requisition=requisition)
+            state.delay_draws = [timing.random() for _ in range(3)]
+            for supplier_id in category.eligible_suppliers:
+                state.response_draws[supplier_id] = timing.random()
+            for supplier_id in category.eligible_suppliers:
+                state.noise[supplier_id] = ([normals.standard_normal() for _ in category.products]
+                                            if spot.noise_sd > 0.0 else [])
+            handling_at = (time + exponential_delay(scenario.delays.creation_to_approval, state.delay_draws[0])
+                           + exponential_delay(scenario.delays.approval_to_handling, state.delay_draws[1]))
             schedule(handling_at, PR_HANDLING, pr_id=pr_id)
             if collect_log:
                 log.append(EventRecord(kind=PR_GENERATION, time=time, pr_id=pr_id,
@@ -422,15 +438,13 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
                                                               rfq_items=scope_items,
                                                               rfq_suppliers=scope_suppliers)))
             if not scope_items:
-                po_at = time + exponential_delay(scenario.delays.handling_to_po,
-                                                 delay_streams[event.pr_id].random())
+                po_at = time + exponential_delay(scenario.delays.handling_to_po, state.delay_draws[2])
                 schedule(po_at, PO_GENERATION, pr_id=event.pr_id)
                 continue
             state.awaiting = len(scope_suppliers)
             for supplier_id in scope_suppliers:
-                stream = plan.stream(run_index, "rfq", f"{event.pr_id}|{supplier_id}")
-                state.quote_streams[supplier_id] = stream
-                response_at = time + exponential_delay(scenario.delays.rfq_mean(supplier_id), stream.random())
+                response_at = time + exponential_delay(scenario.delays.rfq_mean(supplier_id),
+                                                       state.response_draws[supplier_id])
                 schedule(response_at, RFQ_RESPONSE, pr_id=event.pr_id, supplier_id=supplier_id)
 
         elif event.kind == RFQ_RESPONSE:
@@ -438,8 +452,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             requisition = state.requisition
             category = categories[requisition.category_id]
             n_rfq[event.supplier_id] += 1
-            base = make_quote(spot, requisition, event.supplier_id, time,
-                              state.quote_streams.pop(event.supplier_id),
+            base = make_quote(spot, requisition, event.supplier_id, time, state.noise[event.supplier_id],
                               category_product_ids=category.product_ids)
             scoped = scope_quote({event.supplier_id: base}, requisition, state.scope_items, spot)
             quote = scoped[event.supplier_id]
@@ -449,8 +462,7 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
                 log.append(EventRecord(kind=RFQ_RESPONSE, time=time, pr_id=event.pr_id,
                                        supplier_id=event.supplier_id, payload=quote))
             if state.awaiting == 0:
-                po_at = time + exponential_delay(scenario.delays.handling_to_po,
-                                                 delay_streams[event.pr_id].random())
+                po_at = time + exponential_delay(scenario.delays.handling_to_po, state.delay_draws[2])
                 schedule(po_at, PO_GENERATION, pr_id=event.pr_id)
 
         elif event.kind == PO_GENERATION:
@@ -462,7 +474,6 @@ def reference_run_once(scenario: Scenario, run_index: int, master_seed: int,
             allocation = allocate_min_cost(decision)
             terminal_cost += record_allocation(volumes, allocation)
             n_po += 1
-            delay_streams.pop(event.pr_id, None)
             if collect_log:
                 log.append(EventRecord(kind=PO_GENERATION, time=time, pr_id=event.pr_id,
                                        payload=allocation))

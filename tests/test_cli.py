@@ -490,18 +490,27 @@ class TestRunCommand:
         assert exit_info.value.code == 2
         assert f"argument {flag}: expected an integer of at least 1, got '{value}'" in capsys.readouterr().err
 
-    def test_matches_the_same_cell_of_compare(self, tmp_path):
+    @staticmethod
+    def assert_run_matches_its_cell_of_compare(tmp_path, policy):
+        # a cell's numbers do not depend on the cells beside it: naive quotes
+        # fewer requisitions than dynamic, yet draws alike beside it or alone
         common = ("--runs", "20", "--seed", "5", "--export-events")
-        assert run_cli("run", "paper_s5.json", "--policy", "dynamic", "--competition-slope", "0.01",
+        assert run_cli("run", "paper_s5.json", "--policy", policy, "--competition-slope", "0.01",
                        *common, "--out", str(tmp_path / "run")) == 0
         assert run_cli("compare", "paper_s5.json", "--slopes", "0,0.01", *common,
                        "--out", str(tmp_path / "grid")) == 0
-        cell = tmp_path / "grid" / "dynamic_slope0.01"
+        cell = tmp_path / "grid" / f"{policy}_slope0.01"
         names = sorted(p.name for p in (tmp_path / "run").iterdir())
         assert names == sorted(p.name for p in cell.iterdir())
         assert "events_19.csv" in names
         for name in names:
             assert (tmp_path / "run" / name).read_bytes() == (cell / name).read_bytes(), name
+
+    def test_matches_the_same_cell_of_compare(self, tmp_path):
+        self.assert_run_matches_its_cell_of_compare(tmp_path, "dynamic")
+
+    def test_naive_run_matches_the_same_cell_of_compare(self, tmp_path):
+        self.assert_run_matches_its_cell_of_compare(tmp_path, "naive")
 
 
 class TestEventExport:
@@ -776,66 +785,66 @@ def digest_table(out: Path) -> dict[str, str]:
 # table its failure prints and says so in CHANGES.md.
 OUTPUT_DIGESTS = {
     "paper_s5": {
-        "comparison.csv": "4e3b441a4afca49bcdc3f3e264babba8219cde106403aff68a050086d42a3d01",
-        "dynamic_slope0.1/events_*.csv": "a337172fa8688297b9afca7be61d907a4f654957a74d66f98cfd4ae1231730b4",
-        "dynamic_slope0.1/histogram_terminal_cost.csv": "c01b2c38995aef2504577f4ae8399a8ad7ed4e80cbc2944b7799957af51094e5",
-        "dynamic_slope0.1/histogram_utilization_A.csv": "ac219f79176d6407fc3819536552162ad527fe74525ca3dd1e2880dcde7c212b",
-        "dynamic_slope0.1/histogram_utilization_B.csv": "f3505b497dd1f0da3ac82f500dac32c2e890a8d21091c0fb3fe75e8945366309",
-        "dynamic_slope0.1/histogram_utilization_C.csv": "97ddfaaa1bfa55b227f74a8e846a028303be382807fb29fc732485db3b32b36f",
-        "dynamic_slope0.1/runs.csv": "0bdc987f6db19f6f7c9503c9a9c9e47107246aa31d63754522cc93dad983a2a5",
-        "dynamic_slope0.1/summary.json": "13c16ea15093210f78fcf78cc83d2d5bd5ce6e994f71cf1f713ec8e591b3e335",
-        "dynamic_slope0/events_*.csv": "5329369b075af9b6c8efaf1d194bc70504de32bcf3d0e4df19fe79e6a8d0cac4",
-        "dynamic_slope0/histogram_terminal_cost.csv": "94462a7124bc0fa4909b46152069d91cd5ce2cf601fda21a4fcd6776ed418cb4",
+        "comparison.csv": "4e83e7b4a68f0076b07c534c38e2f563a6519c396c954bf9eae4d2cdbc4d3417",
+        "dynamic_slope0.1/events_*.csv": "9e7f250a0b081e6492cd26252541449dd02154b37089d63381b03769a50dd7b6",
+        "dynamic_slope0.1/histogram_terminal_cost.csv": "ce8cfa2f507bcb3d8aec63c2f6f2c248ca430220d02ff30d7d1b9c453bcb0ef6",
+        "dynamic_slope0.1/histogram_utilization_A.csv": "80687a6a2da4ae6b4933faae348dfe212c782d76a9c6107505003e8c6e09b198",
+        "dynamic_slope0.1/histogram_utilization_B.csv": "941897e53b6b86443fc9a60f8369d11dbdafc83f97ee2f7e89c12fc7c7816bee",
+        "dynamic_slope0.1/histogram_utilization_C.csv": "cd4550437daa66201e32e354a3c87e757e9140053f382c564682b5da265f1799",
+        "dynamic_slope0.1/runs.csv": "910454d3a3f9573debda9a446c2479b7a9b0fb909d00e85a9af8242ab3af9723",
+        "dynamic_slope0.1/summary.json": "8820e64f55f2c36e40a7149ddfe581c622f1c1fcb430ac16616c0fc5a3be92cc",
+        "dynamic_slope0/events_*.csv": "a5be8bcb1459fb863dd903d8f5fe56dae2f04bde32907fd3d7c6ea8e5eba003a",
+        "dynamic_slope0/histogram_terminal_cost.csv": "7855788efbd932d5b2a6d0a8faac02891af4ba6b8389bfbdb07fe361d68ab50c",
         "dynamic_slope0/histogram_utilization_A.csv": "ac219f79176d6407fc3819536552162ad527fe74525ca3dd1e2880dcde7c212b",
-        "dynamic_slope0/histogram_utilization_B.csv": "e56ac6b2a292e77449918b21bc14b75f0755887601f5e0310df22877349ac525",
-        "dynamic_slope0/histogram_utilization_C.csv": "7696c45b61740cbd8e5107b075242256757941238f992b565f4186d3e565c25b",
-        "dynamic_slope0/runs.csv": "b07c6e9fd6132c40f834e44ae794ab9fc599d5fac9205dd9a9213016debcb4cd",
-        "dynamic_slope0/summary.json": "85e3de04043567026ec3d1e1b3b6cacaee6648ce3120daa5290b76ae1f9a28ec",
-        "naive_slope0.1/events_*.csv": "04e1638535e91278d30a41bdea93a8aa9bcb6d6e9776a8ce249ea3f6e1ca32bc",
-        "naive_slope0.1/histogram_terminal_cost.csv": "a63c784bc69de4de4df8c2466969419f486a0caad9172bbaf32a345dcdad1552",
-        "naive_slope0.1/histogram_utilization_A.csv": "5f17e2f02afc5763c31815cd374120482e06284976cc302a456e54123ac034ba",
-        "naive_slope0.1/histogram_utilization_B.csv": "c62c8b3ec81f8cfa03c35e82db3c2fd9c7d3683d6f7ad94d9ebf8d9dacc35470",
+        "dynamic_slope0/histogram_utilization_B.csv": "12397e5535db5fa1c7b4beb8b8879559aa2e09bed35e61ab16f263a23c3a0569",
+        "dynamic_slope0/histogram_utilization_C.csv": "c936efbe0cac8131581ae1fde89eaf9afbd7af306be2626a58294a8ddcb2e392",
+        "dynamic_slope0/runs.csv": "48802730fa358eb13c807136c2c55a524deb7b169109c324a4e3a0c49a02f8fb",
+        "dynamic_slope0/summary.json": "288be0877ff02cc37f3f32d96d0527ba619558f9a33af19575d7890b2872141e",
+        "naive_slope0.1/events_*.csv": "254cc772f1a307add07a6e174edb3346559bc59d98a7a8bf55dc51bb1374b0fe",
+        "naive_slope0.1/histogram_terminal_cost.csv": "30c7e5f0ca9eb77490fe7f179a851d451b3b5cdfa56d4e60a7f68e6f9f23c2fa",
+        "naive_slope0.1/histogram_utilization_A.csv": "f6fa2ae304d00fa1bc8656c419cdcac453952ce9979bbe22d21a77befd0f3041",
+        "naive_slope0.1/histogram_utilization_B.csv": "80f0c8954737656ddaa1a4349533b6778723087d93158d21e53b2d91563d8ec2",
         "naive_slope0.1/histogram_utilization_C.csv": "b05493a51bedae0ca0fc2da446b735a3767fdc28c3b4fff6bb09ee1528862206",
-        "naive_slope0.1/runs.csv": "bfa03f3ce391eafe90db4792611e09ac65b03f8cda2f8c1751e212a7808bb375",
-        "naive_slope0.1/summary.json": "94b7613453145cb5656ee6e8073a45a9169bd92566f9a327516df65cd49b39d7",
-        "naive_slope0/events_*.csv": "18f44d89536803235c12b934db2d061d768cc1a852a0cc6ee940ae177ea697df",
-        "naive_slope0/histogram_terminal_cost.csv": "7648ed1ff1845eca99f6d7cdba6fd41b65d4b86a0e71a44b56c248892f005c16",
-        "naive_slope0/histogram_utilization_A.csv": "5f17e2f02afc5763c31815cd374120482e06284976cc302a456e54123ac034ba",
-        "naive_slope0/histogram_utilization_B.csv": "c62c8b3ec81f8cfa03c35e82db3c2fd9c7d3683d6f7ad94d9ebf8d9dacc35470",
+        "naive_slope0.1/runs.csv": "5820e02c2014fe30cce710bb382de347238e154396d73da4b6aab5b442786663",
+        "naive_slope0.1/summary.json": "731ffc0447edf4ac6f95ebdc4a680e9d835ad3bdf3d13623c4e088dfc9f5b361",
+        "naive_slope0/events_*.csv": "b825bd27b1af7648cadad2f8cb75a7b4a440494290a70afd1f6822b77dbed8a3",
+        "naive_slope0/histogram_terminal_cost.csv": "0992b86e6d2f4719dcd333fc10ea325f1454d92044cf4004de06af5f3d76a93d",
+        "naive_slope0/histogram_utilization_A.csv": "f6fa2ae304d00fa1bc8656c419cdcac453952ce9979bbe22d21a77befd0f3041",
+        "naive_slope0/histogram_utilization_B.csv": "80f0c8954737656ddaa1a4349533b6778723087d93158d21e53b2d91563d8ec2",
         "naive_slope0/histogram_utilization_C.csv": "b05493a51bedae0ca0fc2da446b735a3767fdc28c3b4fff6bb09ee1528862206",
-        "naive_slope0/runs.csv": "e5e4c64229ce72f0ff6c3735575d0412a00dfd2fa1d1009747436ed6e62e6de5",
-        "naive_slope0/summary.json": "48dde1e3c661479aedc796a8c7cf3e54ec448fc8305a71211ebf5bcc510a3f08",
+        "naive_slope0/runs.csv": "e0cdda37c218a6b74cd7e91335a563f8830a65b47d231b51e453059da02c1634",
+        "naive_slope0/summary.json": "091786adb8ac69cb14513986ca7671669c73a7386121440c12539e99c97b4386",
     },
     "wide-market": {
-        "comparison.csv": "3234293025a13545103d0fe83985a1b9c9c6766adf5056d3aed76018dd18e36f",
-        "dynamic_slope0.05/histogram_terminal_cost.csv": "3a8b72e3b26ea5b8c69a85b0f47d038d1bab8a7e217a838b3c8f6cdb2484b348",
-        "dynamic_slope0.05/histogram_utilization_S2.csv": "84ccb2cc17c1b0572339a74aea55bbe5bb0a3cdac1883cbabe515254beb291a2",
-        "dynamic_slope0.05/histogram_utilization_S4.csv": "f171c28b9b05f567be66766f8e6599ae41079d0723ae75adde522acc6650ff18",
-        "dynamic_slope0.05/histogram_utilization_S5.csv": "a5bb0107bc3c6368926e7e06399f52100ebffbabf31de012d099827b3ed9be13",
-        "dynamic_slope0.05/histogram_utilization_S6.csv": "4fc1bed263513d3794efa4f0b7cfe57e4678e39e9efc6357a8e65b33a0a25b00",
-        "dynamic_slope0.05/runs.csv": "4386fe71d357cdce906e30a05ca5af74c77de5d3dd40acef7fc2d82a4f3bf569",
-        "dynamic_slope0.05/summary.json": "fef0b013c43ad3f1116eb40c7ed100835d122a5033c9079ac5ca40743a30a44a",
-        "dynamic_slope0/histogram_terminal_cost.csv": "0741dedc12c97e15bd1cf543e84d65110d50d0915fb96419c15a5ad8dae224ae",
-        "dynamic_slope0/histogram_utilization_S2.csv": "2d475c54c44edd175ad1aea454f2aea32789f98b68e756402f96b971a6075f88",
+        "comparison.csv": "0fbc5c3e5933c5d893ff94bd5d7daa904bda10f72372daa3bdf28933eda59572",
+        "dynamic_slope0.05/histogram_terminal_cost.csv": "d828ac7f7af8572422f74acdf286b2a622ee170362c0391f5350fbebf9367e46",
+        "dynamic_slope0.05/histogram_utilization_S2.csv": "8a7a7b02c81163059fdafec07925caa342b1f5b77a83040e1935ff89b818ffd7",
+        "dynamic_slope0.05/histogram_utilization_S4.csv": "1996e8762511193b71afd8abb4e6ccb7936b07e38554eda77a0271e4ea40ec29",
+        "dynamic_slope0.05/histogram_utilization_S5.csv": "42b3268f63982377cdf4438d28ab6f8e39bf195c1279291ae92c92d433e75fec",
+        "dynamic_slope0.05/histogram_utilization_S6.csv": "0cc20ab0d536cb6b5109e23931b1b1262b5af9d9dad987790432109bbff55ed5",
+        "dynamic_slope0.05/runs.csv": "596945ac820e6b716f87d8060f82f4b25dcc44ded52935c7cd0b08c8beb27ed9",
+        "dynamic_slope0.05/summary.json": "0f1afbe0b8237725d4e4b8fc19c292c9987fee6315e84c2836a9f191adc7287e",
+        "dynamic_slope0/histogram_terminal_cost.csv": "ac5bb5da640b2242f5da2d7bc93665e905e2ea3a386927e1c332ce173f68c3a0",
+        "dynamic_slope0/histogram_utilization_S2.csv": "2b2d0dfc2991a180a1fc21402360171abb0b27109f2e12001d5a9dc6dd21944e",
         "dynamic_slope0/histogram_utilization_S4.csv": "2b2d0dfc2991a180a1fc21402360171abb0b27109f2e12001d5a9dc6dd21944e",
         "dynamic_slope0/histogram_utilization_S5.csv": "2b2d0dfc2991a180a1fc21402360171abb0b27109f2e12001d5a9dc6dd21944e",
-        "dynamic_slope0/histogram_utilization_S6.csv": "8299b44c1bbb1b67737fa2f3cbffc2c018a6d30225fc4aae8c91e6464ea48ee6",
-        "dynamic_slope0/runs.csv": "09b570156879538ac359fcc44098a8c1555705e3aad2a48025355fd8e67612ec",
-        "dynamic_slope0/summary.json": "632df66ec89093e0e3db956a42486d558b4deda5ea54deae6a75404a43cbc013",
-        "naive_slope0.05/histogram_terminal_cost.csv": "7699292f3bdd6eba0e57a1d166ba2c64b3345f38306ed416f2ea295fd8f59984",
-        "naive_slope0.05/histogram_utilization_S2.csv": "9ba9c3d2857471cf9041fe5c2391026e0dd21412d836f1ae9b0590e0921f94d8",
-        "naive_slope0.05/histogram_utilization_S4.csv": "c440301560dce5cd590864e71573254b817cf84854c9426074385dfb062ec0a5",
-        "naive_slope0.05/histogram_utilization_S5.csv": "2a996e04f3a3f5cdb96515b3a1c14f6a9ad418b56406b44b6e7d843508515ddf",
-        "naive_slope0.05/histogram_utilization_S6.csv": "87e5dcb889ebbb4ec445f1c1c142da267a551eda08b582c8fbd741eb34187528",
-        "naive_slope0.05/runs.csv": "52122f6c890a266bebe92bee931b198e3da7056de0c272c0346c75953f2e43e6",
-        "naive_slope0.05/summary.json": "f8982b73415eaab59dbacc7ec43000cef1ac8c5c5251cab31dd313eee0a0b109",
-        "naive_slope0/histogram_terminal_cost.csv": "09c00f84382a2c15bde790fee9c0d00ddf505ffde1430737ce9b61fd68e7b0ee",
-        "naive_slope0/histogram_utilization_S2.csv": "9ba9c3d2857471cf9041fe5c2391026e0dd21412d836f1ae9b0590e0921f94d8",
-        "naive_slope0/histogram_utilization_S4.csv": "c440301560dce5cd590864e71573254b817cf84854c9426074385dfb062ec0a5",
-        "naive_slope0/histogram_utilization_S5.csv": "2a996e04f3a3f5cdb96515b3a1c14f6a9ad418b56406b44b6e7d843508515ddf",
-        "naive_slope0/histogram_utilization_S6.csv": "87e5dcb889ebbb4ec445f1c1c142da267a551eda08b582c8fbd741eb34187528",
-        "naive_slope0/runs.csv": "fd3c256a21689c4f45ac45754ef98ff13e8bdb0cfc05927ab16f13b8d7e343cc",
-        "naive_slope0/summary.json": "0bc0bec1e6fd56e71ff330ea6af39ddef86d0bd974e06a0033449d6253ef50ae",
+        "dynamic_slope0/histogram_utilization_S6.csv": "d2e76c9b2e6aa8786efb2a9cad654bc990c6fc07aa3449b89271ba84d3db4bb3",
+        "dynamic_slope0/runs.csv": "93ed29fd7f92d64691823d7b6971ee62bd66240132e9f6713d00cb42dfa18d31",
+        "dynamic_slope0/summary.json": "2d165222bdc84c0a352e09dbb1e3b3077082f9b70a4d329cfb16c8c6457f0130",
+        "naive_slope0.05/histogram_terminal_cost.csv": "f3c46ba9ee9b5cdcb904011c393ef26b67f0ebf197c6f16e1c221ff74b0e1c8c",
+        "naive_slope0.05/histogram_utilization_S2.csv": "8a7a7b02c81163059fdafec07925caa342b1f5b77a83040e1935ff89b818ffd7",
+        "naive_slope0.05/histogram_utilization_S4.csv": "a721150cca8aae26ba992762c6a0f6d4cc397f77de6d14377f69cc7ebcc59a43",
+        "naive_slope0.05/histogram_utilization_S5.csv": "18c75f0a1ce1ee46ce8c38228d26d0841ac47f15655fca5d3943f5a420258ccd",
+        "naive_slope0.05/histogram_utilization_S6.csv": "10bf6a12ebc149966d36214c660678435c09cad9d6b97b4238ccadaaa11eb95a",
+        "naive_slope0.05/runs.csv": "fe65b16a3e12b12c9605cb44296f103f51fcfb5148d73701c19fc2c5bc3f1c2c",
+        "naive_slope0.05/summary.json": "f727b995110618baf1bc8f8f8a67e821c2da734c43d942d4810d0a2f3f92a3d0",
+        "naive_slope0/histogram_terminal_cost.csv": "0c9f4b5219a467a3c83f711737f38baa2c7859952d37d624accc7f36c97c252d",
+        "naive_slope0/histogram_utilization_S2.csv": "8a7a7b02c81163059fdafec07925caa342b1f5b77a83040e1935ff89b818ffd7",
+        "naive_slope0/histogram_utilization_S4.csv": "a721150cca8aae26ba992762c6a0f6d4cc397f77de6d14377f69cc7ebcc59a43",
+        "naive_slope0/histogram_utilization_S5.csv": "18c75f0a1ce1ee46ce8c38228d26d0841ac47f15655fca5d3943f5a420258ccd",
+        "naive_slope0/histogram_utilization_S6.csv": "10bf6a12ebc149966d36214c660678435c09cad9d6b97b4238ccadaaa11eb95a",
+        "naive_slope0/runs.csv": "eed87f0c5598dd7801a604ef1f0ef54dd56653e547fdf2a21aa51c364657bb87",
+        "naive_slope0/summary.json": "c063c1a7aebdb2016423e01903de1c455b0f3baccd9c3150cd541cf906f05532",
     },
 }
 

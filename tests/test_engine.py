@@ -141,23 +141,21 @@ class TestRngPlan:
 
     @pytest.mark.parametrize("purpose, entity", [
         ("pr-gap", "V1:consumables"), ("pr-items", "V2:consumables"),
-        ("pr-delays", "V1:consumables:0"), ("rfq", "V3:consumables:4|B"),
+        ("pr-timing", "V1:consumables"), ("quote-noise", "V3:consumables"),
     ])
     def test_block_reads_draw_the_scalar_doubles(self, purpose, entity):
-        # the engine reads a clock's streams in blocks, a requisition's delays in
-        # one random(3) and a quote's noise in one standard_normal(k): each must
-        # give exactly the doubles that one scalar call per draw gives
-        def twins():
+        # the engine reads each of a clock's streams in blocks of 64, uniforms
+        # and normals alike, one draw or a requisition's share at a time: it
+        # must give exactly the doubles that one scalar call per draw gives
+        for kind in ("random", "standard_normal"):
             plan = RngPlan(2024)
-            return plan.stream(7, purpose, entity), plan.stream(7, purpose, entity)
-
-        blocks, scalar = twins()
-        reader = engine._Uniforms(blocks)
-        assert [reader.random() for _ in range(200)] == [scalar.random() for _ in range(200)]  # 4 blocks
-        blocks, scalar = twins()
-        assert blocks.random(3).tolist() == [scalar.random() for _ in range(3)]
-        blocks, scalar = twins()
-        assert blocks.standard_normal(3).tolist() == [scalar.standard_normal() for _ in range(3)]
+            reader = engine._Draws(getattr(plan.stream(7, purpose, entity), kind))
+            # 200 draws over 4 blocks: the takes of 12 and 75 straddle the block
+            # boundaries at 64, 128 and 192
+            drawn = [reader.random() for _ in range(55)] + reader.take(12) + reader.take(0)
+            drawn += [reader.random() for _ in range(58)] + reader.take(75)
+            draw = getattr(plan.stream(7, purpose, entity), kind)
+            assert drawn == [draw() for _ in range(200)], kind
 
     def test_adjacent_keys_look_independent(self):
         plan = RngPlan(42)
@@ -181,7 +179,7 @@ class TestEventWiring:
         plan = FakePlan(scripts={
             ("pr-gap", "V:cat"): StubRng([GAP_40, GAP_FAR]),
             ("pr-items", "V:cat"): StubRng([0.0]),
-            ("pr-delays", "V:cat:0"): StubRng([U_MEAN, U_MEAN, U_MEAN]),
+            ("pr-timing", "V:cat"): StubRng([U_MEAN] * 4),
         })
         out = run_once((scenario,), 0, 0, rng_plan=plan)[0]
         times = [(r.kind, r.time) for r in out.log]
@@ -198,10 +196,9 @@ class TestEventWiring:
         scripts = {
             ("pr-gap", "V:cat"): StubRng([GAP_40, GAP_FAR]),
             ("pr-items", "V:cat"): StubRng([0.0]),
-            ("pr-delays", "V:cat:0"): StubRng([U_MEAN, U_MEAN, U_MEAN]),
+            # the three delays, then S1's, S2's and S3's responses
+            ("pr-timing", "V:cat"): StubRng([U_MEAN] * 6),
         }
-        for supplier in ("S1", "S2", "S3"):
-            scripts[("rfq", f"V:cat:0|{supplier}")] = StubRng([U_MEAN])
         out = run_once((scenario,), 0, 0, rng_plan=FakePlan(scripts=scripts))[0]
         kinds_times = [(r.kind, round(r.time, 6)) for r in out.log]
         assert kinds_times[:2] == [(PR_GENERATION, 40.0), (PR_HANDLING, 47.0)]
@@ -218,7 +215,7 @@ class TestEventWiring:
         plan = FakePlan(scripts={
             ("pr-gap", "V:cat"): StubRng([GAP_40, GAP_FAR]),
             ("pr-items", "V:cat"): StubRng([0.0]),
-            ("pr-delays", "V:cat:0"): StubRng([U_MEAN, U_MEAN, U_MEAN]),
+            ("pr-timing", "V:cat"): StubRng([U_MEAN] * 4),
         })
         out = run_once((scenario,), 0, 0, rng_plan=plan)[0]
         result = out.result
@@ -243,8 +240,7 @@ class TestEventWiring:
             return FakePlan(scripts={
                 ("pr-gap", "V:cat"): StubRng([GAP_40, GAP_FAR]),
                 ("pr-items", "V:cat"): StubRng([0.0]),
-                ("pr-delays", "V:cat:0"): StubRng([U_MEAN, U_MEAN, U_MEAN]),
-                ("rfq", "V:cat:0|S1"): StubRng([U_MEAN]),
+                ("pr-timing", "V:cat"): StubRng([U_MEAN] * 4),
             })
 
         out = run_once((scenario,), 0, 0, rng_plan=plan())[0]
@@ -261,7 +257,7 @@ class TestEventWiring:
         plan = FakePlan(scripts={
             ("pr-gap", "V:cat"): StubRng([u_for_delay(0.5, 100.0), GAP_40, GAP_FAR]),
             ("pr-items", "V:cat"): StubRng([0.99, 0.0]),
-            ("pr-delays", "V:cat:0"): StubRng([U_MEAN, U_MEAN, U_MEAN]),
+            ("pr-timing", "V:cat"): StubRng([U_MEAN] * 4),
         })
         out = run_once((scenario,), 0, 0, rng_plan=plan)[0]
         result = out.result
@@ -269,6 +265,51 @@ class TestEventWiring:
         assert result.n_pr == 1
         generation = next(r for r in out.log if r.kind == PR_GENERATION)
         assert generation.time == pytest.approx(40.5)
+
+
+CLOCK_PURPOSES = ("pr-gap", "pr-items", "pr-timing", "quote-noise")
+
+
+class TestClockStreams:
+    """Each (vessel, category) clock keys four streams, which give every draw of its requisitions."""
+
+    @staticmethod
+    def clocks(scenario):
+        return [f"{vessel.id}:{category_id}" for vessel in scenario.vessels for category_id in sorted(vessel.hazards)]
+
+    def test_four_streams_per_clock_whatever_the_requisition_count(self, paper_scenario, monkeypatch):
+        opened = []
+        real = RngPlan.stream
+
+        def stream(self, run_index, purpose, entity=""):
+            opened.append((purpose, entity))
+            return real(self, run_index, purpose, entity)
+
+        monkeypatch.setattr(RngPlan, "stream", stream)
+        cells = grid(paper_scenario, (0.0, 0.01, 0.1))
+        expected = sorted((purpose, clock) for clock in self.clocks(paper_scenario) for purpose in CLOCK_PURPOSES)
+        n_prs = set()
+        for run_index in range(10):
+            opened.clear()
+            n_prs.add(run_once(cells, run_index, 42)[0].result.n_pr)
+            assert sorted(opened) == expected
+        assert len(expected) == 12 and len(n_prs) > 1
+
+    def test_timing_and_noise_streams_leave_the_demand_alone(self, paper_scenario):
+        cells = grid(paper_scenario, (0.0, 0.1))
+        costs_moved = 0
+        for run_index in range(5):
+            other = RngPlan(7)
+            plan = FakePlan(42, scripts={(purpose, clock): other.stream(run_index, purpose, clock)
+                                         for purpose in ("pr-timing", "quote-noise")
+                                         for clock in self.clocks(paper_scenario)})
+            for base, redrawn in zip(run_once(cells, run_index, 42), run_once(cells, run_index, 42, rng_plan=plan)):
+                assert ([r for r in redrawn.log if r.kind == PR_GENERATION]
+                        == [r for r in base.log if r.kind == PR_GENERATION])
+                assert redrawn.result.n_pr == base.result.n_pr
+                assert redrawn.result.empty_draws == base.result.empty_draws
+                costs_moved += redrawn.result.terminal_cost != base.result.terminal_cost
+        assert costs_moved > 0  # the scripted streams were read
 
 
 class TestBatchDeterminism:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import StubRng
 from rto_sim.domain import Contract, Requisition, SpotModel, SpotRate
 from rto_sim.market import (
     ContractBook,
@@ -101,43 +100,43 @@ def requisition(items):
     return Requisition(id="r", vessel_id="V", category_id="cat", created_at=1.0, items=items)
 
 
-def spot_rate(model, t, rng):
-    """One spot unit-rate draw: supplier S's quote for a one-item requisition of product P."""
-    return make_quote(model, requisition({"P": 1}), "S", t, rng, category_product_ids=("P",))["P"]
+def spot_rate(model, t, noise=()):
+    """One spot unit rate: supplier S's quote for a one-item requisition of product P, given P's normal."""
+    return make_quote(model, requisition({"P": 1}), "S", t, noise, category_product_ids=("P",))["P"]
 
 
 class TestSpotRate:
     def test_degenerate_model_returns_baseline(self):
         model = flat_model()
-        assert spot_rate(model, 123.4, StubRng()) == 10.0
+        assert spot_rate(model, 123.4) == 10.0
 
     def test_seasonal_trough(self):
         # amplitude 3 at phase pi/2 evaluated a quarter period in
         model = flat_model(baseline=10.0, amplitude=3.0, phase=math.pi / 2)
-        assert spot_rate(model, 365.0 / 4, StubRng()) == pytest.approx(7.0)
+        assert spot_rate(model, 365.0 / 4) == pytest.approx(7.0)
 
     def test_phase_shift_cancels_at_origin(self):
         model = flat_model(baseline=10.0, amplitude=2.0, phase=-math.pi / 2)
-        assert spot_rate(model, 0.0, StubRng()) == pytest.approx(10.0)
+        assert spot_rate(model, 0.0) == pytest.approx(10.0)
 
     def test_noise_floor(self):
         model = flat_model(baseline=0.5, noise_sd=1.0)
-        assert spot_rate(model, 0.0, StubRng(normals=[-5.0])) == 0.01
+        assert spot_rate(model, 0.0, [-5.0]) == 0.01
 
     @given(t=st.floats(min_value=0.0, max_value=2000.0),
            amplitude=st.floats(min_value=0.0, max_value=5.0),
            phase=st.floats(min_value=-math.pi, max_value=math.pi))
     def test_noise_free_periodicity(self, t, amplitude, phase):
         model = flat_model(baseline=10.0, amplitude=amplitude, phase=phase)
-        a = spot_rate(model, t, StubRng())
-        b = spot_rate(model, t + 365.0, StubRng())
+        a = spot_rate(model, t)
+        b = spot_rate(model, t + 365.0)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_unbiasedness(self):
         model = flat_model(baseline=10.0, amplitude=2.0, phase=0.3, noise_sd=1.0)
-        rng = np.random.Generator(np.random.PCG64(5))
         n = 100_000
-        draws = [spot_rate(model, 40.0, rng) for _ in range(n)]
+        normals = np.random.Generator(np.random.PCG64(5)).standard_normal(n).tolist()
+        draws = [spot_rate(model, 40.0, [z]) for z in normals]
         expected = 10.0 + 2.0 * math.cos(2 * math.pi * 40.0 / 365.0 + 0.3)
         assert abs(np.mean(draws) - expected) <= 3.0 / math.sqrt(n)
 
@@ -146,29 +145,26 @@ class TestMakeQuote:
     def test_deterministic_reduction_to_seasonal_curve(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0)
         req = requisition({"P1": 4})
-        quote = make_quote(spot, req, "B", 365.0 / 4, StubRng(),
-                           category_product_ids=("P1", "P2", "P3"))
+        quote = make_quote(spot, req, "B", 365.0 / 4, (), category_product_ids=("P1", "P2", "P3"))
         assert quote == {"P1": pytest.approx(7.0)}
 
     def test_golden_quote_vector(self, paper_scenario):
         # frozen from a hand-verified run: seasonal curve at t=20 plus the
         # first three standard normals of PCG64 seed 77
         req = requisition({"P1": 10, "P2": 5, "P3": 50})
-        rng = np.random.Generator(np.random.PCG64(77))
-        quote = make_quote(paper_scenario.spot, req, "A", 20.0, rng,
-                           category_product_ids=("P1", "P2", "P3"))
+        noise = np.random.Generator(np.random.PCG64(77)).standard_normal(3).tolist()
+        quote = make_quote(paper_scenario.spot, req, "A", 20.0, noise, category_product_ids=("P1", "P2", "P3"))
         assert quote["P1"] == pytest.approx(11.102815763392954, abs=1e-12)
         assert quote["P2"] == pytest.approx(7.546527808087861, abs=1e-12)
         assert quote["P3"] == pytest.approx(10.845907510589281, abs=1e-12)
 
     def test_noise_alignment_across_scopes(self, paper_scenario):
-        # the same stream gives an item the same rate no matter which other
+        # the same noise gives an item the same rate no matter which other
         # items the requisition holds
-        full = make_quote(paper_scenario.spot, requisition({"P1": 10, "P2": 5, "P3": 50}), "A", 20.0,
-                          np.random.Generator(np.random.PCG64(123)),
+        noise = np.random.Generator(np.random.PCG64(123)).standard_normal(3).tolist()
+        full = make_quote(paper_scenario.spot, requisition({"P1": 10, "P2": 5, "P3": 50}), "A", 20.0, noise,
                           category_product_ids=("P1", "P2", "P3"))
-        partial = make_quote(paper_scenario.spot, requisition({"P3": 50}), "A", 20.0,
-                             np.random.Generator(np.random.PCG64(123)),
+        partial = make_quote(paper_scenario.spot, requisition({"P3": 50}), "A", 20.0, noise,
                              category_product_ids=("P1", "P2", "P3"))
         assert partial == {"P3": full["P3"]}
 
@@ -177,8 +173,7 @@ class TestScopeQuote:
     @staticmethod
     def base_quote(spot, req):
         # noise-free: a quarter period in, supplier B's P1 rate is 7.0
-        return make_quote(spot, req, "B", 365.0 / 4, StubRng(),
-                          category_product_ids=("P1", "P2", "P3"))
+        return make_quote(spot, req, "B", 365.0 / 4, (), category_product_ids=("P1", "P2", "P3"))
 
     def test_cut_to_scope(self, paper_scenario):
         spot = dataclasses.replace(paper_scenario.spot, noise_sd=0.0)
