@@ -293,10 +293,10 @@ def run_once(scenarios: Sequence[Scenario], run_index: int, master_seed: int,
     scope is empty, by the handling-to-order delay.  Cells with the same RFQ
     scope, the same slope when it is not empty and the same order overhead
     share one set of scoped quotes and, once one orders before the horizon,
-    one decision.  The decisions are
-    solved in one `allocate_batch` call after the walk, and each cell's
-    orders and log records point at theirs by index until then.  A cell's
-    log, when collected, is its records in time order, termination last.
+    one decision.  The decisions are solved in one `allocate_batch` call
+    after the walk, and each cell's orders and log records point at theirs
+    by index until then.  A cell's log, when collected, is its records in
+    time order, termination last.
     """
     world = _check_grid(scenarios)
     plan = rng_plan if rng_plan is not None else RngPlan(master_seed)

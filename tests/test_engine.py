@@ -267,9 +267,6 @@ class TestEventWiring:
         assert generation.time == pytest.approx(40.5)
 
 
-CLOCK_PURPOSES = ("pr-gap", "pr-items", "pr-timing", "quote-noise")
-
-
 class TestClockStreams:
     """Each (vessel, category) clock keys four streams, which give every draw of its requisitions."""
 
@@ -287,7 +284,8 @@ class TestClockStreams:
 
         monkeypatch.setattr(RngPlan, "stream", stream)
         cells = grid(paper_scenario, (0.0, 0.01, 0.1))
-        expected = sorted((purpose, clock) for clock in self.clocks(paper_scenario) for purpose in CLOCK_PURPOSES)
+        expected = sorted((purpose, clock) for clock in self.clocks(paper_scenario)
+                          for purpose in ("pr-gap", "pr-items", "pr-timing", "quote-noise"))
         n_prs = set()
         for run_index in range(10):
             opened.clear()
@@ -297,9 +295,9 @@ class TestClockStreams:
 
     def test_timing_and_noise_streams_leave_the_demand_alone(self, paper_scenario):
         cells = grid(paper_scenario, (0.0, 0.1))
+        other = RngPlan(7)
         costs_moved = 0
         for run_index in range(5):
-            other = RngPlan(7)
             plan = FakePlan(42, scripts={(purpose, clock): other.stream(run_index, purpose, clock)
                                          for purpose in ("pr-timing", "quote-noise")
                                          for clock in self.clocks(paper_scenario)})
