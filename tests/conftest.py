@@ -54,17 +54,13 @@ def u_for_delay(delay: float, mean: float) -> float:
 
 
 class StubRng:
-    """Scripted stand-in for a numpy Generator: pops queued draws, one or `size` at a time."""
+    """Scripted stand-in for a numpy Generator's uniforms: pops queued draws, one or `size` at a time."""
 
-    def __init__(self, uniforms=(), normals=()):
+    def __init__(self, uniforms=()):
         self.uniforms = list(uniforms)
-        self.normals = list(normals)
 
     def random(self, size=None):
         return self.uniforms.pop(0) if size is None else _take(self.uniforms, size)
-
-    def standard_normal(self, size=None):
-        return self.normals.pop(0) if size is None else _take(self.normals, size)
 
 
 def _take(queue: list, size: int) -> np.ndarray:
